@@ -12,9 +12,7 @@ from .distributions import (
     Ar1Spec,
     RngStream,
     regularized_incomplete_beta,
-    sample_ar1_row,
     sample_ar1_rows,
-    std_normal,
     student_t_cdf,
     student_t_quantile,
 )
@@ -27,24 +25,20 @@ from .inference import (
 )
 from .linalg import (
     Dataset,
-    SseDecomposition,
     Subset,
     SubsetFit,
     centered_dataset,
     ols_fit,
     qr_reduction,
-    sse_decomposition,
 )
 from .selection import (
     ConditionDiagnostics,
     Criterion,
-    PreferenceCheck,
     SelectionResult,
     TheoremReport,
     gamma,
     overfit_condition,
     select,
-    selection_preference_equivalence,
     theorem_report,
 )
 from .simulation import (
@@ -69,13 +63,11 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "GeneratedData",
-    "PreferenceCheck",
     "QueryPoint",
     "ReplicationRecord",
     "RNG_ALGORITHM",
     "RngStream",
     "SelectionResult",
-    "SseDecomposition",
     "Subset",
     "SubsetFit",
     "TheoremReport",
@@ -90,12 +82,8 @@ __all__ = [
     "regularized_incomplete_beta",
     "run_experiment",
     "run_replication",
-    "sample_ar1_row",
     "sample_ar1_rows",
     "select",
-    "selection_preference_equivalence",
-    "sse_decomposition",
-    "std_normal",
     "student_t_cdf",
     "student_t_quantile",
     "summarize",

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 2 on usage or configuration errors, 3 on runtime
 failures.  All file output is written atomically next to a manifest that
 echoes the full configuration; re-running with ``--config manifest.json``
-reproduces the outputs byte for byte.
+reproduces summary.json, records.csv and ratio_hist.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -75,14 +75,12 @@ def _fmt(value: float) -> str:
 # configuration assembly
 # ---------------------------------------------------------------------------
 
-_INT_FIELDS = {"n", "p", "reps", "seed"}
-_FLOAT_FIELDS = {"sigma", "rho", "alpha", "c_n"}
-_CONFIG_FIELDS = _INT_FIELDS | _FLOAT_FIELDS | {
-    "beta_star",
-    "s_star",
-    "criterion",
-    "workers",
-}
+# Configuration keys are the ExperimentConfig fields plus c_n, which a file or
+# the --cn flag gives next to the criterion.  beta_star, s_star, criterion,
+# c_n and workers need their own parsing; every other field is a number of
+# its default's type.
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_CONFIG_KEYS = (*_FIELDS, "c_n")
 
 
 def _parse_index_list(text: str, field: str) -> tuple[int, ...]:
@@ -100,15 +98,8 @@ def _parse_float_list(text: str, field: str) -> tuple[float, ...]:
 
 
 def _coerce_config_value(key: str, value):
-    if key not in _CONFIG_FIELDS:
+    if key not in _CONFIG_KEYS:
         raise _UsageError(f"unknown configuration field {key!r}")
-    try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"{key}: expected a number, got {value!r}")
     if key == "beta_star":
         if isinstance(value, (list, tuple)):
             return tuple(float(v) for v in value)
@@ -129,7 +120,11 @@ def _coerce_config_value(key: str, value):
             return int(value)
         except (TypeError, ValueError):
             raise _UsageError(f"workers: expected 'auto' or an integer, got {value!r}")
-    raise AssertionError(key)
+    number = float if key == "c_n" else type(_FIELDS[key].default)
+    try:
+        return number(value)
+    except (TypeError, ValueError):
+        raise _UsageError(f"{key}: expected a number, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -184,31 +179,18 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     merged: dict = {}
     if args.config:
         merged.update(_load_config_file(args.config))
-    flag_fields = (
-        ("n", args.n),
-        ("p", args.p),
-        ("sigma", args.sigma),
-        ("rho", args.rho),
-        ("reps", args.reps),
-        ("alpha", args.alpha),
-        ("seed", args.seed),
-        ("workers", args.workers),
-        ("criterion", args.criterion),
-        ("c_n", args.cn),
-        ("beta_star", args.beta_star),
-        ("s_star", args.s_star),
-    )
-    for key, value in flag_fields:
+    for key in _CONFIG_KEYS:
+        value = getattr(args, "cn" if key == "c_n" else key)
         if value is not None:
             merged[key] = _coerce_config_value(key, value)
 
-    kwargs: dict = {}
-    for key in ("n", "p", "sigma", "rho", "reps", "alpha", "seed", "workers"):
-        if key in merged:
-            kwargs[key] = merged[key]
-    if "beta_star" in merged:
-        kwargs["beta_star"] = merged["beta_star"]
-    elif "p" in merged and merged["p"] != 10:
+    kwargs = {
+        key: value
+        for key, value in merged.items()
+        if key not in ("s_star", "criterion", "c_n")
+    }
+    default_p = _FIELDS["p"].default
+    if "beta_star" not in merged and merged.get("p", default_p) != default_p:
         raise _UsageError("beta_star must be given when p is not the default")
     if "s_star" in merged:
         kwargs["s_star"] = Subset.of(merged["s_star"])
@@ -220,22 +202,20 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-serializable echo of every configuration field."""
-    crit = cfg.criterion
-    return {
-        "n": cfg.n,
-        "p": cfg.p,
-        "sigma": cfg.sigma,
-        "beta_star": list(cfg.beta_star),
-        "s_star": list(cfg.s_star.indices),
-        "rho": cfg.rho,
-        "reps": cfg.reps,
-        "alpha": cfg.alpha,
-        "criterion": crit.kind,
-        "c_n": crit.custom_value,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-    }
+    """JSON-serializable echo of every configuration field, in field order."""
+    out: dict = {}
+    for key in _FIELDS:
+        value = getattr(cfg, key)
+        if key == "beta_star":
+            out[key] = list(value)
+        elif key == "s_star":
+            out[key] = list(value.indices)
+        elif key == "criterion":
+            out["criterion"] = value.kind
+            out["c_n"] = value.custom_value
+        else:
+            out[key] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +295,6 @@ def _summary_json_obj(summary) -> dict:
     }
     for name, se in summary.standard_errors.items():
         obj[f"{name}_se"] = se
-    obj["runtime_seconds"] = summary.runtime_seconds
     obj["rng_algorithm"] = summary.rng_algorithm
     obj["seed"] = summary.seed
     return obj
@@ -329,7 +308,6 @@ class RunManifest:
     tool_version: str
     rng_algorithm: str
     seed: int
-    runtime_seconds: float
     outputs: dict
 
     def as_dict(self) -> dict:
@@ -372,7 +350,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         tool_version=__version__,
         rng_algorithm=RNG_ALGORITHM,
         seed=cfg.seed,
-        runtime_seconds=summary.runtime_seconds,
         outputs={k: v for k, v in paths.items() if k != "manifest"},
     )
     try:
@@ -397,6 +374,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"coverage_oracle:   {_fmt(summary.coverage_oracle)}")
     print(f"mean_ratio_overfit: {ratio_text}")
     print(f"containment_rate:  {_fmt(summary.containment_rate)}")
+    print(f"runtime: {summary.runtime_seconds:.2f} s")
     print(f"outputs written to {out_dir}")
     return EXIT_OK
 

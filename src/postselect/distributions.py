@@ -69,10 +69,6 @@ class RngStream:
     def algorithm(self) -> str:
         return RNG_ALGORITHM
 
-    def std_normal(self) -> float:
-        """One standard normal draw."""
-        return float(self._gen.standard_normal())
-
     def standard_normal(self, size) -> np.ndarray:
         """An array of iid standard normal draws, filled in C order."""
         return self._gen.standard_normal(size)
@@ -81,26 +77,13 @@ class RngStream:
         return f"RngStream(seed={self.seed}, substream={self.substream})"
 
 
-def std_normal(rng: RngStream) -> float:
-    """One draw from N(0, 1)."""
-    return rng.std_normal()
-
-
-def sample_ar1_row(rng: RngStream, spec: Ar1Spec) -> np.ndarray:
-    """One draw from N_p(0, Sigma) with ``Sigma_ij = rho ** |i - j|``.
-
-    Uses the exact scalar recursion ``x_1 = z_1``,
-    ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i`` with iid standard normal
-    ``z``, costing O(p) per row instead of a dense factor solve.
-    """
-    return _ar1_recursion(rng.standard_normal(spec.p)[np.newaxis, :], spec.rho)[0]
-
-
 def sample_ar1_rows(rng: RngStream, spec: Ar1Spec, rows: int) -> np.ndarray:
-    """Stack of ``rows`` AR(1) draws, shape (rows, p).
+    """``rows`` iid draws from N_p(0, Sigma) with ``Sigma_ij = rho ** |i - j|``.
 
-    Consumes the stream in the same order as ``rows`` successive calls to
-    :func:`sample_ar1_row`, so the two constructions are interchangeable.
+    Returns shape (rows, p).  Each row uses the exact scalar recursion
+    ``x_1 = z_1``, ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i`` with iid
+    standard normal ``z``, costing O(p) per row instead of a dense factor
+    solve.  The stream is consumed one whole row of ``z`` at a time.
     """
     if rows < 0:
         raise ValueError(f"rows must be nonnegative, got {rows}")

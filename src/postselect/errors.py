@@ -13,10 +13,6 @@ class InsufficientDf(PostselectError):
     """A fit would have fewer than one residual degree of freedom."""
 
 
-class NotNested(PostselectError):
-    """The smaller subset is not a strict subset of the larger one."""
-
-
 class ZeroSse(PostselectError):
     """An SSE that must be positive is zero, leaving a ratio undefined."""
 

@@ -3,7 +3,7 @@
 Given a fitted sub-model S, the interval for the mean response at a query
 point x is ``x_S' beta_S +/- t_{n-|S|-1}(1 - alpha/2) * sigma_S *
 sqrt(x_S' (X_S' X_S)^-1 x_S)``.  The quadratic form is evaluated through the
-triangular factor of X_S, never through an explicit inverse.
+triangular factor the fit already holds, never through an explicit inverse.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import student_t_quantile
 from .errors import DegenerateModel, InvalidAlpha, LengthMismatch
-from .linalg import Dataset, Subset, SubsetFit, _check_rank
+from .linalg import Dataset, Subset, SubsetFit
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def mean_response_ci(
     data : Dataset
         The dataset the fit was computed from.
     fit : SubsetFit
-        A least-squares fit of some subset of ``data``'s columns.
+        A least-squares fit of some subset of ``data``'s columns, as returned
+        by ``ols_fit`` (which has already rejected collinear subsets).
     x : QueryPoint
         Full-dimension query point, centered by the training column means.
     alpha : float
@@ -100,9 +101,7 @@ def mean_response_ci(
     center = float(xs @ fit.beta_hat)
 
     # x_S' (X_S' X_S)^-1 x_S = ||R^-T x_S||^2 with X_S = Q R
-    r = np.linalg.qr(data.columns(fit.subset), mode="r")
-    _check_rank(np.diagonal(r), fit.subset)
-    w = np.linalg.solve(r.T, xs)
+    w = np.linalg.solve(fit.r_factor.T, xs)
     quad_form = float(w @ w)
 
     t_crit = student_t_quantile(fit.df, 1.0 - alpha / 2.0)

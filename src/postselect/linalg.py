@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDf, NotNested, RankDeficient, ZeroSse
+from .errors import InsufficientDf, RankDeficient
 
 # A subset's QR factor is rank deficient when its smallest diagonal pivot
 # falls below this fraction of the largest one.
@@ -160,6 +160,9 @@ class SubsetFit:
         Residual degrees of freedom, ``n - |S| - 1``.
     sigma_hat_sq : float
         Variance estimate ``sse / df``.
+    r_factor : ndarray, shape (|S|, |S|)
+        Upper-triangular factor of the thin QR ``X_S = Q R`` the fit was
+        solved with; shape (0, 0) for the empty subset.
     """
 
     subset: Subset
@@ -167,6 +170,7 @@ class SubsetFit:
     sse: float
     df: int
     sigma_hat_sq: float
+    r_factor: np.ndarray = field(repr=False, compare=False)
 
     @property
     def sigma_hat(self) -> float:
@@ -213,6 +217,7 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
             sse=sse,
             df=df,
             sigma_hat_sq=sse / df,
+            r_factor=np.empty((0, 0)),
         )
     Xs = data.columns(s)
     q, r = np.linalg.qr(Xs)
@@ -220,46 +225,9 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
     beta = np.linalg.solve(r, q.T @ data.y)
     resid = data.y - Xs @ beta
     sse = float(resid @ resid)
-    return SubsetFit(subset=s, beta_hat=beta, sse=sse, df=df, sigma_hat_sq=sse / df)
-
-
-class SseDecomposition(NamedTuple):
-    sse_small: float
-    sse_big: float
-    r: float
-    f_stat: float
-
-
-def sse_decomposition(
-    data: Dataset, s_small: Subset, s_big: Subset
-) -> SseDecomposition:
-    """Compare the SSEs of two strictly nested sub-models.
-
-    The relative improvement ``r = 1 - sse_big / sse_small`` satisfies
-    ``sse_big = (1 - r) * sse_small`` by construction, and the usual
-    F-statistic for testing the larger model against the smaller one is
-    returned alongside it.
-
-    Raises
-    ------
-    NotNested
-        If ``s_small`` is not a strict subset of ``s_big``.
-    ZeroSse
-        If ``sse_small`` is zero, leaving ``r`` undefined.
-    """
-    if not s_small.is_strict_subset(s_big):
-        raise NotNested(f"{s_small} is not a strict subset of {s_big}")
-    sse_small = ols_fit(data, s_small).sse
-    sse_big = ols_fit(data, s_big).sse
-    if sse_small == 0.0:
-        raise ZeroSse(f"SSE({s_small}) is zero; relative improvement undefined")
-    r = 1.0 - sse_big / sse_small
-    extra = s_big.size - s_small.size
-    if sse_big == 0.0:
-        f_stat = float("inf")
-    else:
-        f_stat = ((sse_small - sse_big) / extra) / (sse_big / (data.n - s_big.size))
-    return SseDecomposition(sse_small, sse_big, r, f_stat)
+    return SubsetFit(
+        subset=s, beta_hat=beta, sse=sse, df=df, sigma_hat_sq=sse / df, r_factor=r
+    )
 
 
 class QrReduction(NamedTuple):

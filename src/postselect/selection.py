@@ -18,13 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    AllSubsetsInfeasible,
-    NonPositiveSse,
-    NotNested,
-    TooManyPredictors,
-    ZeroSse,
-)
+from .errors import AllSubsetsInfeasible, NonPositiveSse, TooManyPredictors, ZeroSse
 from .linalg import RANK_RTOL, Dataset, Subset, ols_fit, qr_reduction
 
 # 2^20 subsets is the most the exhaustive enumerator will attempt.
@@ -265,6 +259,7 @@ def overfit_condition(
     ``d_n = (size_hat - size_star) / (n - size_star - 1)``; the condition
     holds when ``1 - exp(-a_n * d_n) > d_n``.  Requires a strict size
     increase and at least one residual degree of freedom for both models.
+    The condition depends on the sizes alone, so it needs no fitted model.
     """
     if c_n < 0:
         raise ValueError(f"c_n must be nonnegative, got {c_n}")
@@ -277,6 +272,17 @@ def overfit_condition(
             f"sizes leave no residual degrees of freedom: n={n}, "
             f"size_star={size_star}, size_hat={size_hat}"
         )
+    return _condition(n, size_star, size_hat, c_n)
+
+
+def _condition(
+    n: int, size_star: int, size_hat: int, c_n: float
+) -> ConditionDiagnostics:
+    """The condition's arithmetic, without the size checks.
+
+    ``a_n`` does not depend on ``size_hat``; equal sizes give ``d_n = 0`` and
+    a condition that does not hold.
+    """
     df_star = n - size_star - 1
     a_n = (c_n / n) * df_star
     d_n = (size_hat - size_star) / df_star
@@ -291,6 +297,13 @@ class TheoremReport:
     ``d_n``, ``r_n`` and ``f_n`` are present only when the selected subset
     contains the true one; ``f_n`` additionally needs a strict size increase.
     ``condition_holds`` is False whenever the containment fails.
+
+    ``r_n = 1 - sse_hat / sse_star`` is the relative SSE drop, so
+    ``sse_hat = (1 - r_n) * sse_star``.  ``f_n`` is
+    ``((sse_star - sse_hat) / (|s_hat| - |s_star|)) / (sse_hat / (n - |s_hat|))``
+    (infinite when ``sse_hat`` is zero).  Its denominator degrees of freedom
+    ``n - |s_hat|`` are one more than ``SubsetFit.df = n - |s_hat| - 1``,
+    which also counts the intercept removed by centering.
     """
 
     s_star: Subset
@@ -331,18 +344,16 @@ def theorem_report(
         raise ZeroSse(f"SSE({s_star}) is zero; theorem quantities undefined")
 
     n = data.n
-    cn = crit.c_n(n)
-    df_star = n - s_star.size - 1
-    a_n = (cn / n) * df_star
-
     nested = s_star.issubset(s_hat)
-    strictly = s_star.is_strict_subset(s_hat)
+    # a_n does not depend on |s_hat|; a pair that is not nested is evaluated
+    # at zero extra variables, where the condition cannot hold
+    size_hat = s_hat.size if nested else s_star.size
+    diag = _condition(n, s_star.size, size_hat, crit.c_n(n))
     d_n = r_n = f_n = None
-    condition_holds = False
     if nested:
-        extra = s_hat.size - s_star.size
-        d_n = extra / df_star
+        d_n = diag.d_n
         r_n = 1.0 - fit_hat.sse / fit_star.sse
+        extra = s_hat.size - s_star.size
         if extra > 0:
             if fit_hat.sse == 0.0:
                 f_n = math.inf
@@ -350,73 +361,21 @@ def theorem_report(
                 f_n = ((fit_star.sse - fit_hat.sse) / extra) / (
                     fit_hat.sse / (n - s_hat.size)
                 )
-        condition_holds = -math.expm1(-a_n * d_n) > d_n
 
     sigma_star = fit_star.sigma_hat
     sigma_sel = fit_hat.sigma_hat
     return TheoremReport(
         s_star=s_star,
         s_hat=s_hat,
-        a_n=a_n,
+        a_n=diag.a_n,
         d_n=d_n,
         r_n=r_n,
         f_n=f_n,
-        condition_holds=condition_holds,
+        condition_holds=diag.holds,
         sigma_hat_star=sigma_star,
         sigma_hat_selected=sigma_sel,
         underestimates=sigma_sel < sigma_star,
-        strictly_overfits=strictly,
+        strictly_overfits=s_star.is_strict_subset(s_hat),
         sse_star=fit_star.sse,
         sse_hat=fit_hat.sse,
-    )
-
-
-class PreferenceCheck(NamedTuple):
-    """Dual evaluation of the same model preference.
-
-    ``prefers_by_gamma`` compares the selection scores directly;
-    ``prefers_by_rn`` compares the relative SSE reduction against
-    ``1 - exp(-a_n * d_n)``.  The two agree except when either margin sits
-    within floating-point distance of exact equality, flagged by ``is_tie``.
-    """
-
-    prefers_by_gamma: bool
-    prefers_by_rn: bool
-    is_tie: bool
-
-
-_TIE_RTOL = 1e-12
-
-
-def selection_preference_equivalence(
-    data: Dataset, s_star: Subset, s_hat: Subset, crit: Criterion
-) -> PreferenceCheck:
-    """Check that the score comparison and the r_n threshold comparison agree.
-
-    Raises NotNested unless ``s_star`` is a strict subset of ``s_hat`` and
-    ZeroSse if either model fits exactly.
-    """
-    if not s_star.is_strict_subset(s_hat):
-        raise NotNested(f"{s_star} is not a strict subset of {s_hat}")
-    fit_star = ols_fit(data, s_star)
-    fit_hat = ols_fit(data, s_hat)
-    if fit_star.sse == 0.0 or fit_hat.sse == 0.0:
-        raise ZeroSse("preference comparison needs positive SSEs")
-
-    n = data.n
-    g_star = gamma(fit_star.sse, s_star.size, n, crit)
-    g_hat = gamma(fit_hat.sse, s_hat.size, n, crit)
-
-    diag = overfit_condition(n, s_star.size, s_hat.size, crit.c_n(n))
-    r_n = 1.0 - fit_hat.sse / fit_star.sse
-
-    gamma_margin = abs(g_hat - g_star)
-    rn_margin = abs(r_n - diag.threshold)
-    is_tie = gamma_margin <= _TIE_RTOL * max(1.0, abs(g_hat), abs(g_star)) or (
-        rn_margin <= _TIE_RTOL * max(1.0, abs(r_n), abs(diag.threshold))
-    )
-    return PreferenceCheck(
-        prefers_by_gamma=g_hat < g_star,
-        prefers_by_rn=r_n > diag.threshold,
-        is_tie=is_tie,
     )

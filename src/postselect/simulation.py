@@ -22,7 +22,7 @@ from .distributions import RNG_ALGORITHM, Ar1Spec, RngStream, sample_ar1_rows
 from .errors import DegenerateReplication, InvalidAlpha, PostselectError
 from .inference import QueryPoint, covers, mean_response_ci, true_mean_response
 from .linalg import Dataset, Subset, centered_dataset, ols_fit
-from .selection import Criterion, select, theorem_report
+from .selection import Criterion, overfit_condition, select
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class ExperimentConfig:
 class GeneratedData(NamedTuple):
     data: Dataset
     raw_column_means: np.ndarray
-    raw_y_mean: float
     query_x_raw: np.ndarray
 
 
@@ -101,15 +100,15 @@ def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
 
     Stream consumption order is fixed: n design rows, then n noise values,
     then the query row.  The design and response are returned centered, with
-    the removed raw means recorded for query-point handling.
+    the removed column means recorded for query-point handling.
     """
     spec = Ar1Spec(p=cfg.p, rho=cfg.rho)
     x_raw = sample_ar1_rows(rng, spec, cfg.n)
     beta = np.asarray(cfg.beta_star)
     y_raw = x_raw @ beta + cfg.sigma * rng.standard_normal(cfg.n)
-    data, y_mean, col_means = centered_dataset(y_raw, x_raw)
+    data, _, col_means = centered_dataset(y_raw, x_raw)
     query_x_raw = sample_ar1_rows(rng, spec, 1)[0]
-    return GeneratedData(data, col_means, y_mean, query_x_raw)
+    return GeneratedData(data, col_means, query_x_raw)
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,9 @@ def _run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord
 
     contains = cfg.s_star.issubset(s_hat)
     strict = cfg.s_star.is_strict_subset(s_hat)
-    condition = False
-    if strict:
-        condition = theorem_report(data, cfg.s_star, s_hat, cfg.criterion).condition_holds
+    condition = strict and overfit_condition(
+        data.n, cfg.s_star.size, s_hat.size, cfg.criterion.c_n(data.n)
+    ).holds
 
     return ReplicationRecord(
         rep_index=rep_index,

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from postselect import Criterion, Dataset, Subset
+from postselect import Criterion, Dataset, Subset, TheoremReport, gamma
 
 SSE_FLOOR = 1e-300
+
+# Relative distance from exact equality within which a margin is a tie.
+TIE_RTOL = 1e-12
 
 
 def normal_equations_fit(data: Dataset, s: Subset) -> tuple[np.ndarray, float]:
@@ -46,6 +50,37 @@ def brute_force_select(
             table[s] = n * math.log(max(sse, SSE_FLOOR)) + cn * k
     best = min(table.items(), key=lambda kv: (kv[1], kv[0].size, kv[0].indices))
     return best[0], table
+
+
+class PreferenceCheck(NamedTuple):
+    """Dual evaluation of the same model preference.
+
+    ``prefers_by_gamma`` compares the selection scores directly;
+    ``prefers_by_rn`` compares the relative SSE reduction against
+    ``1 - exp(-a_n * d_n)``.  The two agree except when either margin sits
+    within floating-point distance of exact equality, flagged by ``is_tie``.
+    """
+
+    prefers_by_gamma: bool
+    prefers_by_rn: bool
+    is_tie: bool
+
+
+def preference_check(report: TheoremReport, n: int, crit: Criterion) -> PreferenceCheck:
+    """Whether the larger model of a strictly nested report wins, two ways."""
+    g_star = gamma(report.sse_star, report.s_star.size, n, crit)
+    g_hat = gamma(report.sse_hat, report.s_hat.size, n, crit)
+    threshold = -math.expm1(-report.a_n * report.d_n)
+    gamma_margin = abs(g_hat - g_star)
+    rn_margin = abs(report.r_n - threshold)
+    is_tie = gamma_margin <= TIE_RTOL * max(1.0, abs(g_hat), abs(g_star)) or (
+        rn_margin <= TIE_RTOL * max(1.0, abs(report.r_n), abs(threshold))
+    )
+    return PreferenceCheck(
+        prefers_by_gamma=g_hat < g_star,
+        prefers_by_rn=report.r_n > threshold,
+        is_tie=is_tie,
+    )
 
 
 def ar1_covariance(p: int, rho: float) -> np.ndarray:

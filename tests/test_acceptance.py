@@ -16,7 +16,6 @@ from postselect import (
     Subset,
     ols_fit,
     select,
-    selection_preference_equivalence,
     student_t_cdf,
     student_t_quantile,
     theorem_report,
@@ -27,6 +26,7 @@ from oracles import (
     brute_force_select,
     cauchy_quantile,
     normal_equations_fit,
+    preference_check,
     random_centered_dataset,
     t2_quantile,
 )
@@ -180,7 +180,7 @@ def _identity_block(start: int, count: int) -> tuple[int, float, float, int, int
         )
         worst_var = max(worst_var, abs(var_lhs - var_rhs) / max(abs(var_lhs), 1e-300))
 
-        check = selection_preference_equivalence(data, small, big, crit)
+        check = preference_check(report, n, crit)
         if check.is_tie:
             ties += 1
         elif check.prefers_by_gamma != check.prefers_by_rn:

@@ -17,11 +17,11 @@ def run_cli(capsys, *argv):
 
 
 def write_fixture_csv(path, seed=7, n=50, p=10):
-    """Raw (uncentered) CSV from one reference-config replication."""
+    """CSV from one reference-config replication: raw design, centered response."""
     cfg = ExperimentConfig(seed=seed)
     gen = generate_dataset(cfg, RngStream(cfg.seed, 0))
     x_raw = gen.data.X + gen.raw_column_means
-    y_raw = gen.data.y + gen.raw_y_mean
+    y_raw = gen.data.y  # the CLI re-centers the response
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(1, p + 1)] + ["y"])
@@ -260,9 +260,8 @@ class TestSimulateCommand:
             "--workers", "1", "--out-dir", str(second),
         )
         assert code == 0
-        assert (first / "records.csv").read_bytes() == (
-            second / "records.csv"
-        ).read_bytes()
+        for name in ("summary.json", "records.csv", "ratio_hist.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -7,9 +7,7 @@ from postselect import (
     Ar1Spec,
     RngStream,
     regularized_incomplete_beta,
-    sample_ar1_row,
     sample_ar1_rows,
-    std_normal,
     student_t_cdf,
     student_t_quantile,
 )
@@ -57,11 +55,6 @@ class TestStdNormal:
         assert abs(draws.var() - 1.0) < 0.01
         frac = float(np.mean(draws < 1.96))
         assert abs(frac - normal_cdf(1.96)) < 0.002
-
-    def test_scalar_draw_matches_stream(self):
-        a = RngStream(seed=5)
-        b = RngStream(seed=5)
-        assert std_normal(a) == b.standard_normal(1)[0]
 
 
 class TestAr1Sampling:
@@ -113,13 +106,6 @@ class TestAr1Sampling:
         cov_b = np.cov(via_cholesky, rowvar=False)
         assert np.abs(cov_a - cov_b).max() < 0.02
         assert np.abs(cov_a - ar1_covariance(5, 0.5)).max() < 0.02
-
-    def test_row_and_matrix_forms_share_the_stream(self):
-        spec = Ar1Spec(p=4, rho=0.3)
-        stacked = sample_ar1_rows(RngStream(33), spec, 6)
-        rng = RngStream(33)
-        rows = np.array([sample_ar1_row(rng, spec) for _ in range(6)])
-        assert np.array_equal(stacked, rows)
 
 
 class _FixedZ:

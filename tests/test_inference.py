@@ -88,6 +88,27 @@ class TestMeanResponseCi:
         )
         assert ci.half_width == pytest.approx(expected_half, rel=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fit_factor_equals_fresh_factorization(self, seed):
+        # the interval reuses the fit's R; a separate R-only QR of X_S must
+        # give the very same half-width
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        p = int(rng.integers(2, 7))
+        data = random_centered_dataset(rng, n, p)
+        k = int(rng.integers(1, p + 1))
+        s = Subset.of(rng.choice(p, size=k, replace=False) + 1)
+        fit = ols_fit(data, s)
+        query = QueryPoint(x=rng.standard_normal(p), centered=True)
+        ci = mean_response_ci(data, fit, query, alpha=0.05)
+        r = np.linalg.qr(data.X[:, s.positions], mode="r")
+        w = np.linalg.solve(r.T, query.x[s.positions])
+        expected_half = (
+            student_t_quantile(fit.df, 0.975) * fit.sigma_hat * math.sqrt(float(w @ w))
+        )
+        assert ci.half_width == expected_half
+
     def test_half_width_nonincreasing_in_alpha(self, rng):
         data = random_centered_dataset(rng, 25, 5)
         fit = ols_fit(data, Subset((1, 2)))

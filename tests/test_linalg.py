@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postselect import (
+    Criterion,
     Dataset,
     Subset,
     centered_dataset,
     ols_fit,
     qr_reduction,
-    sse_decomposition,
+    theorem_report,
 )
-from postselect.errors import InsufficientDf, NotNested, RankDeficient, ZeroSse
+from postselect.errors import InsufficientDf, RankDeficient, ZeroSse
 
 from oracles import normal_equations_fit, random_centered_dataset
+
+AIC = Criterion.aic()
 
 
 class TestSubset:
@@ -171,13 +174,15 @@ class TestSseMonotonicity:
 
 
 class TestSseDecomposition:
+    """The nested-pair SSE quantities, as theorem_report computes them."""
+
     def test_hand_example_from_empty(self, hand_dataset):
-        dec = sse_decomposition(hand_dataset, Subset(), Subset((1,)))
-        assert dec.sse_small == pytest.approx(6.0)
-        assert dec.sse_big == pytest.approx(1.5)
-        assert dec.r == pytest.approx(0.75, abs=1e-12)
+        dec = theorem_report(hand_dataset, Subset(), Subset((1,)), AIC)
+        assert dec.sse_star == pytest.approx(6.0)
+        assert dec.sse_hat == pytest.approx(1.5)
+        assert dec.r_n == pytest.approx(0.75, abs=1e-12)
         # F = ((6 - 1.5) / 1) / (1.5 / (3 - 1))
-        assert dec.f_stat == pytest.approx(6.0, abs=1e-12)
+        assert dec.f_n == pytest.approx(6.0, abs=1e-12)
 
     def test_no_improvement_gives_zero_r_and_f(self):
         # second column constructed orthogonal to the first fit's residual
@@ -186,10 +191,10 @@ class TestSseDecomposition:
         )
         y = np.array([1.0, 2.0, -1.0, -2.0])
         data = Dataset(y=y, X=x)
-        dec = sse_decomposition(data, Subset((1,)), Subset((1, 2)))
-        assert dec.sse_big == pytest.approx(dec.sse_small, rel=1e-14)
-        assert dec.r == pytest.approx(0.0, abs=1e-14)
-        assert dec.f_stat == pytest.approx(0.0, abs=1e-12)
+        dec = theorem_report(data, Subset((1,)), Subset((1, 2)), AIC)
+        assert dec.sse_hat == pytest.approx(dec.sse_star, rel=1e-14)
+        assert dec.r_n == pytest.approx(0.0, abs=1e-14)
+        assert dec.f_n == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -199,25 +204,18 @@ class TestSseDecomposition:
         small = Subset.of(rng.choice(6, size=2, replace=False) + 1)
         extra = [i for i in range(1, 7) if i not in small.indices]
         big = Subset.of(small.indices + (int(rng.choice(extra)),))
-        dec = sse_decomposition(data, small, big)
+        dec = theorem_report(data, small, big, AIC)
         _, sse_small = normal_equations_fit(data, small)
         _, sse_big = normal_equations_fit(data, big)
-        assert dec.sse_big == pytest.approx((1.0 - dec.r) * dec.sse_small, rel=1e-12)
-        assert dec.sse_small == pytest.approx(sse_small, rel=1e-9)
-        assert dec.sse_big == pytest.approx(sse_big, rel=1e-9)
-        assert -1e-15 <= dec.r <= 1.0 + 1e-15
-
-    def test_not_nested_raises(self, rng):
-        data = random_centered_dataset(rng, 15, 4)
-        with pytest.raises(NotNested):
-            sse_decomposition(data, Subset((1, 2)), Subset((1, 3)))
-        with pytest.raises(NotNested):
-            sse_decomposition(data, Subset((1,)), Subset((1,)))
+        assert dec.sse_hat == pytest.approx((1.0 - dec.r_n) * dec.sse_star, rel=1e-12)
+        assert dec.sse_star == pytest.approx(sse_small, rel=1e-9)
+        assert dec.sse_hat == pytest.approx(sse_big, rel=1e-9)
+        assert -1e-15 <= dec.r_n <= 1.0 + 1e-15
 
     def test_zero_sse_raises(self):
         data = Dataset(y=[0.0, 0.0, 0.0], X=np.array([[1.0], [0.0], [-1.0]]))
         with pytest.raises(ZeroSse):
-            sse_decomposition(data, Subset(), Subset((1,)))
+            theorem_report(data, Subset(), Subset((1,)), AIC)
 
 
 class TestQrReduction:

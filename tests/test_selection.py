@@ -12,18 +12,17 @@ from postselect import (
     gamma,
     overfit_condition,
     select,
-    selection_preference_equivalence,
     theorem_report,
 )
-from postselect.errors import (
-    NonPositiveSse,
-    NotNested,
-    TooManyPredictors,
-    ZeroSse,
-)
+from postselect.errors import NonPositiveSse, TooManyPredictors, ZeroSse
 from postselect.selection import SSE_FLOOR
 
-from oracles import ar1_rows_cholesky, brute_force_select, random_centered_dataset
+from oracles import (
+    ar1_rows_cholesky,
+    brute_force_select,
+    preference_check,
+    random_centered_dataset,
+)
 
 AIC = Criterion.aic()
 BIC = Criterion.bic()
@@ -317,12 +316,16 @@ class TestTheoremReport:
         assert checked > 30  # the sweep must actually exercise the implication
 
 
+def _preference(data, s_star, s_hat, crit):
+    return preference_check(theorem_report(data, s_star, s_hat, crit), data.n, crit)
+
+
 class TestPreferenceEquivalence:
     def test_zero_improvement_prefers_neither(self):
         x = np.array([[1.0, 2.0], [0.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
         y = np.array([1.0, 2.0, -1.0, -2.0])
         data = Dataset(y=y, X=x)
-        check = selection_preference_equivalence(data, Subset((1,)), Subset((1, 2)), AIC)
+        check = _preference(data, Subset((1,)), Subset((1, 2)), AIC)
         assert not check.prefers_by_gamma
         assert not check.prefers_by_rn
         assert not check.is_tie
@@ -335,9 +338,7 @@ class TestPreferenceEquivalence:
         q, _ = np.linalg.qr(np.column_stack([x, resid_dir]))
         y = x @ np.array([1.0, -2.0, 0.5]) + 1e-8 * q[:, 3]
         data = Dataset(y=y - y.mean(), X=x)
-        check = selection_preference_equivalence(
-            data, Subset((1,)), Subset((1, 2, 3)), AIC
-        )
+        check = _preference(data, Subset((1,)), Subset((1, 2, 3)), AIC)
         assert check.prefers_by_gamma
         assert check.prefers_by_rn
 
@@ -358,17 +359,16 @@ class TestPreferenceEquivalence:
             + tuple(rng.choice(extras, size=int(rng.integers(1, len(extras) + 1)), replace=False))
         )
         crit = Criterion.custom(float(rng.choice([2.0, math.log(n), 0.5, 5.0])))
-        check = selection_preference_equivalence(data, small, big, crit)
+        check = _preference(data, small, big, crit)
         if not check.is_tie:
             assert check.prefers_by_gamma == check.prefers_by_rn
 
     def test_not_nested_and_zero_sse_errors(self, rng):
+        # a pair that is not nested has no r_n to compare against the threshold
         data = random_centered_dataset(rng, 15, 4)
-        with pytest.raises(NotNested):
-            selection_preference_equivalence(data, Subset((1, 2)), Subset((1, 3)), AIC)
+        report = theorem_report(data, Subset((1, 2)), Subset((1, 3)), AIC)
+        assert report.r_n is None and report.d_n is None
         x = rng.standard_normal((10, 3))
         degenerate = Dataset(y=np.zeros(10), X=x - x.mean(axis=0))
         with pytest.raises(ZeroSse):
-            selection_preference_equivalence(
-                degenerate, Subset((1,)), Subset((1, 2)), AIC
-            )
+            _preference(degenerate, Subset((1,)), Subset((1, 2)), AIC)

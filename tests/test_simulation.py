@@ -12,6 +12,7 @@ from postselect import (
     ols_fit,
     run_experiment,
     run_replication,
+    theorem_report,
 )
 from postselect.errors import DegenerateReplication, InvalidAlpha
 
@@ -139,6 +140,21 @@ class TestRunReplication:
                 assert rec.s_hat == bf_chosen
         assert exact >= 0.95 * reps
         assert contains == reps
+
+    def test_condition_matches_theorem_report_on_strict_overfits(self):
+        # the record takes the condition from the sizes alone; the full
+        # report on the regenerated data must agree on every strict overfit
+        cfg = ExperimentConfig(seed=42)
+        checked = 0
+        for rep in range(50):
+            rec = run_replication(cfg, rep)
+            if not rec.strict_overfit:
+                continue
+            data = generate_dataset(cfg, RngStream(cfg.seed, rep)).data
+            report = theorem_report(data, cfg.s_star, rec.s_hat, cfg.criterion)
+            assert rec.condition_holds == report.condition_holds
+            checked += 1
+        assert checked >= 20
 
     def test_sigma_zero_aborts(self):
         cfg = ExperimentConfig(sigma=0.0)
