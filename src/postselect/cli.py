@@ -128,7 +128,7 @@ def _coerce_config_value(key: str, value):
 
 
 def _load_config_file(path: str) -> dict:
-    """Read a flat key=value config file, or a manifest/summary JSON."""
+    """Read a manifest JSON or a flat key = value file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -141,6 +141,11 @@ def _load_config_file(path: str) -> dict:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise _UsageError(f"{path}: invalid JSON: {exc}")
+        if "config" not in obj and "coverage_selected" in obj:
+            raise _UsageError(
+                f"{path} is a summary.json, which holds results and no "
+                "configuration; pass the run's manifest.json instead"
+            )
         obj = obj.get("config", obj)
         if not isinstance(obj, dict):
             raise _UsageError(f"{path}: JSON config must be an object")
@@ -436,10 +441,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_RUNTIME)
 
     chosen_fit = ols_fit(data, result.chosen)
-    ranked = sorted(
-        result.gamma_values.items(), key=lambda kv: (kv[1], kv[0].size, kv[0].indices)
-    )
-    top = ranked[: max(args.top, 1)]
+    top = result.ranked(max(args.top, 1))
     warnings = []
     if result.truncated_sse_count:
         warnings.append(

@@ -9,8 +9,8 @@ has been absorbed by centering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .errors import InsufficientDf, RankDeficient
 # A subset's QR factor is rank deficient when its smallest diagonal pivot
 # falls below this fraction of the largest one.
 RANK_RTOL = 1e-10
-
-# Absolute tolerance on the column means of a centered dataset.
-CENTERING_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,21 @@ class Dataset:
     X : ndarray, shape (n, p)
         Design matrix with every column centered to mean zero, p < n.
 
+    raw : (y_raw, X_raw), optional
+        The data the arrays were centered from.  Removing a mean leaves a
+        residual mean of up to ``n * eps * max|raw value|`` in each column,
+        so that is the tolerance of the centering check.  By default ``y``
+        and ``X`` are their own raw data.
+
     Both arrays are copied, cast to float64, and frozen; a Dataset is safe to
     share across worker processes or threads.
     """
 
     y: np.ndarray
     X: np.ndarray
+    raw: InitVar[Optional[tuple[np.ndarray, np.ndarray]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, raw) -> None:
         y = np.array(self.y, dtype=np.float64).reshape(-1)
         X = np.array(self.X, dtype=np.float64)
         if X.ndim != 2:
@@ -97,12 +101,14 @@ class Dataset:
             raise ValueError(f"need p < n, got p={p}, n={n}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise ValueError("y and X must be finite")
-        if abs(y.mean()) > CENTERING_ATOL:
+        y_raw, X_raw = (y, X) if raw is None else raw
+        if abs(y.mean()) > _centering_tolerance(y_raw):
             raise ValueError(f"y is not centered: mean(y)={y.mean():.3e}")
-        col_means = X.mean(axis=0)
-        worst = np.abs(col_means).max()
-        if worst > CENTERING_ATOL:
-            raise ValueError(f"X columns are not centered: max |mean|={worst:.3e}")
+        col_means = np.abs(X.mean(axis=0))
+        if np.any(col_means > _centering_tolerance(X_raw)):
+            raise ValueError(
+                f"X columns are not centered: max |mean|={col_means.max():.3e}"
+            )
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -125,6 +131,16 @@ class Dataset:
         return self.X[:, s.positions]
 
 
+def _centering_tolerance(raw: np.ndarray) -> np.ndarray:
+    """Per column, the largest mean that centering ``raw`` can leave behind.
+
+    The computed mean and each subtraction are exact to within
+    ``n * eps * max|value|``, so a residual mean below that is rounding.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    return raw.shape[0] * np.finfo(np.float64).eps * np.abs(raw).max(axis=0)
+
+
 def centered_dataset(
     y_raw: np.ndarray, X_raw: np.ndarray
 ) -> tuple[Dataset, float, np.ndarray]:
@@ -140,7 +156,7 @@ def centered_dataset(
     X_raw = np.asarray(X_raw, dtype=np.float64)
     y_mean = float(y_raw.mean())
     column_means = X_raw.mean(axis=0)
-    data = Dataset(y=y_raw - y_mean, X=X_raw - column_means)
+    data = Dataset(y=y_raw - y_mean, X=X_raw - column_means, raw=(y_raw, X_raw))
     return data, y_mean, column_means
 
 
@@ -231,21 +247,28 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
 
 
 class QrReduction(NamedTuple):
-    """Per-dataset factorization reused across many subset fits.
+    """One QR factorization of the augmented design ``[X | y]``, shared by all subsets.
 
-    With ``X = Q0 R0`` (thin QR) and ``u = Q0' y``, every sub-model satisfies
-    ``SSE(S) = ||y||^2 - ||proj of u onto span(R0[:, S])||^2``, so each subset
-    costs a p x |S| factorization instead of an n x |S| one.
+    With ``[X | y] = Q R`` (thin QR), ``r_factor`` is the leading p x p block
+    of R, ``qty`` is ``u = Q0' y`` (the first p entries of R's last column)
+    and ``sse_full = R[p, p]^2`` is the SSE of the full model.  For every
+    subset S, with ``P_S`` the projection onto ``span(r_factor[:, S])``,
+
+        ``SSE(S) = sse_full + ||u - P_S u||^2``,
+
+    so a subset is scored in p dimensions instead of n, and its SSE is
+    computed from a residual, not as a difference of large sums of squares.
     """
 
     r_factor: np.ndarray
     qty: np.ndarray
-    total_ss: float
+    sse_full: float
 
 
 def qr_reduction(data: Dataset) -> QrReduction:
-    """Factor the full design once for repeated subset evaluation."""
-    q0, r0 = np.linalg.qr(data.X)
+    """Factor the design augmented with the response once for every subset."""
+    p = data.p
+    r = np.linalg.qr(np.column_stack([data.X, data.y]), mode="r")
     return QrReduction(
-        r_factor=r0, qty=q0.T @ data.y, total_ss=float(data.y @ data.y)
+        r_factor=r[:p, :p], qty=r[:p, p], sse_full=float(r[p, p]) ** 2
     )

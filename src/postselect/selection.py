@@ -3,23 +3,27 @@
 A sub-model S is scored by ``gamma(S) = n * log(SSE(S)) + c_n * |S|`` with
 natural logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
 ``c_n = log(n)``.  :func:`select` minimizes the score by exhaustive
-enumeration.  :func:`theorem_report` computes the quantities that link
-overfitting (choosing a strict superset of the true variables) to
-under-estimation of the error variance.
+enumeration: one QR factorization of the augmented design ``[X | y]``, then
+a sweep over the subset lattice in which each subset orthogonalizes one
+column against its parent's state and reads its SSE from the residual of the
+reduced response.  Subsets are bitmasks in the sweep, and the scores are one
+array of length 2^p indexed by bitmask; the sweep's working memory is
+bounded by a fixed chunk of states.  :func:`theorem_report` computes the
+quantities that link overfitting (choosing a strict superset of the true
+variables) to under-estimation of the error variance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AllSubsetsInfeasible, NonPositiveSse, TooManyPredictors, ZeroSse
-from .linalg import RANK_RTOL, Dataset, Subset, ols_fit, qr_reduction
+from .linalg import RANK_RTOL, Dataset, QrReduction, Subset, ols_fit, qr_reduction
 
 # 2^20 subsets is the most the exhaustive enumerator will attempt.
 ENUMERATION_LIMIT = 20
@@ -28,8 +32,9 @@ ENUMERATION_LIMIT = 20
 # fit scores a huge but finite negative value instead of -inf.
 SSE_FLOOR = 1e-300
 
-# Subsets are fitted in blocks of this many per batched factorization.
-_BATCH_ROWS = 4096
+# The lattice sweep advances this many subsets per vectorized step, which
+# bounds the memory its states take, whatever the number of subsets.
+_SWEEP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -97,63 +102,182 @@ def gamma(sse: float, size: int, n: int, crit: Criterion) -> float:
 class SelectionResult:
     """Outcome of exhaustive enumeration.
 
+    Subset S is the bitmask with bit ``i - 1`` set for each index ``i`` in S.
+
     Attributes
     ----------
     chosen : Subset
         The score minimizer, with ties broken by smaller size and then
         lexicographically smaller index list.
-    gamma_values : dict[Subset, float]
-        Score of every feasible enumerated subset.
-    ties : tuple[Subset, ...]
-        All subsets attaining the minimal score, in tie-break order.
     truncated_sse_count : int
         Number of subsets whose SSE fell below the log floor.
-    skipped : tuple[tuple[Subset, str], ...]
-        Subsets excluded from the enumeration, with reasons.
+    scores : ndarray, shape (2^p,)
+        Score of every subset by bitmask; ``inf`` for a subset that is rank
+        deficient or larger than ``max_size``.  Read-only.
+    max_size : int
+        Largest subset size scored: ``size_cap``, lowered to ``n - 2`` so
+        that every fit keeps a residual degree of freedom.
+    size_cap : int
+        Largest subset size requested (p when uncapped).
+
+    ``gamma_values``, ``ties`` and ``skipped`` are derived from ``scores``
+    on first access.
     """
 
     chosen: Subset
-    gamma_values: dict[Subset, float]
-    ties: tuple[Subset, ...]
     truncated_sse_count: int
-    skipped: tuple[tuple[Subset, str], ...] = ()
+    scores: np.ndarray = field(repr=False, compare=False)
+    max_size: int
+    size_cap: int
+
+    @cached_property
+    def gamma_values(self) -> dict[Subset, float]:
+        """Score of every feasible enumerated subset, by size then index list."""
+        masks = _tiebreak_order(np.flatnonzero(np.isfinite(self.scores)), self._p)
+        return {_subset(m): float(self.scores[m]) for m in masks.tolist()}
+
+    @cached_property
+    def ties(self) -> tuple[Subset, ...]:
+        """All subsets attaining the minimal score, in tie-break order."""
+        best = np.flatnonzero(self.scores == self.scores.min())
+        return tuple(_subset(m) for m in _tiebreak_order(best, self._p).tolist())
+
+    @cached_property
+    def skipped(self) -> tuple[tuple[Subset, str], ...]:
+        """Subsets excluded from the enumeration, with reasons."""
+        sizes = _subset_sizes(self._p)
+        too_big = np.flatnonzero((sizes > self.max_size) & (sizes <= self.size_cap))
+        deficient = np.flatnonzero(np.isinf(self.scores) & (sizes <= self.max_size))
+        return tuple(
+            (_subset(m), reason)
+            for group, reason in (
+                (too_big, "insufficient degrees of freedom"),
+                (deficient, "rank deficient"),
+            )
+            for m in _tiebreak_order(group, self._p).tolist()
+        )
+
+    def ranked(self, top: int) -> list[tuple[Subset, float]]:
+        """The ``top`` best-scoring subsets and their scores, ties broken as
+        for ``chosen``; only these become ``Subset`` objects."""
+        k = min(top, self.scores.size) - 1
+        cutoff = np.partition(self.scores, k)[k]  # the top-th score
+        masks = np.flatnonzero(np.isfinite(self.scores) & (self.scores <= cutoff))
+        order = _tiebreak_order(masks, self._p, self.scores[masks])[:top]
+        return [(_subset(m), float(self.scores[m])) for m in order.tolist()]
+
+    @property
+    def _p(self) -> int:
+        return self.scores.size.bit_length() - 1
 
 
-@lru_cache(maxsize=512)
-def _position_combos(p: int, k: int) -> np.ndarray:
-    """All 0-based position combinations of size k, shape (C(p, k), k)."""
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(p), k)),
-        dtype=np.intp,
-        count=math.comb(p, k) * k,
-    ).reshape(-1, k)
-    combos.setflags(write=False)
-    return combos
+def _subset(mask: int) -> Subset:
+    return Subset(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 
-@lru_cache(maxsize=512)
-def _subsets_of_size(p: int, k: int) -> tuple[Subset, ...]:
-    return tuple(
-        Subset(tuple(int(i) + 1 for i in row)) for row in _position_combos(p, k)
-    )
+def _subset_sizes(p: int) -> np.ndarray:
+    """Number of indices in each of the 2^p bitmasks."""
+    sizes = np.zeros(1 << p, dtype=np.intp)
+    for i in range(p):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    return sizes
 
 
-def _batched_subset_sse(
-    r_factor: np.ndarray, qty: np.ndarray, total_ss: float, combos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """SSE and feasibility for a block of same-size subsets.
+def _tiebreak_order(masks: np.ndarray, p: int, *keys: np.ndarray) -> np.ndarray:
+    """Sort masks by ``keys`` in order, then by size, then by index list.
 
-    Each subset's columns of the reduced factor are re-factorized; the SSE
-    follows from the squared norm of the projected response.
+    Among subsets of one size, a lexicographically smaller index list is a
+    larger bitmask once the bits are reversed.
     """
-    a = np.moveaxis(r_factor[:, combos], 1, 0)  # (m, p, k)
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    dmax = diag.max(axis=1)
-    feasible = (dmax > 0.0) & (diag.min(axis=1) >= RANK_RTOL * dmax)
-    proj = np.einsum("mpk,p->mk", q, qty)
-    sse = np.maximum(total_ss - np.einsum("mk,mk->m", proj, proj), 0.0)
-    return sse, feasible
+    if masks.size < 2:
+        return masks
+    reversed_bits = np.zeros_like(masks)
+    for i in range(p):
+        reversed_bits |= ((masks >> i) & 1) << (p - 1 - i)
+    sizes = _subset_sizes(p)[masks]
+    return masks[np.lexsort((-reversed_bits, sizes, *reversed(keys)))]
+
+
+def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
+    """SSE of every subset of at most ``max_size`` columns, by bitmask.
+
+    The sweep walks the subset lattice as a tree: a subset's children add one
+    index larger than its largest.  A subset's state is the residual of every
+    larger column of ``[R0 | u]`` after projecting out its own columns, so a
+    child orthogonalizes one column against its parent's state (modified
+    Gram-Schmidt) and reads ``SSE = sse_full + ||residual of u||^2``.
+
+    States wait in one pool per largest index and advance ``_SWEEP_CHUNK`` at
+    a time, one vectorized step per chunk.  The deepest pool holding a full
+    chunk goes first, else the shallowest non-empty one, so no pool grows
+    past twice the chunk and memory stays near ``_SWEEP_CHUNK * p^3``
+    floats whatever 2^p is.
+
+    A subset is rank deficient when its smallest pivot (the norm of a column
+    as it is orthogonalized) is below ``RANK_RTOL`` times its largest.  Its
+    pivots lead those of every subset below it in the tree, which is
+    therefore rank deficient too and is not visited.  Such subsets, and those
+    larger than ``max_size``, keep SSE ``inf``.
+    """
+    p = red.r_factor.shape[0]
+    sse = np.full(1 << p, np.inf)
+    sse[0] = red.sse_full + float(red.qty @ red.qty)
+    bits = np.left_shift(1, np.arange(p), dtype=np.intp)
+    # pools[k]: blocks of states whose largest column (0-based) is k - 1, each a
+    # tuple (masks, sizes, state, smallest pivot, largest pivot).  A state has
+    # shape (p, p - k + 1): the residuals of columns k..p-1 and of u.
+    pools: list[list[tuple]] = [[] for _ in range(p)]
+    counts = [0] * p
+    if max_size > 0:
+        root = np.column_stack([red.r_factor, red.qty])[None]
+        empty = np.zeros(1, np.intp)
+        pools[0].append((empty, empty, root, np.full(1, np.inf), np.zeros(1)))
+        counts[0] = 1
+    while any(counts):
+        full = [k for k in range(p) if counts[k] >= _SWEEP_CHUNK]
+        k = full[-1] if full else next(k for k in range(p) if counts[k])
+        blocks, pools[k], counts[k] = pools[k], [], 0
+        if len(blocks) == 1:
+            block = blocks[0]
+        else:
+            block = tuple(map(np.concatenate, zip(*blocks)))
+        if block[0].size > _SWEEP_CHUNK:
+            pools[k] = [tuple(x[_SWEEP_CHUNK:] for x in block)]
+            counts[k] = block[0].size - _SWEEP_CHUNK
+            block = tuple(x[:_SWEEP_CHUNK] for x in block)
+        masks, sizes, state, lo, hi = block
+
+        # child c adds index k + c; its state drops columns 0..c of the parent's
+        cols = state[:, :, :-1]
+        pivots = np.sqrt(np.einsum("mpc,mpc->mc", cols, cols))
+        q = cols / np.where(pivots > 0.0, pivots, 1.0)[:, None, :]
+        coef = np.matmul(q.transpose(0, 2, 1), state[:, :, 1:])
+        children = state[:, :, None, 1:] - q[:, :, :, None] * coef[:, None, :, :]
+        resid_u = children[:, :, :, -1]
+        child_sse = red.sse_full + np.einsum("mpc,mpc->mc", resid_u, resid_u)
+        child_lo = np.minimum(lo[:, None], pivots)
+        child_hi = np.maximum(hi[:, None], pivots)
+        ok = (child_hi > 0.0) & (child_lo >= RANK_RTOL * child_hi)
+        child_masks = masks[:, None] | bits[k:]
+        sse[child_masks[ok]] = child_sse[ok]
+
+        child_sizes = sizes + 1
+        ok &= (child_sizes < max_size)[:, None]  # only these have children
+        all_ok = ok.all()
+        for c in range(cols.shape[2] - 1):  # index p - 1 has no children
+            block = (
+                child_masks[:, c],
+                child_sizes,
+                children[:, :, c, c:],
+                child_lo[:, c],
+                child_hi[:, c],
+            )
+            if not all_ok:
+                block = tuple(x[ok[:, c]] for x in block)
+            if block[0].size:
+                pools[k + c + 1].append(block)
+                counts[k + c + 1] += block[0].size
+    return sse
 
 
 def select(
@@ -164,10 +288,18 @@ def select(
 ) -> SelectionResult:
     """Choose the subset minimizing the selection score over all sub-models.
 
-    Every subset of the p design columns (optionally capped at
-    ``size_cap`` variables) is fitted and scored.  Subsets whose columns are
-    numerically collinear, or that would leave no residual degree of freedom,
-    are skipped and recorded.
+    One QR factorization of ``[X | y]`` (:func:`~postselect.linalg.qr_reduction`)
+    reduces every subset to p dimensions.  A sweep over the subset lattice
+    then scores each subset of at most ``size_cap`` variables from its
+    parent's state, one orthogonalized column at a time, with
+    ``SSE(S) = SSE(full) + ||residual of u||^2`` computed directly, so a
+    small SSE does not lose its digits to cancellation against ``||y||^2``
+    at a high signal-to-noise ratio.  Scores are kept in one array indexed
+    by bitmask; the memory of the sweep's states is bounded by a fixed
+    chunk, independent of 2^p.  Subsets whose columns are numerically
+    collinear, or that would leave no residual degree of freedom, are
+    skipped and recorded.  An SSE within rounding error of zero
+    (``(n eps)^2 ||y||^2``) is an exact fit and counts as zero.
 
     Raises
     ------
@@ -188,56 +320,22 @@ def select(
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
 
     red = qr_reduction(data)
-    cn = crit.c_n(n)
+    sse = _lattice_sse(red, max_size)
+    # below this, an SSE is rounding error in ||y||^2 = SSE(empty subset)
+    sse[sse <= (n * np.finfo(np.float64).eps) ** 2 * sse[0]] = 0.0
+    truncated = int(np.count_nonzero(sse < SSE_FLOOR))
+    scores = n * np.log(np.maximum(sse, SSE_FLOOR)) + crit.c_n(n) * _subset_sizes(p)
+    scores.setflags(write=False)
 
-    gamma_values: dict[Subset, float] = {}
-    skipped: list[tuple[Subset, str]] = []
-    truncated = 0
-    best_gamma = math.inf
-
-    for k in range(max_size + 1, requested_max + 1):
-        for s in _subsets_of_size(p, k):
-            skipped.append((s, "insufficient degrees of freedom"))
-
-    for k in range(0, max_size + 1):
-        if k == 0:
-            sse_k = np.array([red.total_ss])
-            feas_k = np.array([True])
-        else:
-            combos = _position_combos(p, k)
-            parts = [
-                _batched_subset_sse(red.r_factor, red.qty, red.total_ss, chunk)
-                for chunk in np.array_split(
-                    combos, max(1, -(-combos.shape[0] // _BATCH_ROWS))
-                )
-            ]
-            sse_k = np.concatenate([s for s, _ in parts])
-            feas_k = np.concatenate([f for _, f in parts])
-        truncated += int(np.count_nonzero(feas_k & (sse_k < SSE_FLOOR)))
-        gammas = n * np.log(np.maximum(sse_k, SSE_FLOOR)) + cn * k
-        subsets = _subsets_of_size(p, k) if k else (Subset(),)
-        for s, ok, g in zip(subsets, feas_k, gammas):
-            if ok:
-                gamma_values[s] = float(g)
-            else:
-                skipped.append((s, "rank deficient"))
-        feasible_gammas = gammas[feas_k]
-        if feasible_gammas.size:
-            best_gamma = min(best_gamma, float(feasible_gammas.min()))
-
-    if not gamma_values:
+    best = np.flatnonzero(scores == scores.min())
+    if not np.isfinite(scores[best[0]]):
         raise AllSubsetsInfeasible("no enumerable subset satisfies the preconditions")
-
-    ties = sorted(
-        (s for s, g in gamma_values.items() if g == best_gamma),
-        key=lambda s: (s.size, s.indices),
-    )
     return SelectionResult(
-        chosen=ties[0],
-        gamma_values=gamma_values,
-        ties=tuple(ties),
+        chosen=_subset(int(_tiebreak_order(best, p)[0])),
         truncated_sse_count=truncated,
-        skipped=tuple(skipped),
+        scores=scores,
+        max_size=max_size,
+        size_cap=requested_max,
     )
 
 

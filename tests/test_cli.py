@@ -144,6 +144,24 @@ class TestSelectCommand:
         assert "skipped" in err and "rank deficient" in err
         assert "chosen subset: {1}" in out
 
+    def test_large_offset_csv_is_centered(self, capsys, tmp_path):
+        # columns near 1e9 (years, prices) lose ~1e-7 of their mean to
+        # rounding when centered; selection must not reject them for it
+        plain, shifted = tmp_path / "plain.csv", tmp_path / "shifted.csv"
+        write_fixture_csv(plain)
+        with open(plain) as src, open(shifted, "w", newline="") as dst:
+            rows = csv.reader(src)
+            writer = csv.writer(dst)
+            writer.writerow(next(rows))
+            for row in rows:
+                writer.writerow([repr(float(v) + 1e9) for v in row])
+        code, out, err = run_cli(capsys, "select", str(plain), "--json")
+        assert code == 0
+        expected = json.loads(out)["chosen"]
+        code, out, err = run_cli(capsys, "select", str(shifted), "--json")
+        assert code == 0, err
+        assert json.loads(out)["chosen"] == expected
+
     def test_malformed_inputs_exit_2(self, capsys, tmp_path):
         no_y = tmp_path / "no_y.csv"
         no_y.write_text("a,b\n1,2\n3,4\n")
@@ -262,6 +280,21 @@ class TestSimulateCommand:
         assert code == 0
         for name in ("summary.json", "records.csv", "ratio_hist.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_summary_json_is_not_a_config(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--reps", "3", "--seed", "9", "--workers", "1",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(out_dir / "summary.json"),
+            "--out-dir", str(tmp_path / "again"),
+        )
+        assert code == 2
+        assert "summary.json" in err and "manifest.json" in err
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -222,15 +222,19 @@ class TestQrReduction:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_reduced_sse_matches_direct_fit(self, seed):
+        # SSE(S) = sse_full + ||u - P_S u||^2, P_S projecting onto the
+        # columns of the reduced factor that S selects
         rng = np.random.default_rng(seed)
         data = random_centered_dataset(rng, 18, 5)
         red = qr_reduction(data)
         for s in [Subset(), Subset((2,)), Subset((1, 4)), Subset((1, 2, 3, 4, 5))]:
-            if s.size == 0:
-                reduced_sse = red.total_ss
-            else:
+            resid = red.qty.copy()
+            if s.size:
                 cols = red.r_factor[:, s.positions]
-                q, _ = np.linalg.qr(cols)
-                proj = q.T @ red.qty
-                reduced_sse = red.total_ss - float(proj @ proj)
-            assert reduced_sse == pytest.approx(ols_fit(data, s).sse, abs=1e-9)
+                coef = np.linalg.lstsq(cols, red.qty, rcond=None)[0]
+                resid -= cols @ coef
+            reduced_sse = red.sse_full + float(resid @ resid)
+            assert reduced_sse == pytest.approx(ols_fit(data, s).sse, rel=1e-10)
+        assert red.sse_full == pytest.approx(
+            ols_fit(data, Subset((1, 2, 3, 4, 5))).sse, rel=1e-10
+        )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from postselect import (
     select,
     theorem_report,
 )
+from postselect import selection
 from postselect.errors import NonPositiveSse, TooManyPredictors, ZeroSse
 from postselect.selection import SSE_FLOOR
 
@@ -106,6 +108,51 @@ class TestSelect:
         assert set(result.gamma_values) == set(bf_table)
         for s, g in bf_table.items():
             assert result.gamma_values[s] == pytest.approx(g, rel=1e-10)
+        bf_ranked = sorted(bf_table, key=lambda s: (bf_table[s], s.size, s.indices))
+        assert [s for s, _ in result.ranked(5)] == bf_ranked[:5]
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e-4, 1e-6, 1e-8])
+    def test_high_snr_sse_matches_lstsq(self, sigma):
+        # each SSE is read from a residual, not as ||y||^2 - ||proj||^2, so
+        # it keeps its digits when the noise is tiny next to the signal
+        rng = np.random.default_rng(2024)
+        beta = 10.0 * np.array([1.0, 2.0, 3.0] + [0.0] * 7)
+        data = random_centered_dataset(rng, 50, 10, sigma=sigma, beta=beta, rho=0.5)
+        result = select(data, AIC)
+        assert len(result.gamma_values) == 2**10
+        for s, g in result.gamma_values.items():
+            sse = math.exp((g - AIC.c_n(data.n) * s.size) / data.n)
+            xs = data.X[:, s.positions]
+            resid = data.y - xs @ np.linalg.lstsq(xs, data.y, rcond=None)[0]
+            expected = float(resid @ resid)
+            assert abs(sse - expected) <= 1e-6 * expected, (s, sse, expected)
+
+    def test_collinear_subtrees_pruned_across_chunks(self, rng, monkeypatch):
+        # columns 2 and 5 are equal, so every subset holding both is rank
+        # deficient; n=8 leaves the 7-variable model no residual degree of
+        # freedom; a tiny sweep chunk splits the pools of states
+        monkeypatch.setattr(selection, "_SWEEP_CHUNK", 3)
+        data = random_centered_dataset(rng, 8, 7, beta=np.arange(7.0))
+        x = data.X.copy()
+        x[:, 4] = x[:, 1]
+        data = Dataset(y=data.y, X=x)
+        result = select(data, AIC)
+        bf_chosen, bf_table = brute_force_select(data, AIC)
+        assert result.chosen == bf_chosen
+        # both lists come in size order, then index-list order
+        assert list(result.gamma_values) == list(bf_table)
+        for s, g in bf_table.items():
+            assert result.gamma_values[s] == pytest.approx(g, rel=1e-10)
+        deficient = [
+            (Subset(c), "rank deficient")
+            for k in range(2, 7)
+            for c in itertools.combinations(range(1, 8), k)
+            if {2, 5} <= set(c)
+        ]
+        assert result.skipped == (
+            (Subset(tuple(range(1, 8))), "insufficient degrees of freedom"),
+            *deficient,
+        )
 
     def test_size_cap_limits_enumeration(self, rng):
         data = random_centered_dataset(rng, 20, 6)

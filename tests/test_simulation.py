@@ -156,6 +156,16 @@ class TestRunReplication:
             checked += 1
         assert checked >= 20
 
+    def test_high_snr_replication_returns_a_record(self):
+        # at sigma=1e-7 the SSEs of the true supersets are about 5e-13; they
+        # must stay above the log floor instead of degenerating the run
+        beta = tuple(10.0 * b for b in (1.0, 2.0, 3.0)) + (0.0,) * 7
+        cfg = ExperimentConfig(beta_star=beta, sigma=1e-7, seed=42)
+        for rep in range(5):
+            rec = run_replication(cfg, rep)
+            assert rec.contains_star
+            assert rec.sigma_hat_oracle == pytest.approx(1e-7, rel=0.5)
+
     def test_sigma_zero_aborts(self):
         cfg = ExperimentConfig(sigma=0.0)
         with pytest.raises(DegenerateReplication, match="replication 3"):
