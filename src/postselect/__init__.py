@@ -9,10 +9,8 @@ undercoverage by simulation.
 
 from .distributions import (
     RNG_ALGORITHM,
-    Ar1Spec,
     RngStream,
     regularized_incomplete_beta,
-    sample_ar1_rows,
     student_t_cdf,
     student_t_quantile,
 )
@@ -55,7 +53,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1Spec",
     "ConditionDiagnostics",
     "ConfidenceInterval",
     "Criterion",
@@ -82,7 +79,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "run_experiment",
     "run_replication",
-    "sample_ar1_rows",
     "select",
     "student_t_cdf",
     "student_t_quantile",

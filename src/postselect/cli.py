@@ -76,55 +76,46 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 # Configuration keys are the ExperimentConfig fields plus c_n, which a file or
-# the --cn flag gives next to the criterion.  beta_star, s_star, criterion,
-# c_n and workers need their own parsing; every other field is a number of
-# its default's type.
+# the --cn flag gives next to the criterion.  Flag text and config-file values
+# both pass through _coerce_config_value, which only converts: beta_star and
+# s_star are lists, criterion is a name, workers is an int when it reads as
+# one, and every other field is a number of its default's type.  Whether a
+# value is valid is decided by Criterion and ExperimentConfig alone.
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _CONFIG_KEYS = (*_FIELDS, "c_n")
 
 
-def _parse_index_list(text: str, field: str) -> tuple[int, ...]:
+def _parse_list(value, field: str, number: type) -> tuple:
+    """A list, or comma-separated text, converted element by element."""
+    if isinstance(value, (list, tuple)):
+        parts = value
+    else:
+        parts = [part for part in str(value).split(",") if part.strip()]
     try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise _UsageError(f"{field}: expected comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(text: str, field: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise _UsageError(f"{field}: expected comma-separated numbers, got {text!r}")
+        return tuple(number(part) for part in parts)
+    except (TypeError, ValueError):
+        kind = "integers" if number is int else "numbers"
+        raise _UsageError(f"{field}: expected comma-separated {kind}, got {value!r}")
 
 
 def _coerce_config_value(key: str, value):
     if key not in _CONFIG_KEYS:
         raise _UsageError(f"unknown configuration field {key!r}")
-    if key == "beta_star":
-        if isinstance(value, (list, tuple)):
-            return tuple(float(v) for v in value)
-        return _parse_float_list(value, "beta_star")
-    if key == "s_star":
-        if isinstance(value, (list, tuple)):
-            return tuple(int(v) for v in value)
-        return _parse_index_list(value, "s_star")
+    if key in ("beta_star", "s_star"):
+        return _parse_list(value, key, float if key == "beta_star" else int)
     if key == "criterion":
-        kind = str(value).lower()
-        if kind not in ("aic", "bic", "custom"):
-            raise _UsageError(f"criterion: expected aic, bic or custom, got {value!r}")
-        return kind
+        return str(value)
     if key == "workers":
-        if value == "auto":
-            return "auto"
         try:
             return int(value)
         except (TypeError, ValueError):
-            raise _UsageError(f"workers: expected 'auto' or an integer, got {value!r}")
+            return value
     number = float if key == "c_n" else type(_FIELDS[key].default)
     try:
         return number(value)
     except (TypeError, ValueError):
-        raise _UsageError(f"{key}: expected a number, got {value!r}")
+        kind = "an integer" if number is int else "a number"
+        raise _UsageError(f"{key}: expected {kind}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -168,16 +159,12 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_criterion(kind: Optional[str], c_n: Optional[float]) -> Criterion:
-    kind = (kind or ("custom" if c_n is not None else "aic")).lower()
-    if kind == "custom":
-        if c_n is None:
-            raise _UsageError("criterion=custom requires a c_n value (--cn)")
-        return Criterion.custom(c_n)
-    if c_n is not None:
-        raise _UsageError(f"c_n only applies to the custom criterion, not {kind}")
-    if kind == "aic":
-        return Criterion.aic()
-    return Criterion.bic()
+    """The criterion named by ``kind`` (any case); custom if only c_n is given."""
+    kind = kind.lower() if kind else ("custom" if c_n is not None else "aic")
+    try:
+        return Criterion(kind, c_n)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -194,13 +181,10 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         for key, value in merged.items()
         if key not in ("s_star", "criterion", "c_n")
     }
-    default_p = _FIELDS["p"].default
-    if "beta_star" not in merged and merged.get("p", default_p) != default_p:
-        raise _UsageError("beta_star must be given when p is not the default")
-    if "s_star" in merged:
-        kwargs["s_star"] = Subset.of(merged["s_star"])
     kwargs["criterion"] = _build_criterion(merged.get("criterion"), merged.get("c_n"))
     try:
+        if "s_star" in merged:
+            kwargs["s_star"] = Subset.of(merged["s_star"])
         return ExperimentConfig(**kwargs)
     except (ValueError, InvalidAlpha) as exc:
         raise _UsageError(str(exc))
@@ -305,20 +289,6 @@ def _summary_json_obj(summary) -> dict:
     return obj
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one simulate run."""
-
-    config: dict
-    tool_version: str
-    rng_algorithm: str
-    seed: int
-    outputs: dict
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -350,13 +320,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ("manifest", "json"),
         )
     }
-    manifest = RunManifest(
-        config=config_as_dict(cfg),
-        tool_version=__version__,
-        rng_algorithm=RNG_ALGORITHM,
-        seed=cfg.seed,
-        outputs={k: v for k, v in paths.items() if k != "manifest"},
-    )
+    # everything needed to reproduce this run
+    manifest = {
+        "config": config_as_dict(cfg),
+        "tool_version": __version__,
+        "rng_algorithm": RNG_ALGORITHM,
+        "seed": cfg.seed,
+        "outputs": {k: v for k, v in paths.items() if k != "manifest"},
+    }
     try:
         _atomic_write(paths["records"], records_csv_text(records))
         _atomic_write(paths["ratio_hist"], ratio_hist_csv_text(records))
@@ -364,7 +335,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             paths["summary"], json.dumps(_summary_json_obj(summary), indent=2) + "\n"
         )
         _atomic_write(
-            paths["manifest"], json.dumps(manifest.as_dict(), indent=2) + "\n"
+            paths["manifest"], json.dumps(manifest, indent=2) + "\n"
         )
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_RUNTIME)
@@ -522,8 +493,8 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
     if args.s_star is None or args.s_hat is None:
         return _fail("data mode needs --s-star and --s-hat", EXIT_CONFIG)
     try:
-        s_star = Subset.of(_parse_index_list(args.s_star, "--s-star"))
-        s_hat = Subset.of(_parse_index_list(args.s_hat, "--s-hat"))
+        s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
+        s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
         if not s_star.is_strict_subset(s_hat):
             raise _UsageError(
                 f"--s-hat {s_hat} must strictly contain --s-star {s_star}"
@@ -537,6 +508,8 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
 
     try:
         report = theorem_report(data, s_star, s_hat, crit)
+    except ValueError as exc:  # an index beyond the CSV's columns
+        return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
 
@@ -572,6 +545,9 @@ def cmd_quantile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CRITERION_HELP = "aic, bic or custom (any case); custom when only --cn is given"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="postselect",
@@ -587,16 +563,17 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run the Monte Carlo coverage experiment"
     )
     sim.add_argument("--config", help="key=value file or a previous manifest.json")
-    sim.add_argument("--n", type=int, help="observations per replication")
-    sim.add_argument("--p", type=int, help="number of predictors")
-    sim.add_argument("--sigma", type=float, help="noise standard deviation")
-    sim.add_argument("--rho", type=float, help="AR(1) one-step correlation")
-    sim.add_argument("--reps", type=int, help="number of replications")
-    sim.add_argument("--alpha", type=float, help="interval significance level")
-    sim.add_argument("--seed", type=int, help="master seed (64-bit)")
+    # config flags carry no type: their text is converted with config-file text
+    sim.add_argument("--n", help="observations per replication")
+    sim.add_argument("--p", help="number of predictors")
+    sim.add_argument("--sigma", help="noise standard deviation")
+    sim.add_argument("--rho", help="AR(1) one-step correlation")
+    sim.add_argument("--reps", help="number of replications")
+    sim.add_argument("--alpha", help="interval significance level")
+    sim.add_argument("--seed", help="master seed (64-bit)")
     sim.add_argument("--workers", help="'auto' or a positive worker count")
-    sim.add_argument("--criterion", choices=["aic", "bic", "custom"])
-    sim.add_argument("--cn", type=float, help="penalty value for --criterion custom")
+    sim.add_argument("--criterion", help=_CRITERION_HELP)
+    sim.add_argument("--cn", help="penalty value for --criterion custom")
     sim.add_argument("--beta-star", help="comma-separated true coefficients")
     sim.add_argument("--s-star", help="comma-separated true subset (1-based)")
     sim.add_argument("--out-dir", default=".", help="directory for output files")
@@ -604,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select", help="choose a subset for a CSV dataset")
     sel.add_argument("dataset", help="CSV with a header and a 'y' column")
-    sel.add_argument("--criterion", choices=["aic", "bic", "custom"])
+    sel.add_argument("--criterion", help=_CRITERION_HELP)
     sel.add_argument("--cn", type=float, help="penalty value for --criterion custom")
     sel.add_argument("--top", type=int, default=10, help="rows in the score table")
     sel.add_argument("--size-cap", type=int, help="largest subset size to enumerate")
@@ -622,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     thm.add_argument("--data", help="CSV dataset (data mode)")
     thm.add_argument("--s-star", help="true subset, comma-separated (data mode)")
     thm.add_argument("--s-hat", help="selected subset, comma-separated (data mode)")
-    thm.add_argument("--criterion", choices=["aic", "bic", "custom"])
+    thm.add_argument("--criterion", help=_CRITERION_HELP + " (data mode)")
     thm.set_defaults(func=cmd_theorem_check)
 
     qt = sub.add_parser("quantile", help="Student-t quantile")

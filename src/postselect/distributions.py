@@ -3,15 +3,18 @@
 Sampling goes through :class:`RngStream`, a seeded, substream-indexed wrapper
 around a counter-based generator, so that parallel workers drawing from
 ``(seed, substream)`` pairs reproduce bit-identical results regardless of
-scheduling.  The Student-t CDF and quantile are built on a continued-fraction
-evaluation of the regularized incomplete beta function; no statistics library
-is involved.
+scheduling.  :func:`sample_ar1_rows` draws AR(1)-correlated design rows from
+such a stream; it trusts its dimension and correlation, which
+:class:`~postselect.simulation.ExperimentConfig` has already validated.
+
+The Student-t CDF and quantile are built on a continued-fraction evaluation
+of the regularized incomplete beta function; no statistics library is
+involved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,24 +28,6 @@ _FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAXIT = 3000
 _QUANTILE_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class Ar1Spec:
-    """Dimension and one-step correlation of an AR(1) correlation matrix.
-
-    The implied covariance is Toeplitz with entries ``rho ** |i - j|``,
-    positive definite for ``|rho| < 1``.
-    """
-
-    p: int
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"dimension must be positive, got p={self.p}")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"need |rho| < 1, got rho={self.rho}")
 
 
 class RngStream:
@@ -77,18 +62,17 @@ class RngStream:
         return f"RngStream(seed={self.seed}, substream={self.substream})"
 
 
-def sample_ar1_rows(rng: RngStream, spec: Ar1Spec, rows: int) -> np.ndarray:
+def sample_ar1_rows(rng: RngStream, rows: int, p: int, rho: float) -> np.ndarray:
     """``rows`` iid draws from N_p(0, Sigma) with ``Sigma_ij = rho ** |i - j|``.
 
-    Returns shape (rows, p).  Each row uses the exact scalar recursion
-    ``x_1 = z_1``, ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i`` with iid
-    standard normal ``z``, costing O(p) per row instead of a dense factor
-    solve.  The stream is consumed one whole row of ``z`` at a time.
+    Returns shape (rows, p).  Sigma is positive definite for ``|rho| < 1``.
+    Each row uses the exact scalar recursion ``x_1 = z_1``,
+    ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i`` with iid standard normal
+    ``z``, costing O(p) per row instead of a dense factor solve.  The stream
+    is consumed one whole row of ``z`` at a time.
     """
-    if rows < 0:
-        raise ValueError(f"rows must be nonnegative, got {rows}")
-    z = rng.standard_normal((rows, spec.p))
-    return _ar1_recursion(z, spec.rho)
+    z = rng.standard_normal((rows, p))
+    return _ar1_recursion(z, rho)
 
 
 def _ar1_recursion(z: np.ndarray, rho: float) -> np.ndarray:

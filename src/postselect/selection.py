@@ -50,12 +50,14 @@ class Criterion:
 
     def __post_init__(self) -> None:
         if self.kind not in ("aic", "bic", "custom"):
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
+            raise ValueError(f"criterion: expected aic, bic or custom, got {self.kind!r}")
         if self.kind == "custom":
-            if self.custom_value is None or self.custom_value < 0:
-                raise ValueError("custom criterion needs a nonnegative c_n value")
+            if self.custom_value is None or not 0.0 <= self.custom_value < math.inf:
+                raise ValueError(
+                    f"custom criterion needs a finite nonnegative c_n, got {self.custom_value}"
+                )
         elif self.custom_value is not None:
-            raise ValueError(f"{self.kind} does not take a custom value")
+            raise ValueError(f"c_n only applies to the custom criterion, not {self.kind}")
 
     @classmethod
     def aic(cls) -> "Criterion":
@@ -284,7 +286,6 @@ def select(
     data: Dataset,
     crit: Criterion,
     size_cap: Optional[int] = None,
-    enumeration_limit: int = ENUMERATION_LIMIT,
 ) -> SelectionResult:
     """Choose the subset minimizing the selection score over all sub-models.
 
@@ -304,14 +305,14 @@ def select(
     Raises
     ------
     TooManyPredictors
-        If ``p`` exceeds ``enumeration_limit`` (default 20).
+        If ``p`` exceeds ``ENUMERATION_LIMIT`` (20).
     AllSubsetsInfeasible
         If no enumerated subset can be fitted.
     """
     n, p = data.n, data.p
-    if p > enumeration_limit:
+    if p > ENUMERATION_LIMIT:
         raise TooManyPredictors(
-            f"p={p} exceeds the exhaustive enumeration limit of {enumeration_limit}"
+            f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}"
         )
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be nonnegative, got {size_cap}")

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .distributions import RNG_ALGORITHM, Ar1Spec, RngStream, sample_ar1_rows
+from .distributions import RNG_ALGORITHM, RngStream, sample_ar1_rows
 from .errors import DegenerateReplication, InvalidAlpha, PostselectError
 from .inference import QueryPoint, covers, mean_response_ci, true_mean_response
 from .linalg import Dataset, Subset, centered_dataset, ols_fit
@@ -53,8 +53,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n <= self.p:
             raise ValueError(f"need 1 <= p < n, got n={self.n}, p={self.p}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"need |rho| < 1, got rho={self.rho}")
         if self.reps < 1:
@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"beta_star has length {len(beta)} but p={self.p}"
             )
+        if not all(map(math.isfinite, beta)):
+            raise ValueError(f"beta_star must be finite, got {beta}")
         object.__setattr__(self, "beta_star", beta)
         support = Subset(tuple(i + 1 for i, b in enumerate(beta) if b != 0.0))
         if support.size == 0:
@@ -102,12 +104,11 @@ def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
     then the query row.  The design and response are returned centered, with
     the removed column means recorded for query-point handling.
     """
-    spec = Ar1Spec(p=cfg.p, rho=cfg.rho)
-    x_raw = sample_ar1_rows(rng, spec, cfg.n)
+    x_raw = sample_ar1_rows(rng, cfg.n, cfg.p, cfg.rho)
     beta = np.asarray(cfg.beta_star)
     y_raw = x_raw @ beta + cfg.sigma * rng.standard_normal(cfg.n)
     data, _, col_means = centered_dataset(y_raw, x_raw)
-    query_x_raw = sample_ar1_rows(rng, spec, 1)[0]
+    query_x_raw = sample_ar1_rows(rng, 1, cfg.p, cfg.rho)[0]
     return GeneratedData(data, col_means, query_x_raw)
 
 
@@ -208,16 +209,6 @@ class ExperimentSummary:
     runtime_seconds: float
     rng_algorithm: str
     seed: int
-
-
-_RATE_FIELDS = (
-    "coverage_selected",
-    "coverage_oracle",
-    "containment_rate",
-    "exact_rate",
-    "strict_overfit_rate",
-    "condition_rate",
-)
 
 
 def summarize(

@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from postselect import ExperimentConfig, RngStream, generate_dataset
 from postselect.cli import main, records_csv_text, ratio_hist_csv_text, RECORDS_COLUMNS
@@ -92,6 +93,21 @@ class TestTheoremCheckCommand:
         assert code == 0
         for token in ("r_n =", "F_n =", "sigma_hat", "a_n = 1.84"):
             assert token in out
+
+    def test_data_mode_index_beyond_columns_exit_2(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "five.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{j}" for j in range(1, 6)] + ["y"])
+            for row in rng.standard_normal((20, 6)):
+                writer.writerow([repr(float(v)) for v in row])
+        code, _, err = run_cli(
+            capsys,
+            "theorem-check", "--data", str(path), "--s-star", "1", "--s-hat", "1,9",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "5 available columns" in err
 
     def test_data_mode_rejects_non_nested(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
@@ -387,3 +403,80 @@ class TestCsvSchemas:
             math.isclose(hi - lo, 0.01, abs_tol=1e-9) for lo, hi in zip(lows, highs)
         )
         assert lows[1:] == highs[:-1]
+
+
+# Each invalid configuration, once as simulate flags and once as config-file
+# lines with the same values.
+INVALID_CONFIGS = {
+    "negative c_n": (["--criterion", "custom", "--cn", "-1"], "criterion = custom\nc_n = -1"),
+    "unknown criterion": (["--criterion", "aicc"], "criterion = aicc"),
+    "c_n with aic": (["--criterion", "aic", "--cn", "2"], "criterion = aic\nc_n = 2"),
+    "n not a number": (["--n", "x"], "n = x"),
+    "zero workers": (["--workers", "0"], "workers = 0"),
+    "workers not a number": (["--workers", "abc"], "workers = abc"),
+    "infinite c_n": (["--cn", "inf"], "c_n = inf"),
+    "non-finite sigma": (["--sigma", "nan"], "sigma = nan"),
+    "s_star index 0": (["--s-star", "0"], "s_star = 0"),
+}
+
+
+def assert_one_error_line(code, err):
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+class TestOneConversionPath:
+    @pytest.mark.parametrize(
+        "flags,lines", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys()
+    )
+    def test_invalid_value_exits_2_as_flag_and_file_line(
+        self, capsys, tmp_path, flags, lines
+    ):
+        flag_dir, file_dir = tmp_path / "flag", tmp_path / "file"
+        code, _, flag_err = run_cli(capsys, "simulate", *flags, "--out-dir", str(flag_dir))
+        assert_one_error_line(code, flag_err)
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(lines + "\n")
+        code, _, file_err = run_cli(
+            capsys, "simulate", "--config", str(cfg_file), "--out-dir", str(file_dir)
+        )
+        assert_one_error_line(code, file_err)
+        assert file_err == flag_err
+        assert not flag_dir.exists() and not file_dir.exists()
+
+    @pytest.mark.parametrize("command", ["select", "theorem-check"])
+    def test_negative_cn_on_a_dataset_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "data.csv"
+        write_fixture_csv(path)
+        if command == "select":
+            argv = [command, str(path)]
+        else:
+            argv = [command, "--data", str(path), "--s-star", "1,2,3", "--s-hat", "1,2,3,4"]
+        code, _, err = run_cli(capsys, *argv, "--criterion", "custom", "--cn", "-1")
+        assert_one_error_line(code, err)
+        assert "c_n" in err
+
+    def test_criterion_name_is_case_insensitive(self, capsys, tmp_path):
+        common = ("simulate", "--reps", "3", "--seed", "5", "--workers", "1")
+        flag_dir, file_dir = tmp_path / "flag", tmp_path / "file"
+        code, _, _ = run_cli(capsys, *common, "--criterion", "AIC", "--out-dir", str(flag_dir))
+        assert code == 0
+        cfg_file = tmp_path / "upper.cfg"
+        cfg_file.write_text("criterion = AIC\n")
+        code, _, _ = run_cli(
+            capsys, *common, "--config", str(cfg_file), "--out-dir", str(file_dir)
+        )
+        assert code == 0
+        flag_cfg, file_cfg = (
+            json.loads((d / "manifest.json").read_text())["config"]
+            for d in (flag_dir, file_dir)
+        )
+        assert flag_cfg == file_cfg and flag_cfg["criterion"] == "aic"
+        assert (flag_dir / "records.csv").read_bytes() == (file_dir / "records.csv").read_bytes()
+
+        path = tmp_path / "data.csv"
+        write_fixture_csv(path)
+        code, out, _ = run_cli(capsys, "select", str(path), "--criterion", "BIC", "--top", "1")
+        assert code == 0
+        assert "criterion: bic" in out

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postselect import (
-    Ar1Spec,
     RngStream,
     regularized_incomplete_beta,
-    sample_ar1_rows,
     student_t_cdf,
     student_t_quantile,
 )
+from postselect.distributions import sample_ar1_rows
 from postselect.errors import InvalidDf, InvalidProb
 
 from oracles import (
@@ -58,24 +57,14 @@ class TestStdNormal:
 
 
 class TestAr1Sampling:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            Ar1Spec(p=0, rho=0.5)
-        with pytest.raises(ValueError):
-            Ar1Spec(p=3, rho=1.0)
-        with pytest.raises(ValueError):
-            Ar1Spec(p=3, rho=-1.5)
-
     def test_rho_zero_components_independent(self):
-        spec = Ar1Spec(p=6, rho=0.0)
-        draws = sample_ar1_rows(RngStream(7), spec, 10**5)
+        draws = sample_ar1_rows(RngStream(7), 10**5, 6, 0.0)
         corr = np.corrcoef(draws, rowvar=False)
         off_diag = corr[~np.eye(6, dtype=bool)]
         assert np.abs(off_diag).max() < 0.02
 
     def test_rho_half_lag_correlations(self):
-        spec = Ar1Spec(p=10, rho=0.5)
-        draws = sample_ar1_rows(RngStream(11), spec, 10**5)
+        draws = sample_ar1_rows(RngStream(11), 10**5, 10, 0.5)
         corr = np.corrcoef(draws, rowvar=False)
         lag1 = np.array([corr[i, i + 1] for i in range(9)])
         lag2 = np.array([corr[i, i + 2] for i in range(8)])
@@ -85,10 +74,9 @@ class TestAr1Sampling:
     def test_recursion_covariance_matches_cholesky_analytically(self):
         # the recursion is linear in z; its transfer matrix must satisfy
         # A A' = Sigma, the same Gram identity the Cholesky factor satisfies
-        spec = Ar1Spec(p=8, rho=0.5)
         transfer = np.column_stack(
             [
-                sample_ar1_rows(_FixedZ(np.eye(8)[j : j + 1]), spec, 1)[0]
+                sample_ar1_rows(_FixedZ(np.eye(8)[j : j + 1]), 1, 8, 0.5)[0]
                 for j in range(8)
             ]
         )
@@ -98,8 +86,7 @@ class TestAr1Sampling:
         assert np.abs(chol @ chol.T - sigma).max() < 1e-12
 
     def test_recursion_vs_cholesky_empirical_covariance(self):
-        spec = Ar1Spec(p=5, rho=0.5)
-        via_recursion = sample_ar1_rows(RngStream(21), spec, 10**5)
+        via_recursion = sample_ar1_rows(RngStream(21), 10**5, 5, 0.5)
         z = RngStream(22).standard_normal((10**5, 5))
         via_cholesky = ar1_rows_cholesky(z, 0.5)
         cov_a = np.cov(via_recursion, rowvar=False)

@@ -43,6 +43,9 @@ class TestCriterion:
             Criterion.custom(-1.0)
         with pytest.raises(ValueError):
             Criterion("aic", custom_value=3.0)
+        for c_n in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Criterion.custom(c_n)
 
 
 class TestGamma:

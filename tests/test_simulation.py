@@ -54,6 +54,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(rho=1.0)
         with pytest.raises(ValueError):
+            ExperimentConfig(rho=-1.5)
+        with pytest.raises(ValueError):
+            ExperimentConfig(p=0)
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ExperimentConfig(sigma=sigma)
+        with pytest.raises(ValueError):
+            ExperimentConfig(beta_star=(1.0, math.nan) + (0.0,) * 8)
+        with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(beta_star=(0.0,) * 10)
