@@ -24,17 +24,14 @@ from .inference import (
 from .linalg import (
     Dataset,
     Subset,
-    SubsetFit,
     centered_dataset,
     ols_fit,
     qr_reduction,
 )
 from .selection import (
-    ConditionDiagnostics,
     Criterion,
     SelectionResult,
     TheoremReport,
-    gamma,
     overfit_condition,
     select,
     theorem_report,
@@ -42,7 +39,6 @@ from .selection import (
 from .simulation import (
     ExperimentConfig,
     ExperimentSummary,
-    GeneratedData,
     ReplicationRecord,
     generate_dataset,
     run_experiment,
@@ -53,24 +49,20 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionDiagnostics",
     "ConfidenceInterval",
     "Criterion",
     "Dataset",
     "ExperimentConfig",
     "ExperimentSummary",
-    "GeneratedData",
     "QueryPoint",
     "ReplicationRecord",
     "RNG_ALGORITHM",
     "RngStream",
     "SelectionResult",
     "Subset",
-    "SubsetFit",
     "TheoremReport",
     "centered_dataset",
     "covers",
-    "gamma",
     "generate_dataset",
     "mean_response_ci",
     "ols_fit",

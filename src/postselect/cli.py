@@ -1,9 +1,10 @@
 """Command-line interface: simulate, select, theorem-check, quantile.
 
-Exit codes: 0 on success, 2 on usage or configuration errors, 3 on runtime
-failures.  All file output is written atomically next to a manifest that
-echoes the full configuration; re-running with ``--config manifest.json``
-reproduces summary.json, records.csv and ratio_hist.csv byte for byte.
+Exit codes: 0 on success, 2 on usage or configuration errors (a
+``ValueError``), 3 when the method fails on the data (a ``PostselectError``).
+All file output is written atomically next to a manifest that echoes the full
+configuration; re-running with ``--config manifest.json`` reproduces
+summary.json, records.csv and ratio_hist.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import RNG_ALGORITHM, student_t_quantile
-from .errors import (
-    AllSubsetsInfeasible,
-    InvalidAlpha,
-    InvalidDf,
-    InvalidProb,
-    PostselectError,
-    TooManyPredictors,
-)
+from .errors import AllSubsetsInfeasible, PostselectError
 from .linalg import Dataset, Subset, centered_dataset, ols_fit
 from .selection import Criterion, overfit_condition, select, theorem_report
 from .simulation import ExperimentConfig, ReplicationRecord, run_experiment
@@ -38,28 +32,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-RECORDS_COLUMNS = (
-    "rep_index",
-    "sigma_hat_selected",
-    "sigma_hat_oracle",
-    "ratio",
-    "size_hat",
-    "contains_star",
-    "strict_overfit",
-    "exact",
-    "covered_selected",
-    "covered_oracle",
-    "ci_width_selected",
-    "ci_width_oracle",
-    "condition_holds",
-)
+# One records.csv column per ReplicationRecord field, in field order; s_hat
+# is written as its size.
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ReplicationRecord))
+RECORDS_COLUMNS = tuple("size_hat" if f == "s_hat" else f for f in _RECORD_FIELDS)
 
 RATIO_HIST_COLUMNS = ("bin_lo", "bin_hi", "count")
 _HIST_LO, _HIST_HI, _HIST_BINS = 1.0, 1.3, 30
-
-
-class _UsageError(Exception):
-    """Configuration problem attributable to the invocation."""
 
 
 def _fail(message: str, code: int) -> int:
@@ -77,45 +56,54 @@ def _fmt(value: float) -> str:
 
 # Configuration keys are the ExperimentConfig fields plus c_n, which a file or
 # the --cn flag gives next to the criterion.  Flag text and config-file values
-# both pass through _coerce_config_value, which only converts: beta_star and
-# s_star are lists, criterion is a name, workers is an int when it reads as
-# one, and every other field is a number of its default's type.  Whether a
-# value is valid is decided by Criterion and ExperimentConfig alone.
+# both pass through _coerce_config_value, which only converts text: a JSON
+# value is first written back as its JSON text, so 2.9 or true for an integer
+# field fails exactly as the line "reps = 2.9" does.  beta_star and s_star
+# are lists, criterion is a name, workers is an int when it reads as one, and
+# every other field is a number of its default's type.  Whether a value is
+# valid is decided by Criterion and ExperimentConfig alone.
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _CONFIG_KEYS = (*_FIELDS, "c_n")
 
 
-def _parse_list(value, field: str, number: type) -> tuple:
-    """A list, or comma-separated text, converted element by element."""
-    if isinstance(value, (list, tuple)):
-        parts = value
-    else:
-        parts = [part for part in str(value).split(",") if part.strip()]
+def _parse_list(value: str, field: str, number: type) -> tuple:
+    """Comma-separated text, converted element by element."""
+    parts = [part for part in value.split(",") if part.strip()]
     try:
         return tuple(number(part) for part in parts)
-    except (TypeError, ValueError):
+    except ValueError:
         kind = "integers" if number is int else "numbers"
-        raise _UsageError(f"{field}: expected comma-separated {kind}, got {value!r}")
+        raise ValueError(f"{field}: expected comma-separated {kind}, got {value!r}")
+
+
+def _json_text(value) -> str:
+    """A JSON value as the text of a ``key = value`` line."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(_json_text, value))
+    return json.dumps(value)
 
 
 def _coerce_config_value(key: str, value):
     if key not in _CONFIG_KEYS:
-        raise _UsageError(f"unknown configuration field {key!r}")
+        raise ValueError(f"unknown configuration field {key!r}")
+    value = _json_text(value)
     if key in ("beta_star", "s_star"):
         return _parse_list(value, key, float if key == "beta_star" else int)
     if key == "criterion":
-        return str(value)
+        return value
     if key == "workers":
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except ValueError:
             return value
     number = float if key == "c_n" else type(_FIELDS[key].default)
     try:
         return number(value)
-    except (TypeError, ValueError):
+    except ValueError:
         kind = "an integer" if number is int else "a number"
-        raise _UsageError(f"{key}: expected {kind}, got {value!r}")
+        raise ValueError(f"{key}: expected {kind}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -124,22 +112,22 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     stripped = text.lstrip()
     values: dict = {}
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise _UsageError(f"{path}: invalid JSON: {exc}")
+            raise ValueError(f"{path}: invalid JSON: {exc}")
         if "config" not in obj and "coverage_selected" in obj:
-            raise _UsageError(
+            raise ValueError(
                 f"{path} is a summary.json, which holds results and no "
                 "configuration; pass the run's manifest.json instead"
             )
         obj = obj.get("config", obj)
         if not isinstance(obj, dict):
-            raise _UsageError(f"{path}: JSON config must be an object")
+            raise ValueError(f"{path}: JSON config must be an object")
         raw_items = obj.items()
     else:
         raw_items = []
@@ -148,7 +136,7 @@ def _load_config_file(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             raw_items.append((key.strip(), value.strip()))
     for key, value in raw_items:
@@ -161,10 +149,7 @@ def _load_config_file(path: str) -> dict:
 def _build_criterion(kind: Optional[str], c_n: Optional[float]) -> Criterion:
     """The criterion named by ``kind`` (any case); custom if only c_n is given."""
     kind = kind.lower() if kind else ("custom" if c_n is not None else "aic")
-    try:
-        return Criterion(kind, c_n)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return Criterion(kind, c_n)
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -182,12 +167,9 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         if key not in ("s_star", "criterion", "c_n")
     }
     kwargs["criterion"] = _build_criterion(merged.get("criterion"), merged.get("c_n"))
-    try:
-        if "s_star" in merged:
-            kwargs["s_star"] = Subset.of(merged["s_star"])
-        return ExperimentConfig(**kwargs)
-    except (ValueError, InvalidAlpha) as exc:
-        raise _UsageError(str(exc))
+    if "s_star" in merged:
+        kwargs["s_star"] = Subset.of(merged["s_star"])
+    return ExperimentConfig(**kwargs)
 
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:
@@ -230,24 +212,15 @@ def records_csv_text(records: Sequence[ReplicationRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORDS_COLUMNS)
     for r in records:
-        writer.writerow(
-            (
-                r.rep_index,
-                repr(r.sigma_hat_selected),
-                repr(r.sigma_hat_oracle),
-                repr(r.ratio),
-                r.s_hat.size,
-                int(r.contains_star),
-                int(r.strict_overfit),
-                int(r.exact),
-                int(r.covered_selected),
-                int(r.covered_oracle),
-                repr(r.ci_width_selected),
-                repr(r.ci_width_oracle),
-                int(r.condition_holds),
-            )
-        )
+        writer.writerow([_cell(getattr(r, name)) for name in _RECORD_FIELDS])
     return buf.getvalue()
+
+
+def _cell(value):
+    """A float as its repr, a subset as its size, a bool as 0 or 1."""
+    if isinstance(value, Subset):
+        return value.size
+    return repr(value) if isinstance(value, float) else int(value)
 
 
 def ratio_hist_csv_text(records: Sequence[ReplicationRecord]) -> str:
@@ -272,20 +245,14 @@ def ratio_hist_csv_text(records: Sequence[ReplicationRecord]) -> str:
 
 
 def _summary_json_obj(summary) -> dict:
-    obj = {
-        "reps": summary.reps,
-        "coverage_selected": summary.coverage_selected,
-        "coverage_oracle": summary.coverage_oracle,
-        "mean_ratio_overfit": summary.mean_ratio_overfit,
-        "containment_rate": summary.containment_rate,
-        "exact_rate": summary.exact_rate,
-        "strict_overfit_rate": summary.strict_overfit_rate,
-        "condition_rate": summary.condition_rate,
-    }
-    for name, se in summary.standard_errors.items():
-        obj[f"{name}_se"] = se
-    obj["rng_algorithm"] = summary.rng_algorithm
-    obj["seed"] = summary.seed
+    """The summary's fields in order, each standard error as ``<rate>_se``,
+    without the run time, which would make the file irreproducible."""
+    obj: dict = {}
+    for key, value in dataclasses.asdict(summary).items():
+        if key == "standard_errors":
+            obj.update((f"{name}_se", se) for name, se in value.items())
+        elif key != "runtime_seconds":
+            obj[key] = value
     return obj
 
 
@@ -297,7 +264,7 @@ def _summary_json_obj(summary) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg = _assemble_config(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
     out_dir = args.out_dir
@@ -363,37 +330,37 @@ def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
             try:
                 header = next(reader)
             except StopIteration:
-                raise _UsageError(f"{path}: empty file")
+                raise ValueError(f"{path}: empty file")
             rows = list(reader)
     except OSError as exc:
-        raise _UsageError(f"cannot read dataset: {exc}")
+        raise ValueError(f"cannot read dataset: {exc}")
     header = [h.strip() for h in header]
     if "y" not in header:
-        raise _UsageError(f"{path}: no column named 'y' in header {header}")
+        raise ValueError(f"{path}: no column named 'y' in header {header}")
     y_col = header.index("y")
     predictor_names = [h for i, h in enumerate(header) if i != y_col]
     if not predictor_names:
-        raise _UsageError(f"{path}: no predictor columns besides 'y'")
+        raise ValueError(f"{path}: no predictor columns besides 'y'")
     y_vals, x_rows = [], []
     for lineno, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
-            raise _UsageError(
+            raise ValueError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
             values = [float(cell) for cell in row]
         except ValueError:
-            raise _UsageError(f"{path}:{lineno}: non-numeric value in {row!r}")
+            raise ValueError(f"{path}:{lineno}: non-numeric value in {row!r}")
         y_vals.append(values[y_col])
         x_rows.append([v for i, v in enumerate(values) if i != y_col])
     if not y_vals:
-        raise _UsageError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     try:
         data, _, _ = centered_dataset(np.array(y_vals), np.array(x_rows))
     except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
     return data, predictor_names
 
 
@@ -401,12 +368,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     try:
         crit = _build_criterion(args.criterion, args.cn)
         data, names = _read_dataset_csv(args.dataset)
-    except _UsageError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-
-    try:
         result = select(data, crit, size_cap=args.size_cap)
-    except (TooManyPredictors, AllSubsetsInfeasible, ValueError) as exc:
+    except (AllSubsetsInfeasible, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
@@ -465,7 +428,6 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
                 ("--n", args.n),
                 ("--size-star", args.size_star),
                 ("--size-hat", args.size_hat),
-                ("--cn", args.cn),
             )
             if val is None
         ]
@@ -475,9 +437,12 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
                 EXIT_CONFIG,
             )
         try:
-            diag = overfit_condition(args.n, args.size_star, args.size_hat, args.cn)
+            crit = _build_criterion(args.criterion, args.cn)
+            c_n = crit.c_n(args.n)
+            diag = overfit_condition(args.n, args.size_star, args.size_hat, c_n)
         except ValueError as exc:
             return _fail(str(exc), EXIT_CONFIG)
+        print(f"criterion: {crit.label()} (c_n = {_fmt(c_n)})")
         print(f"a_n = {_fmt(diag.a_n)}")
         print(f"D_n = {_fmt(diag.d_n)}")
         print(f"1 - exp(-a_n * D_n) = {_fmt(diag.threshold)}")
@@ -496,19 +461,13 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
         s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
         s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
         if not s_star.is_strict_subset(s_hat):
-            raise _UsageError(
+            raise ValueError(
                 f"--s-hat {s_hat} must strictly contain --s-star {s_star}"
             )
         crit = _build_criterion(args.criterion, args.cn)
         data, _ = _read_dataset_csv(args.data)
-    except _UsageError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-
-    try:
         report = theorem_report(data, s_star, s_hat, crit)
-    except ValueError as exc:  # an index beyond the CSV's columns
+    except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
@@ -533,7 +492,7 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
 def cmd_quantile(args: argparse.Namespace) -> int:
     try:
         q = student_t_quantile(args.df, args.prob)
-    except (InvalidDf, InvalidProb) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     # ten significant digits, keeping trailing zeros
     print("0" if q == 0.0 else f"{q:#.10g}")
@@ -599,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     thm.add_argument("--data", help="CSV dataset (data mode)")
     thm.add_argument("--s-star", help="true subset, comma-separated (data mode)")
     thm.add_argument("--s-hat", help="selected subset, comma-separated (data mode)")
-    thm.add_argument("--criterion", help=_CRITERION_HELP + " (data mode)")
+    thm.add_argument("--criterion", help=_CRITERION_HELP)
     thm.set_defaults(func=cmd_theorem_check)
 
     qt = sub.add_parser("quantile", help="Student-t quantile")

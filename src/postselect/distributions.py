@@ -19,8 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDf, InvalidProb
-
 # Counter-based generator backing every stream; recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
 
@@ -148,7 +146,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def _check_df(df: int) -> int:
     if isinstance(df, bool) or int(df) != df or df < 1:
-        raise InvalidDf(f"degrees of freedom must be a positive integer, got {df!r}")
+        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
     return int(df)
 
 
@@ -212,7 +210,7 @@ def student_t_quantile(df: int, prob: float) -> float:
     df = _check_df(df)
     prob = float(prob)
     if not 0.0 < prob < 1.0:
-        raise InvalidProb(f"prob must lie strictly inside (0, 1), got {prob}")
+        raise ValueError(f"prob must lie strictly inside (0, 1), got {prob}")
     if prob == 0.5:
         return 0.0
     upper = max(prob, 1.0 - prob)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import student_t_quantile
-from .errors import DegenerateModel, InvalidAlpha, LengthMismatch
+from .errors import PostselectError
 from .linalg import Dataset, Subset, SubsetFit
 
 
@@ -76,22 +76,21 @@ def mean_response_ci(
 
     Raises
     ------
-    InvalidAlpha
-        If alpha is outside (0, 1).
-    DegenerateModel
+    ValueError
+        If alpha is outside (0, 1), or the query point does not have p
+        components.
+    PostselectError
         If the fitted subset is empty; the interval is undefined without
         regressors.
-    LengthMismatch
-        If the query point does not have p components.
     """
     if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must lie strictly inside (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if fit.subset.size == 0:
-        raise DegenerateModel(
+        raise PostselectError(
             "the empty model has no mean-response interval; choose a nonempty subset"
         )
     if x.p != data.p:
-        raise LengthMismatch(f"query point has {x.p} components, expected {data.p}")
+        raise ValueError(f"query point has {x.p} components, expected {data.p}")
     if not x.centered:
         raise ValueError("query point must be centered by the training column means")
     if fit.df != data.n - fit.subset.size - 1:
@@ -120,7 +119,7 @@ def true_mean_response(x: QueryPoint, beta_star: np.ndarray) -> float:
     """The estimand ``x' beta_star``; zero coefficients drop out."""
     beta = np.asarray(beta_star, dtype=np.float64).reshape(-1)
     if beta.shape[0] != x.p:
-        raise LengthMismatch(
+        raise ValueError(
             f"query point has {x.p} components, beta_star has {beta.shape[0]}"
         )
     return float(x.x @ beta)

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InsufficientDf, RankDeficient
+from .errors import PostselectError
 
 # A subset's QR factor is rank deficient when its smallest diagonal pivot
 # falls below this fraction of the largest one.
@@ -196,7 +196,7 @@ class SubsetFit:
 def _check_rank(r_diag: np.ndarray, s: Subset) -> None:
     d = np.abs(r_diag)
     if d.size and (d.max() == 0.0 or d.min() < RANK_RTOL * d.max()):
-        raise RankDeficient(f"columns of subset {s} are numerically collinear")
+        raise PostselectError(f"columns of subset {s} are numerically collinear")
 
 
 def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
@@ -215,14 +215,14 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
 
     Raises
     ------
-    InsufficientDf
+    ValueError
         If ``n - |S| - 1 < 1``.
-    RankDeficient
+    PostselectError
         If the selected columns are numerically collinear.
     """
     df = data.n - s.size - 1
     if df < 1:
-        raise InsufficientDf(
+        raise ValueError(
             f"subset of size {s.size} leaves {df} degrees of freedom at n={data.n}"
         )
     if s.size == 0:

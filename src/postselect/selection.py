@@ -1,7 +1,7 @@
 """Criterion-based subset selection and overfitting diagnostics.
 
-A sub-model S is scored by ``gamma(S) = n * log(SSE(S)) + c_n * |S|`` with
-natural logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
+A sub-model S is scored by ``n * log(SSE(S)) + c_n * |S|`` with natural
+logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
 ``c_n = log(n)``.  :func:`select` minimizes the score by exhaustive
 enumeration: one QR factorization of the augmented design ``[X | y]``, then
 a sweep over the subset lattice in which each subset orthogonalizes one
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AllSubsetsInfeasible, NonPositiveSse, TooManyPredictors, ZeroSse
+from .errors import AllSubsetsInfeasible, PostselectError
 from .linalg import RANK_RTOL, Dataset, QrReduction, Subset, ols_fit, qr_reduction
 
 # 2^20 subsets is the most the exhaustive enumerator will attempt.
@@ -73,6 +73,8 @@ class Criterion:
 
     def c_n(self, n: int) -> float:
         """The penalty per selected variable at sample size n."""
+        if n < 1:
+            raise ValueError(f"need a positive sample size, got n={n}")
         if self.kind == "aic":
             return 2.0
         if self.kind == "bic":
@@ -83,21 +85,6 @@ class Criterion:
         if self.kind == "custom":
             return f"custom(c_n={self.custom_value:g})"
         return self.kind
-
-
-def gamma(sse: float, size: int, n: int, crit: Criterion) -> float:
-    """Selection score ``n * log(sse) + c_n * size`` (natural log).
-
-    Raises NonPositiveSse for ``sse <= 0``; values in ``(0, SSE_FLOOR)`` are
-    clamped to the floor so exact fits stay comparable.
-    """
-    if sse <= 0.0:
-        raise NonPositiveSse(f"gamma needs a positive SSE, got {sse}")
-    if size < 0:
-        raise ValueError(f"size must be nonnegative, got {size}")
-    if n <= size + 1:
-        raise ValueError(f"need n > size + 1, got n={n}, size={size}")
-    return n * math.log(max(sse, SSE_FLOOR)) + crit.c_n(n) * size
 
 
 @dataclass(frozen=True)
@@ -304,14 +291,14 @@ def select(
 
     Raises
     ------
-    TooManyPredictors
+    ValueError
         If ``p`` exceeds ``ENUMERATION_LIMIT`` (20).
     AllSubsetsInfeasible
         If no enumerated subset can be fitted.
     """
     n, p = data.n, data.p
     if p > ENUMERATION_LIMIT:
-        raise TooManyPredictors(
+        raise ValueError(
             f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}"
         )
     if size_cap is not None and size_cap < 0:
@@ -415,13 +402,8 @@ class TheoremReport:
     sigma_hat_star: float
     sigma_hat_selected: float
     underestimates: bool
-    strictly_overfits: bool
     sse_star: float
     sse_hat: float
-
-    @property
-    def contains_star(self) -> bool:
-        return self.d_n is not None
 
 
 def theorem_report(
@@ -434,13 +416,13 @@ def theorem_report(
 
     Raises
     ------
-    ZeroSse
+    PostselectError
         If ``SSE(s_star)`` is zero (the relative reduction is undefined).
     """
     fit_star = ols_fit(data, s_star)
     fit_hat = ols_fit(data, s_hat)
     if fit_star.sse == 0.0:
-        raise ZeroSse(f"SSE({s_star}) is zero; theorem quantities undefined")
+        raise PostselectError(f"SSE({s_star}) is zero; theorem quantities undefined")
 
     n = data.n
     nested = s_star.issubset(s_hat)
@@ -474,7 +456,6 @@ def theorem_report(
         sigma_hat_star=sigma_star,
         sigma_hat_selected=sigma_sel,
         underestimates=sigma_sel < sigma_star,
-        strictly_overfits=s_star.is_strict_subset(s_hat),
         sse_star=fit_star.sse,
         sse_hat=fit_hat.sse,
     )

@@ -19,10 +19,10 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .distributions import RNG_ALGORITHM, RngStream, sample_ar1_rows
-from .errors import DegenerateReplication, InvalidAlpha, PostselectError
+from .errors import DegenerateReplication, PostselectError
 from .inference import QueryPoint, covers, mean_response_ci, true_mean_response
 from .linalg import Dataset, Subset, centered_dataset, ols_fit
-from .selection import Criterion, overfit_condition, select
+from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n <= self.p:
             raise ValueError(f"need 1 <= p < n, got n={self.n}, p={self.p}")
+        if self.p > ENUMERATION_LIMIT:
+            raise ValueError(
+                f"p={self.p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}"
+            )
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not -1.0 < self.rho < 1.0:
@@ -60,7 +64,7 @@ class ExperimentConfig:
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
-            raise InvalidAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         beta = tuple(float(b) for b in self.beta_star)
         if len(beta) != self.p:
             raise ValueError(
@@ -78,6 +82,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"s_star {self.s_star} does not match the support {support} "
                 f"of beta_star"
+            )
+        if self.s_star.size > self.n - 2:
+            raise ValueError(
+                f"s_star {self.s_star} leaves the oracle fit no residual degree "
+                f"of freedom at n={self.n}; need |s_star| <= n - 2"
             )
         if self.workers != "auto" and (
             not isinstance(self.workers, int) or self.workers < 1
@@ -114,13 +123,17 @@ def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
 
 @dataclass(frozen=True)
 class ReplicationRecord:
-    """Per-replication outcomes feeding the scatter, histogram and rates."""
+    """Per-replication outcomes feeding the scatter, histogram and rates.
+
+    The field order is the column order of ``records.csv``, where ``s_hat``
+    is written as its size.
+    """
 
     rep_index: int
-    s_hat: Subset
     sigma_hat_selected: float
     sigma_hat_oracle: float
     ratio: float
+    s_hat: Subset
     contains_star: bool
     strict_overfit: bool
     exact: bool

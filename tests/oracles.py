@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from postselect import Criterion, Dataset, Subset, TheoremReport, gamma
+from postselect import Criterion, Dataset, Subset, TheoremReport
 
 SSE_FLOOR = 1e-300
 
@@ -33,12 +33,16 @@ def normal_equations_fit(data: Dataset, s: Subset) -> tuple[np.ndarray, float]:
     return beta, float(resid @ resid)
 
 
+def score(sse: float, size: int, n: int, crit: Criterion) -> float:
+    """The selection score ``n log(max(sse, floor)) + c_n size``, written out."""
+    return n * math.log(max(sse, SSE_FLOOR)) + crit.c_n(n) * size
+
+
 def brute_force_select(
     data: Dataset, crit: Criterion, size_cap: int | None = None
 ) -> tuple[Subset, dict[Subset, float]]:
     """Exhaustive search with normal-equations SSEs and the direct score formula."""
     n, p = data.n, data.p
-    cn = crit.c_n(n)
     max_size = min(p if size_cap is None else size_cap, n - 2)
     table: dict[Subset, float] = {}
     for k in range(0, max_size + 1):
@@ -47,7 +51,7 @@ def brute_force_select(
             if k and np.linalg.matrix_rank(data.X[:, s.positions]) < k:
                 continue
             _, sse = normal_equations_fit(data, s)
-            table[s] = n * math.log(max(sse, SSE_FLOOR)) + cn * k
+            table[s] = score(sse, k, n, crit)
     best = min(table.items(), key=lambda kv: (kv[1], kv[0].size, kv[0].indices))
     return best[0], table
 
@@ -68,8 +72,8 @@ class PreferenceCheck(NamedTuple):
 
 def preference_check(report: TheoremReport, n: int, crit: Criterion) -> PreferenceCheck:
     """Whether the larger model of a strictly nested report wins, two ways."""
-    g_star = gamma(report.sse_star, report.s_star.size, n, crit)
-    g_hat = gamma(report.sse_hat, report.s_hat.size, n, crit)
+    g_star = score(report.sse_star, report.s_star.size, n, crit)
+    g_hat = score(report.sse_hat, report.s_hat.size, n, crit)
     threshold = -math.expm1(-report.a_n * report.d_n)
     gamma_margin = abs(g_hat - g_star)
     rn_margin = abs(report.r_n - threshold)

@@ -83,6 +83,15 @@ def test_criterion_2_ratio_and_containment(default_run):
     )
 
 
+def test_regression_anchor(default_run):
+    # the seed-42 defaults reproduce these digits exactly; the bands above
+    # would let a behaviour change through
+    summary, _ = default_run
+    assert summary.coverage_selected == 861 / 1000
+    assert summary.coverage_oracle == 953 / 1000
+    assert summary.mean_ratio_overfit == pytest.approx(1.05330, abs=1e-5)
+
+
 # --- criterion 3: randomized theorem sweep ---------------------------------
 
 def _criterion_for(tag: str, n: int) -> Criterion:

@@ -109,6 +109,34 @@ class TestTheoremCheckCommand:
         assert code == 2
         assert err.startswith("error:") and "5 available columns" in err
 
+    def test_analytic_mode_resolves_the_criterion(self, capsys):
+        sizes = ("theorem-check", "--n", "50", "--size-star", "3", "--size-hat", "4")
+        code, out, _ = run_cli(capsys, *sizes, "--criterion", "bic")
+        assert code == 0
+        assert f"c_n = {math.log(50):.6g}" in out
+        assert f"a_n = {math.log(50) * 46 / 50:.6g}" in out
+        code, out, _ = run_cli(capsys, *sizes)
+        assert code == 0 and "criterion: aic (c_n = 2)" in out
+        for flags in (("--criterion", "bic", "--cn", "2"), ("--cn", "nan"), ("--cn", "inf")):
+            code, _, err = run_cli(capsys, *sizes, *flags)
+            assert_one_error_line(code, err)
+            assert "c_n" in err
+
+    def test_data_mode_too_large_s_hat_exits_2(self, capsys, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "short.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{j}" for j in range(1, 5)] + ["y"])
+            for row in rng.standard_normal((5, 5)):
+                writer.writerow([repr(float(v)) for v in row])
+        code, _, err = run_cli(
+            capsys,
+            "theorem-check", "--data", str(path), "--s-star", "1", "--s-hat", "1,2,3,4",
+        )
+        assert_one_error_line(code, err)
+        assert "degrees of freedom" in err
+
     def test_data_mode_rejects_non_nested(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         write_fixture_csv(path)
@@ -242,7 +270,7 @@ class TestSimulateCommand:
         assert manifest["config"]["reps"] == 25
         assert manifest["config"]["criterion"] == "aic"
         assert manifest["rng_algorithm"] == "philox4x64"
-        hist = list(csv.reader(open(out_dir / "ratio_hist.csv")))
+        hist = list(csv.reader((out_dir / "ratio_hist.csv").read_text().splitlines()))
         assert tuple(hist[0]) == ("bin_lo", "bin_hi", "count")
         assert len(hist) == 31
         assert hist[1][0] == "1.00" and hist[-1][1] == "1.30"
@@ -417,6 +445,23 @@ INVALID_CONFIGS = {
     "infinite c_n": (["--cn", "inf"], "c_n = inf"),
     "non-finite sigma": (["--sigma", "nan"], "sigma = nan"),
     "s_star index 0": (["--s-star", "0"], "s_star = 0"),
+    "p beyond the enumeration limit": (
+        ["--p", "21", "--beta-star", "1" + ",0" * 20],
+        "p = 21\nbeta_star = 1" + ",0" * 20,
+    ),
+    "s_star leaves the oracle no df": (
+        ["--n", "11", "--beta-star", ",".join(["1"] * 10)],
+        "n = 11\nbeta_star = " + ",".join(["1"] * 10),
+    ),
+}
+
+# Manifest JSON values that a plain int() would truncate, each with the
+# config-file line that must fail the same way.
+TRUNCATED_JSON_VALUES = {
+    "fractional reps": ({"reps": 2.9}, "reps = 2.9"),
+    "boolean reps": ({"reps": True}, "reps = true"),
+    "boolean workers": ({"workers": True}, "workers = true"),
+    "fractional s_star": ({"s_star": [1.5, 2, 3]}, "s_star = 1.5,2,3"),
 }
 
 
@@ -445,14 +490,34 @@ class TestOneConversionPath:
         assert file_err == flag_err
         assert not flag_dir.exists() and not file_dir.exists()
 
-    @pytest.mark.parametrize("command", ["select", "theorem-check"])
+    @pytest.mark.parametrize(
+        "config,line", TRUNCATED_JSON_VALUES.values(), ids=TRUNCATED_JSON_VALUES.keys()
+    )
+    def test_json_number_is_not_truncated(self, capsys, tmp_path, config, line):
+        json_file, text_file = tmp_path / "bad.json", tmp_path / "bad.cfg"
+        json_file.write_text(json.dumps({"config": config}))
+        text_file.write_text(line + "\n")
+        errors = []
+        for path in (json_file, text_file):
+            out_dir = tmp_path / path.suffix[1:]
+            code, _, err = run_cli(
+                capsys, "simulate", "--config", str(path), "--out-dir", str(out_dir)
+            )
+            assert_one_error_line(code, err)
+            assert not out_dir.exists()
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("command", ["select", "theorem-check", "theorem-check-analytic"])
     def test_negative_cn_on_a_dataset_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "data.csv"
         write_fixture_csv(path)
         if command == "select":
             argv = [command, str(path)]
-        else:
+        elif command == "theorem-check":
             argv = [command, "--data", str(path), "--s-star", "1,2,3", "--s-hat", "1,2,3,4"]
+        else:
+            argv = ["theorem-check", "--n", "50", "--size-star", "3", "--size-hat", "4"]
         code, _, err = run_cli(capsys, *argv, "--criterion", "custom", "--cn", "-1")
         assert_one_error_line(code, err)
         assert "c_n" in err

@@ -10,7 +10,6 @@ from postselect import (
     student_t_quantile,
 )
 from postselect.distributions import sample_ar1_rows
-from postselect.errors import InvalidDf, InvalidProb
 
 from oracles import (
     ar1_covariance,
@@ -142,7 +141,7 @@ class TestStudentTCdf:
             assert student_t_cdf(2, t) == pytest.approx(t2_cdf(t), abs=1e-14)
 
     def test_invalid_df(self):
-        with pytest.raises(InvalidDf):
+        with pytest.raises(ValueError, match="degrees of freedom"):
             student_t_cdf(0, 1.0)
 
 
@@ -198,11 +197,11 @@ class TestStudentTQuantile:
         assert q > 1e10  # Cauchy tail: roughly 1 / (pi * (1 - p))
 
     def test_validation(self):
-        with pytest.raises(InvalidDf):
+        with pytest.raises(ValueError, match="degrees of freedom"):
             student_t_quantile(0, 0.5)
-        with pytest.raises(InvalidDf):
+        with pytest.raises(ValueError, match="degrees of freedom"):
             student_t_quantile(2.5, 0.5)
-        with pytest.raises(InvalidProb):
+        with pytest.raises(ValueError, match="prob"):
             student_t_quantile(3, 0.0)
-        with pytest.raises(InvalidProb):
+        with pytest.raises(ValueError, match="prob"):
             student_t_quantile(3, 1.0)

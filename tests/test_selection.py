@@ -10,13 +10,12 @@ from postselect import (
     Criterion,
     Dataset,
     Subset,
-    gamma,
     overfit_condition,
     select,
     theorem_report,
 )
 from postselect import selection
-from postselect.errors import NonPositiveSse, TooManyPredictors, ZeroSse
+from postselect.errors import PostselectError
 from postselect.selection import SSE_FLOOR
 
 from oracles import (
@@ -46,38 +45,76 @@ class TestCriterion:
         for c_n in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 Criterion.custom(c_n)
+        with pytest.raises(ValueError, match="sample size"):
+            BIC.c_n(0)
+
+
+def _orthogonal_dataset(n: int, p: int, sse: float, seed: int = 0) -> Dataset:
+    """Centered data whose response is orthogonal to every column, so every
+    subset S has ``SSE(S) = ||y||^2 = sse`` and scores ``n log sse + c_n |S|``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    x -= x.mean(axis=0)
+    y = rng.standard_normal(n)
+    y -= y.mean()
+    q, _ = np.linalg.qr(x)
+    y -= q @ (q.T @ y)
+    return Dataset(y=y * (math.sqrt(sse) / np.linalg.norm(y)), X=x)
 
 
 class TestGamma:
+    """The score ``n log(max(SSE, floor)) + c_n |S|``, read from select's array."""
+
     def test_unit_sse_counts_only_penalty(self):
-        assert gamma(1.0, 3, 50, AIC) == pytest.approx(6.0, abs=1e-12)
+        scores = select(_orthogonal_dataset(50, 3, 1.0), AIC).scores
+        sizes = [bin(mask).count("1") for mask in range(8)]
+        assert scores == pytest.approx([2.0 * size for size in sizes], abs=1e-12)
 
     def test_euler_sse_adds_n(self):
-        assert gamma(math.e, 3, 50, AIC) == pytest.approx(56.0, abs=1e-10)
+        scores = select(_orthogonal_dataset(50, 3, math.e), AIC).scores
+        assert scores[0b111] == pytest.approx(56.0, abs=1e-10)
 
     def test_bic_penalty(self):
-        assert gamma(1.0, 3, 50, BIC) == pytest.approx(3 * math.log(50), abs=1e-10)
+        scores = select(_orthogonal_dataset(50, 3, 1.0), BIC).scores
+        assert scores[0b111] == pytest.approx(3 * math.log(50), abs=1e-10)
 
-    def test_nonpositive_sse(self):
-        with pytest.raises(NonPositiveSse):
-            gamma(0.0, 1, 50, AIC)
-        with pytest.raises(NonPositiveSse):
-            gamma(-1.0, 1, 50, AIC)
+    def test_nonpositive_sse(self, rng):
+        # y = x1 exactly: every subset holding column 1 has a zero SSE, which
+        # scores at the floor instead of as log(0) = -inf
+        x = rng.standard_normal((30, 3))
+        x -= x.mean(axis=0)
+        result = select(Dataset(y=x[:, 0], X=x), AIC)
+        assert result.truncated_sse_count == 4
+        for mask in (0b001, 0b011, 0b101, 0b111):
+            expected = 30 * math.log(SSE_FLOOR) + 2.0 * bin(mask).count("1")
+            assert result.scores[mask] == pytest.approx(expected, rel=1e-15)
+        assert np.all(np.isfinite(result.scores))
 
     def test_tiny_sse_clamped_to_floor(self):
-        assert gamma(1e-310, 0, 50, AIC) == gamma(SSE_FLOOR, 0, 50, AIC)
+        # SSE = 1e-310 > 0 below the floor scores exactly as a zero SSE does
+        data = _orthogonal_dataset(50, 3, 1e-310)
+        tiny = select(data, AIC)
+        floor = select(Dataset(y=np.zeros(50), X=data.X), AIC)
+        assert tiny.truncated_sse_count == floor.truncated_sse_count == 8
+        assert np.array_equal(tiny.scores, floor.scores)
 
     @settings(max_examples=50, deadline=None)
     @given(
         sse=st.floats(1e-6, 1e6),
-        size=st.integers(0, 10),
         n=st.integers(15, 500),
         cn=st.floats(0.01, 10),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_strictly_increasing_in_size_and_sse(self, sse, size, n, cn):
+    def test_strictly_increasing_in_size_and_sse(self, sse, n, cn, seed):
+        p = 4
         crit = Criterion.custom(cn)
-        assert gamma(sse, size + 1, n, crit) > gamma(sse, size, n, crit)
-        assert gamma(sse * 1.01, size, n, crit) > gamma(sse, size, n, crit)
+        scores = select(_orthogonal_dataset(n, p, sse, seed), crit).scores
+        larger = select(_orthogonal_dataset(n, p, sse * 1.01, seed), crit).scores
+        assert np.all(larger > scores)
+        for mask in range(1 << p):
+            for bit in range(p):
+                if not mask >> bit & 1:
+                    assert scores[mask | 1 << bit] > scores[mask]
 
 
 class TestSelect:
@@ -168,7 +205,7 @@ class TestSelect:
     def test_too_many_predictors(self, rng):
         x = rng.standard_normal((23, 21))
         data = Dataset(y=np.zeros(23), X=x - x.mean(axis=0))
-        with pytest.raises(TooManyPredictors):
+        with pytest.raises(ValueError, match="enumeration limit"):
             select(data, AIC)
 
     def test_zero_column_subsets_skipped_with_reason(self, rng):
@@ -276,7 +313,7 @@ class TestTheoremReport:
         assert report.a_n == pytest.approx(1.84, abs=1e-12)
         assert report.d_n == pytest.approx(1 / 46, abs=1e-12)
         assert report.condition_holds
-        assert report.strictly_overfits
+        assert report.s_star.is_strict_subset(report.s_hat)
 
     def test_selected_overfit_underestimates(self):
         # under-estimation is forced by the condition only when the larger
@@ -302,7 +339,7 @@ class TestTheoremReport:
         assert report.r_n == 0.0
         assert report.f_n is None
         assert not report.condition_holds
-        assert not report.strictly_overfits
+        assert not report.s_star.is_strict_subset(report.s_hat)
         assert not report.underestimates
         assert report.sigma_hat_selected == report.sigma_hat_star
 
@@ -312,13 +349,13 @@ class TestTheoremReport:
         assert report.d_n is None
         assert report.r_n is None
         assert report.f_n is None
-        assert not report.strictly_overfits
+        assert not report.s_star.is_strict_subset(report.s_hat)
         assert not report.condition_holds
 
     def test_zero_sse_star_raises(self, rng):
         x = rng.standard_normal((10, 3))
         data = Dataset(y=np.zeros(10), X=x - x.mean(axis=0))
-        with pytest.raises(ZeroSse):
+        with pytest.raises(PostselectError, match="is zero"):
             theorem_report(data, Subset((1,)), Subset((1, 2)), AIC)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -420,5 +457,5 @@ class TestPreferenceEquivalence:
         assert report.r_n is None and report.d_n is None
         x = rng.standard_normal((10, 3))
         degenerate = Dataset(y=np.zeros(10), X=x - x.mean(axis=0))
-        with pytest.raises(ZeroSse):
+        with pytest.raises(PostselectError, match="is zero"):
             _preference(degenerate, Subset((1,)), Subset((1, 2)), AIC)

@@ -14,7 +14,7 @@ from postselect import (
     run_replication,
     theorem_report,
 )
-from postselect.errors import DegenerateReplication, InvalidAlpha
+from postselect.errors import DegenerateReplication
 
 from oracles import brute_force_select
 
@@ -49,7 +49,7 @@ class TestExperimentConfig:
             ExperimentConfig(p=10, beta_star=(1.0,))
         with pytest.raises(ValueError):
             ExperimentConfig(reps=0)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValueError, match="alpha"):
             ExperimentConfig(alpha=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(rho=1.0)
