@@ -3,12 +3,9 @@
 A sub-model S is scored by ``n * log(SSE(S)) + c_n * |S|`` with natural
 logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
 ``c_n = log(n)``.  :func:`select` minimizes the score by exhaustive
-enumeration: one QR factorization of the augmented design ``[X | y]``, then
-a sweep over the subset lattice in which each subset orthogonalizes one
-column against its parent's state and reads its SSE from the residual of the
-reduced response.  Subsets are bitmasks in the sweep, and the scores are one
-array of length 2^p indexed by bitmask; the sweep's working memory is
-bounded by a fixed chunk of states.  :func:`theorem_report` computes the
+enumeration: one QR factorization of ``[X | y]``, then one sweep over the
+subset lattice (:func:`_lattice_sse`), which can serve a stack of datasets.
+:func:`theorem_report` computes the
 quantities that link overfitting (choosing a strict superset of the true
 variables) to under-estimation of the error variance.
 """
@@ -188,7 +185,8 @@ def _tiebreak_order(masks: np.ndarray, p: int, *keys: np.ndarray) -> np.ndarray:
 
 
 def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
-    """SSE of every subset of at most ``max_size`` columns, by bitmask.
+    """SSE of every subset of at most ``max_size`` columns: shape (B, 2^p),
+    one row per dataset of ``red``, indexed by bitmask.
 
     The sweep walks the subset lattice as a tree: a subset's children add one
     index larger than its largest.  A subset's state is the residual of every
@@ -196,11 +194,14 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
     child orthogonalizes one column against its parent's state (modified
     Gram-Schmidt) and reads ``SSE = sse_full + ||residual of u||^2``.
 
-    States wait in one pool per largest index and advance ``_SWEEP_CHUNK`` at
-    a time, one vectorized step per chunk.  The deepest pool holding a full
-    chunk goes first, else the shallowest non-empty one, so no pool grows
-    past twice the chunk and memory stays near ``_SWEEP_CHUNK * p^3``
-    floats whatever 2^p is.
+    The B datasets share the sweep.  A state carries the flat index
+    ``b * 2^p + mask`` of its SSE, and every step is arithmetic on each state
+    alone, so a row does not depend on the other datasets.  States wait in
+    one pool per largest index and advance ``_SWEEP_CHUNK`` at a time.  The
+    deepest pool holding a full chunk goes first, else the shallowest
+    non-empty one, so no pool grows past twice the chunk, and a step builds
+    only the columns each child keeps: memory stays near ``_SWEEP_CHUNK *
+    p^3`` floats whatever B and 2^p are.
 
     A subset is rank deficient when its smallest pivot (the norm of a column
     as it is orthogonalized) is below ``RANK_RTOL`` times its largest.  Its
@@ -208,20 +209,23 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
     therefore rank deficient too and is not visited.  Such subsets, and those
     larger than ``max_size``, keep SSE ``inf``.
     """
-    p = red.r_factor.shape[0]
-    sse = np.full(1 << p, np.inf)
-    sse[0] = red.sse_full + float(red.qty @ red.qty)
+    b, p = red.qty.shape
+    sse = np.full((b, 1 << p), np.inf)
+    # one dot product per dataset on R's strided column: a contiguous copy or
+    # an einsum would round differently from a one-dataset sweep
+    sse[:, 0] = [full + float(u @ u) for full, u in zip(red.sse_full, red.qty)]
     bits = np.left_shift(1, np.arange(p), dtype=np.intp)
     # pools[k]: blocks of states whose largest column (0-based) is k - 1, each a
-    # tuple (masks, sizes, state, smallest pivot, largest pivot).  A state has
-    # shape (p, p - k + 1): the residuals of columns k..p-1 and of u.
+    # tuple (flat indices, sizes, state, smallest pivot, largest pivot).  A
+    # state has shape (p, p - k + 1): the residuals of columns k..p-1 and of u.
     pools: list[list[tuple]] = [[] for _ in range(p)]
     counts = [0] * p
     if max_size > 0:
-        root = np.column_stack([red.r_factor, red.qty])[None]
-        empty = np.zeros(1, np.intp)
-        pools[0].append((empty, empty, root, np.full(1, np.inf), np.zeros(1)))
-        counts[0] = 1
+        root = np.concatenate([red.r_factor, red.qty[:, :, None]], axis=2)
+        index = np.arange(b, dtype=np.intp) << p
+        sizes = np.zeros(b, np.intp)
+        pools[0].append((index, sizes, root, np.full(b, np.inf), np.zeros(b)))
+        counts[0] = b
     while any(counts):
         full = [k for k in range(p) if counts[k] >= _SWEEP_CHUNK]
         k = full[-1] if full else next(k for k in range(p) if counts[k])
@@ -234,30 +238,31 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
             pools[k] = [tuple(x[_SWEEP_CHUNK:] for x in block)]
             counts[k] = block[0].size - _SWEEP_CHUNK
             block = tuple(x[:_SWEEP_CHUNK] for x in block)
-        masks, sizes, state, lo, hi = block
+        index, sizes, state, lo, hi = block
 
         # child c adds index k + c; its state drops columns 0..c of the parent's
         cols = state[:, :, :-1]
         pivots = np.sqrt(np.einsum("mpc,mpc->mc", cols, cols))
         q = cols / np.where(pivots > 0.0, pivots, 1.0)[:, None, :]
         coef = np.matmul(q.transpose(0, 2, 1), state[:, :, 1:])
-        children = state[:, :, None, 1:] - q[:, :, :, None] * coef[:, None, :, :]
-        resid_u = children[:, :, :, -1]
-        child_sse = red.sse_full + np.einsum("mpc,mpc->mc", resid_u, resid_u)
+        resid_u = state[:, :, -1:] - q * coef[:, None, :, -1]
+        child_sse = red.sse_full[index >> p, None] + np.einsum(
+            "mpc,mpc->mc", resid_u, resid_u
+        )
         child_lo = np.minimum(lo[:, None], pivots)
         child_hi = np.maximum(hi[:, None], pivots)
         ok = (child_hi > 0.0) & (child_lo >= RANK_RTOL * child_hi)
-        child_masks = masks[:, None] | bits[k:]
-        sse[child_masks[ok]] = child_sse[ok]
+        child_index = index[:, None] | bits[k:]
+        sse.reshape(-1)[child_index[ok]] = child_sse[ok]
 
         child_sizes = sizes + 1
         ok &= (child_sizes < max_size)[:, None]  # only these have children
         all_ok = ok.all()
         for c in range(cols.shape[2] - 1):  # index p - 1 has no children
             block = (
-                child_masks[:, c],
+                child_index[:, c],
                 child_sizes,
-                children[:, :, c, c:],
+                state[:, :, c + 1 :] - q[:, :, c, None] * coef[:, None, c, c:],
                 child_lo[:, c],
                 child_hi[:, c],
             )
@@ -269,6 +274,35 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
     return sse
 
 
+def _choose(
+    sse: np.ndarray, n: int, crit: Criterion
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores of each row of ``_lattice_sse``, the count per row of SSEs
+    below ``SSE_FLOOR``, and each row's minimizer, ties broken by size and
+    then index list (-1 where no score is finite).
+
+    An SSE below ``(n eps)^2 ||y||^2``, rounding error in ``||y||^2 =
+    SSE(empty subset)``, is an exact fit and is set to zero in place.
+    """
+    p = sse.shape[1].bit_length() - 1
+    sse[sse <= (n * np.finfo(np.float64).eps) ** 2 * sse[:, :1]] = 0.0
+    truncated = np.count_nonzero(sse < SSE_FLOOR, axis=1)
+    scores = np.maximum(sse, SSE_FLOOR)
+    np.log(scores, out=scores)
+    scores *= n
+    scores += crit.c_n(n) * _subset_sizes(p)
+    lowest = scores.min(axis=1, keepdims=True)
+    chosen = [_tiebreak_order(np.flatnonzero(row), p)[0] for row in scores == lowest]
+    return scores, truncated, np.where(np.isfinite(lowest[:, 0]), chosen, -1)
+
+
+def _chosen(mask: int) -> Subset:
+    """The subset ``_choose`` picked for one row."""
+    if mask < 0:
+        raise AllSubsetsInfeasible("no enumerable subset satisfies the preconditions")
+    return _subset(int(mask))
+
+
 def select(
     data: Dataset,
     crit: Criterion,
@@ -277,17 +311,14 @@ def select(
     """Choose the subset minimizing the selection score over all sub-models.
 
     One QR factorization of ``[X | y]`` (:func:`~postselect.linalg.qr_reduction`)
-    reduces every subset to p dimensions.  A sweep over the subset lattice
-    then scores each subset of at most ``size_cap`` variables from its
-    parent's state, one orthogonalized column at a time, with
-    ``SSE(S) = SSE(full) + ||residual of u||^2`` computed directly, so a
-    small SSE does not lose its digits to cancellation against ``||y||^2``
-    at a high signal-to-noise ratio.  Scores are kept in one array indexed
-    by bitmask; the memory of the sweep's states is bounded by a fixed
-    chunk, independent of 2^p.  Subsets whose columns are numerically
-    collinear, or that would leave no residual degree of freedom, are
-    skipped and recorded.  An SSE within rounding error of zero
-    (``(n eps)^2 ||y||^2``) is an exact fit and counts as zero.
+    reduces every subset to p dimensions, and one sweep over the subset
+    lattice scores each subset of at most ``size_cap`` variables from its
+    parent's state (:func:`_lattice_sse`).  ``SSE(S) = SSE(full) + ||residual
+    of u||^2`` is computed directly, so a small SSE does not lose its digits
+    to cancellation against ``||y||^2`` at a high signal-to-noise ratio.
+    Subsets whose columns are numerically collinear, or that would leave no
+    residual degree of freedom, are skipped and recorded.  An SSE within
+    rounding error of zero (``(n eps)^2 ||y||^2``) counts as an exact fit.
 
     Raises
     ------
@@ -307,20 +338,13 @@ def select(
     requested_max = p if size_cap is None else min(p, size_cap)
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
 
-    red = qr_reduction(data)
-    sse = _lattice_sse(red, max_size)
-    # below this, an SSE is rounding error in ||y||^2 = SSE(empty subset)
-    sse[sse <= (n * np.finfo(np.float64).eps) ** 2 * sse[0]] = 0.0
-    truncated = int(np.count_nonzero(sse < SSE_FLOOR))
-    scores = n * np.log(np.maximum(sse, SSE_FLOOR)) + crit.c_n(n) * _subset_sizes(p)
+    sse = _lattice_sse(qr_reduction([data]), max_size)
+    scores, truncated, chosen = _choose(sse, n, crit)
+    scores = scores[0]
     scores.setflags(write=False)
-
-    best = np.flatnonzero(scores == scores.min())
-    if not np.isfinite(scores[best[0]]):
-        raise AllSubsetsInfeasible("no enumerable subset satisfies the preconditions")
     return SelectionResult(
-        chosen=_subset(int(_tiebreak_order(best, p)[0])),
-        truncated_sse_count=truncated,
+        chosen=_chosen(chosen[0]),
+        truncated_sse_count=int(truncated[0]),
         scores=scores,
         max_size=max_size,
         size_cap=requested_max,
@@ -347,8 +371,8 @@ def overfit_condition(
     increase and at least one residual degree of freedom for both models.
     The condition depends on the sizes alone, so it needs no fitted model.
     """
-    if c_n < 0:
-        raise ValueError(f"c_n must be nonnegative, got {c_n}")
+    if not 0.0 <= c_n < math.inf:
+        raise ValueError(f"c_n must be finite and nonnegative, got {c_n}")
     if size_hat <= size_star:
         raise ValueError(
             f"need size_hat > size_star, got {size_hat} <= {size_star}"

@@ -3,8 +3,10 @@
 Each replication draws a fresh dataset, fits the oracle model (the true
 subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
-Replications are indexed substreams of one master seed, so results are
-bit-identical for any worker count.
+Replications run in blocks whose datasets share one stacked QR reduction and
+one sweep of the subset lattice.  Replications are indexed substreams of one
+master seed, and a dataset's subset scores do not depend on the others in
+its block, so results are bit-identical for any block size and worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -21,8 +24,12 @@ import numpy as np
 from .distributions import RNG_ALGORITHM, RngStream, sample_ar1_rows
 from .errors import DegenerateReplication, PostselectError
 from .inference import QueryPoint, covers, mean_response_ci, true_mean_response
-from .linalg import Dataset, Subset, centered_dataset, ols_fit
-from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select
+from .linalg import Dataset, Subset, centered_dataset, ols_fit, qr_reduction
+from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition
+from .selection import _choose, _chosen, _lattice_sse
+
+# Replications per block, which share one stacked QR and one lattice sweep.
+_BLOCK_REPS = 16
 
 
 @dataclass(frozen=True)
@@ -146,58 +153,63 @@ class ReplicationRecord:
 
 def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
     """Run one replication on the substream (cfg.seed, rep_index)."""
-    try:
-        return _run_replication(cfg, rep_index)
-    except PostselectError as exc:
-        raise type(exc)(f"replication {rep_index}: {exc}") from exc
+    return _replication_block(cfg, rep_index, rep_index + 1)[0]
 
 
-def _run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
+def _replication_block(
+    cfg: ExperimentConfig, start: int, stop: int
+) -> list[ReplicationRecord]:
+    """Replications ``start..stop-1``: one stacked QR and one lattice sweep
+    score the subsets of all their datasets, then each is fitted alone."""
     if cfg.sigma == 0.0:
         raise DegenerateReplication(
-            "sigma = 0 gives a noiseless model whose variance estimates are "
-            "all zero; coverage summaries are undefined"
+            f"replication {start}: sigma = 0 gives a noiseless model whose "
+            "variance estimates are all zero; coverage summaries are undefined"
         )
-    rng = RngStream(cfg.seed, substream=rep_index)
-    gen = generate_dataset(cfg, rng)
-    data = gen.data
-
-    oracle_fit = ols_fit(data, cfg.s_star)
-    result = select(data, cfg.criterion)
-    if result.truncated_sse_count:
-        raise DegenerateReplication(
-            f"{result.truncated_sse_count} subsets hit the SSE floor; "
-            "variance comparisons would be meaningless"
+    gens = [generate_dataset(cfg, RngStream(cfg.seed, i)) for i in range(start, stop)]
+    max_size = min(cfg.p, cfg.n - 2)  # keep df = n - |S| - 1 >= 1, as select does
+    sse = _lattice_sse(qr_reduction([gen.data for gen in gens]), max_size)
+    _, truncated, chosen = _choose(sse, cfg.n, cfg.criterion)
+    records = []
+    for i, gen, floored, mask in zip(range(start, stop), gens, truncated, chosen):
+        data = gen.data
+        try:
+            oracle_fit = ols_fit(data, cfg.s_star)
+            s_hat = _chosen(mask)
+            if floored:
+                raise DegenerateReplication(
+                    f"{floored} subsets hit the SSE floor; "
+                    "variance comparisons would be meaningless"
+                )
+            selected_fit = ols_fit(data, s_hat)
+            query = QueryPoint(x=gen.query_x_raw - gen.raw_column_means, centered=True)
+            truth = true_mean_response(query, np.asarray(cfg.beta_star))
+            ci_oracle = mean_response_ci(data, oracle_fit, query, cfg.alpha)
+            ci_selected = mean_response_ci(data, selected_fit, query, cfg.alpha)
+        except PostselectError as exc:
+            raise type(exc)(f"replication {i}: {exc}") from exc
+        strict = cfg.s_star.is_strict_subset(s_hat)
+        condition = strict and overfit_condition(
+            data.n, cfg.s_star.size, s_hat.size, cfg.criterion.c_n(data.n)
+        ).holds
+        records.append(
+            ReplicationRecord(
+                rep_index=i,
+                s_hat=s_hat,
+                sigma_hat_selected=selected_fit.sigma_hat,
+                sigma_hat_oracle=oracle_fit.sigma_hat,
+                ratio=oracle_fit.sigma_hat / selected_fit.sigma_hat,
+                contains_star=cfg.s_star.issubset(s_hat),
+                strict_overfit=strict,
+                exact=s_hat == cfg.s_star,
+                covered_selected=covers(ci_selected, truth),
+                covered_oracle=covers(ci_oracle, truth),
+                ci_width_selected=ci_selected.width,
+                ci_width_oracle=ci_oracle.width,
+                condition_holds=condition,
+            )
         )
-    s_hat = result.chosen
-    selected_fit = ols_fit(data, s_hat)
-
-    query = QueryPoint(x=gen.query_x_raw - gen.raw_column_means, centered=True)
-    truth = true_mean_response(query, np.asarray(cfg.beta_star))
-    ci_oracle = mean_response_ci(data, oracle_fit, query, cfg.alpha)
-    ci_selected = mean_response_ci(data, selected_fit, query, cfg.alpha)
-
-    contains = cfg.s_star.issubset(s_hat)
-    strict = cfg.s_star.is_strict_subset(s_hat)
-    condition = strict and overfit_condition(
-        data.n, cfg.s_star.size, s_hat.size, cfg.criterion.c_n(data.n)
-    ).holds
-
-    return ReplicationRecord(
-        rep_index=rep_index,
-        s_hat=s_hat,
-        sigma_hat_selected=selected_fit.sigma_hat,
-        sigma_hat_oracle=oracle_fit.sigma_hat,
-        ratio=oracle_fit.sigma_hat / selected_fit.sigma_hat,
-        contains_star=contains,
-        strict_overfit=strict,
-        exact=s_hat == cfg.s_star,
-        covered_selected=covers(ci_selected, truth),
-        covered_oracle=covers(ci_oracle, truth),
-        ci_width_selected=ci_selected.width,
-        ci_width_oracle=ci_oracle.width,
-        condition_holds=condition,
-    )
+    return records
 
 
 @dataclass(frozen=True)
@@ -255,12 +267,6 @@ def summarize(
     )
 
 
-def _replication_block(
-    cfg: ExperimentConfig, start: int, stop: int
-) -> list[ReplicationRecord]:
-    return [run_replication(cfg, i) for i in range(start, stop)]
-
-
 def run_experiment(
     cfg: ExperimentConfig,
 ) -> tuple[ExperimentSummary, list[ReplicationRecord]]:
@@ -271,21 +277,14 @@ def run_experiment(
     """
     t0 = time.perf_counter()
     workers = min(cfg.resolved_workers(), cfg.reps)
+    starts = range(0, cfg.reps, _BLOCK_REPS)
+    stops = [min(start + _BLOCK_REPS, cfg.reps) for start in starts]
+    args = (repeat(cfg), starts, stops)
     if workers <= 1:
-        records = _replication_block(cfg, 0, cfg.reps)
+        blocks = list(map(_replication_block, *args))
     else:
-        block = max(1, -(-cfg.reps // (workers * 4)))
-        bounds = [
-            (start, min(start + block, cfg.reps))
-            for start in range(0, cfg.reps, block)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(
-                _replication_block,
-                (cfg for _ in bounds),
-                (b[0] for b in bounds),
-                (b[1] for b in bounds),
-            )
-            records = [rec for blk in blocks for rec in blk]
+            blocks = list(pool.map(_replication_block, *args))
+    records = [rec for blk in blocks for rec in blk]
     runtime = time.perf_counter() - t0
     return summarize(records, runtime, cfg.seed), records

@@ -226,15 +226,23 @@ class TestQrReduction:
         # columns of the reduced factor that S selects
         rng = np.random.default_rng(seed)
         data = random_centered_dataset(rng, 18, 5)
-        red = qr_reduction(data)
+        r_factor, qty, sse_full = (x[0] for x in qr_reduction([data]))
         for s in [Subset(), Subset((2,)), Subset((1, 4)), Subset((1, 2, 3, 4, 5))]:
-            resid = red.qty.copy()
+            resid = qty.copy()
             if s.size:
-                cols = red.r_factor[:, s.positions]
-                coef = np.linalg.lstsq(cols, red.qty, rcond=None)[0]
+                cols = r_factor[:, s.positions]
+                coef = np.linalg.lstsq(cols, qty, rcond=None)[0]
                 resid -= cols @ coef
-            reduced_sse = red.sse_full + float(resid @ resid)
+            reduced_sse = sse_full + float(resid @ resid)
             assert reduced_sse == pytest.approx(ols_fit(data, s).sse, rel=1e-10)
-        assert red.sse_full == pytest.approx(
+        assert sse_full == pytest.approx(
             ols_fit(data, Subset((1, 2, 3, 4, 5))).sse, rel=1e-10
         )
+
+    def test_stacked_factors_equal_separate_ones(self, rng):
+        datasets = [random_centered_dataset(rng, 18, 5) for _ in range(4)]
+        stacked = qr_reduction(datasets)
+        for b, data in enumerate(datasets):
+            single = qr_reduction([data])
+            for whole, alone in zip(stacked, single):
+                assert np.array_equal(whole[b], alone[0])

@@ -11,6 +11,7 @@ from postselect import (
     Dataset,
     Subset,
     overfit_condition,
+    qr_reduction,
     select,
     theorem_report,
 )
@@ -172,10 +173,21 @@ class TestSelect:
         # deficient; n=8 leaves the 7-variable model no residual degree of
         # freedom; a tiny sweep chunk splits the pools of states
         monkeypatch.setattr(selection, "_SWEEP_CHUNK", 3)
-        data = random_centered_dataset(rng, 8, 7, beta=np.arange(7.0))
+        before, data, after = (
+            random_centered_dataset(rng, 8, 7, beta=np.arange(7.0)) for _ in range(3)
+        )
         x = data.X.copy()
         x[:, 4] = x[:, 1]
         data = Dataset(y=data.y, X=x)
+        # swept between two well-conditioned datasets, each keeps its own row:
+        # the pruning of one does not leak into the others
+        stack = [before, data, after]
+        rows = selection._lattice_sse(qr_reduction(stack), 6)
+        for row, alone in zip(rows, stack):
+            single = selection._lattice_sse(qr_reduction([alone]), 6)[0]
+            assert np.array_equal(row.view(np.int64), single.view(np.int64))
+        assert np.isinf(rows[1]).sum() > np.isinf(rows[0]).sum() == 1
+
         result = select(data, AIC)
         bf_chosen, bf_table = brute_force_select(data, AIC)
         assert result.chosen == bf_chosen
@@ -193,6 +205,39 @@ class TestSelect:
             (Subset(tuple(range(1, 8))), "insufficient degrees of freedom"),
             *deficient,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        extra=st.integers(2, 12),
+        log_sigma=st.floats(-8.0, 0.0),
+        log_scales=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+        rho=st.floats(0.0, 0.99),
+    )
+    def test_stacked_rows_equal_single_rows_at_extremes(
+        self, seed, p, extra, log_sigma, log_scales, rho
+    ):
+        # noise down to 1e-8, columns scaled by 1e-6..1e6, correlation up to
+        # 0.99 and n down to p + 2: a dataset's SSE row and its chosen subset
+        # do not depend on the datasets swept with it (and, as pytest turns
+        # warnings into errors, nothing warns)
+        rng = np.random.default_rng(seed)
+        n = p + extra
+        scales = 10.0 ** np.array(log_scales[:p])
+        stack = []
+        for _ in range(3):
+            data = random_centered_dataset(
+                rng, n, p, sigma=10.0**log_sigma, beta=np.ones(p), rho=rho
+            )
+            stack.append(Dataset(y=data.y, X=data.X * scales))
+        max_size = min(p, n - 2)
+        rows = selection._lattice_sse(qr_reduction(stack), max_size)
+        _, _, chosen = selection._choose(rows.copy(), n, AIC)
+        for row, mask, data in zip(rows, chosen, stack):
+            single = selection._lattice_sse(qr_reduction([data]), max_size)[0]
+            assert np.array_equal(row.view(np.int64), single.view(np.int64))
+            assert selection._chosen(mask) == select(data, AIC).chosen
 
     def test_size_cap_limits_enumeration(self, rng):
         data = random_centered_dataset(rng, 20, 6)
@@ -261,8 +306,9 @@ class TestOverfitCondition:
             overfit_condition(50, 4, 3, 2.0)
         with pytest.raises(ValueError):
             overfit_condition(5, 1, 4, 2.0)
-        with pytest.raises(ValueError):
-            overfit_condition(50, 3, 4, -2.0)
+        for c_n in (-2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                overfit_condition(50, 3, 4, c_n)
 
     def test_condition_region_is_an_interval_below_the_root(self):
         # 1 - exp(-a x) is concave with slope a at zero, so for a > 1 the

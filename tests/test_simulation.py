@@ -14,7 +14,8 @@ from postselect import (
     run_replication,
     theorem_report,
 )
-from postselect.errors import DegenerateReplication
+from postselect import simulation
+from postselect.errors import DegenerateReplication, PostselectError
 
 from oracles import brute_force_select
 
@@ -223,6 +224,36 @@ class TestRunExperiment:
         _, serial = run_experiment(small_cfg(workers=1))
         _, parallel = run_experiment(small_cfg(workers=4))
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_do_not_depend_on_blocks(self, workers):
+        # a partial last block, and blocks split between two processes, give
+        # the records of one-replication blocks
+        cfg = small_cfg(reps=2 * simulation._BLOCK_REPS + 3, workers=workers)
+        _, records = run_experiment(cfg)
+        assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_inside_a_block_names_its_replication(self, workers):
+        # a weak signal selects the empty model, which has no interval, in
+        # some replications; the first of them is not the first of its block
+        cfg = ExperimentConfig(
+            n=20,
+            p=3,
+            beta_star=(0.4, 0.0, 0.0),
+            reps=2 * simulation._BLOCK_REPS + 3,
+            seed=0,
+            workers=workers,
+        )
+        failed = []
+        for i in range(cfg.reps):
+            try:
+                run_replication(cfg, i)
+            except PostselectError:
+                failed.append(i)
+        assert failed[0] == 7 and 7 % simulation._BLOCK_REPS != 0
+        with pytest.raises(PostselectError, match="^replication 7: the empty model"):
+            run_experiment(cfg)
 
     def test_different_seeds_differ(self):
         _, a = run_experiment(small_cfg(seed=1, reps=5))
