@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from postselect import Criterion, Dataset, Subset, TheoremReport
+from postselect import Criterion, Dataset, Subset, TheoremReport, centered_dataset
 
 SSE_FLOOR = 1e-300
 
@@ -129,4 +129,4 @@ def random_centered_dataset(
     x_raw = ar1_rows_cholesky(z, rho) if rho else z
     signal = x_raw @ beta if beta is not None else 0.0
     y_raw = signal + sigma * rng.standard_normal(n)
-    return Dataset(y=y_raw - y_raw.mean(), X=x_raw - x_raw.mean(axis=0))
+    return centered_dataset(y_raw, x_raw)[0]

@@ -10,6 +10,7 @@ from postselect import (
     Criterion,
     Dataset,
     Subset,
+    centered_dataset,
     overfit_condition,
     qr_reduction,
     select,
@@ -230,7 +231,7 @@ class TestSelect:
             data = random_centered_dataset(
                 rng, n, p, sigma=10.0**log_sigma, beta=np.ones(p), rho=rho
             )
-            stack.append(Dataset(y=data.y, X=data.X * scales))
+            stack.append(centered_dataset(data.y, data.X * scales)[0])
         max_size = min(p, n - 2)
         rows = selection._lattice_sse(qr_reduction(stack), max_size)
         _, _, chosen = selection._choose(rows.copy(), n, AIC)
