@@ -26,7 +26,6 @@ from .linalg import (
     Subset,
     centered_dataset,
     ols_fit,
-    qr_reduction,
 )
 from .selection import (
     Criterion,
@@ -34,6 +33,7 @@ from .selection import (
     TheoremReport,
     overfit_condition,
     select,
+    select_stack,
     theorem_report,
 )
 from .simulation import (
@@ -67,11 +67,11 @@ __all__ = [
     "mean_response_ci",
     "ols_fit",
     "overfit_condition",
-    "qr_reduction",
     "regularized_incomplete_beta",
     "run_experiment",
     "run_replication",
     "select",
+    "select_stack",
     "student_t_cdf",
     "student_t_quantile",
     "summarize",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import RNG_ALGORITHM, student_t_quantile
-from .errors import AllSubsetsInfeasible, PostselectError
+from .errors import PostselectError
 from .linalg import Dataset, Subset, centered_dataset, ols_fit
 from .selection import Criterion, overfit_condition, select, theorem_report
 from .simulation import ExperimentConfig, ReplicationRecord, run_experiment
@@ -369,12 +369,12 @@ def cmd_select(args: argparse.Namespace) -> int:
         crit = _build_criterion(args.criterion, args.cn)
         data, names = _read_dataset_csv(args.dataset)
         result = select(data, crit, size_cap=args.size_cap)
-    except (AllSubsetsInfeasible, ValueError) as exc:
+        chosen_fit = ols_fit(data, result.chosen)
+    except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
 
-    chosen_fit = ols_fit(data, result.chosen)
     top = result.ranked(max(args.top, 1))
     warnings = []
     if result.truncated_sse_count:

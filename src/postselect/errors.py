@@ -11,9 +11,5 @@ class PostselectError(Exception):
     undefined quantity."""
 
 
-class AllSubsetsInfeasible(PostselectError):
-    """Every enumerated subset failed the fitting preconditions."""
-
-
 class DegenerateReplication(PostselectError):
     """A Monte Carlo replication produced quantities the summaries cannot use."""

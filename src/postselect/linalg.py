@@ -10,7 +10,7 @@ has been absorbed by centering.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -79,8 +79,10 @@ class Dataset:
         so that is the tolerance of the centering check.  By default ``y``
         and ``X`` are their own raw data.
 
-    Both arrays are copied, cast to float64, and frozen; a Dataset is safe to
-    share across worker processes or threads.
+    Centered values must not exceed ``sqrt(max float64 / (4 n))`` in
+    magnitude, so that no sum of squares of the data overflows.  Both arrays
+    are copied, cast to float64, and frozen; a Dataset is safe to share
+    across worker processes or threads.
     """
 
     y: np.ndarray
@@ -101,6 +103,10 @@ class Dataset:
             raise ValueError(f"need p < n, got p={p}, n={n}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise ValueError("y and X must be finite")
+        # no sum of n squares of values within the bound, as in an SSE, overflows
+        bound = np.sqrt(np.finfo(np.float64).max / (4 * n))
+        if max(np.abs(y).max(), np.abs(X).max()) > bound:
+            raise ValueError(f"centered y and X must not exceed {bound:.3e} in magnitude at n={n}")
         y_raw, X_raw = (y, X) if raw is None else raw
         if abs(y.mean()) > _centering_tolerance(y_raw):
             raise ValueError(f"y is not centered: mean(y)={y.mean():.3e}")
@@ -214,37 +220,4 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
     sse = float(resid @ resid)
     return SubsetFit(
         subset=s, beta_hat=beta, sse=sse, df=df, sigma_hat_sq=sse / df, r_factor=r
-    )
-
-
-class QrReduction(NamedTuple):
-    """QR factorizations ``[X | y] = Q R`` of a stack of datasets, for all subsets.
-
-    For dataset b, ``r_factor[b]`` is the leading p x p block of R,
-    ``qty[b]`` is ``u = Q0' y`` (the first p entries of R's last column) and
-    ``sse_full[b] = R[p, p]^2`` is the SSE of the full model.  For every
-    subset S, with ``P_S`` the projection onto ``span(r_factor[b][:, S])``,
-    ``SSE(S) = sse_full[b] + ||u - P_S u||^2``: a subset is scored in p
-    dimensions instead of n, from a residual, not as a difference of large
-    sums of squares.
-    """
-
-    r_factor: np.ndarray
-    qty: np.ndarray
-    sse_full: np.ndarray
-
-
-def qr_reduction(datasets: Sequence[Dataset]) -> QrReduction:
-    """Factor datasets of one shape with one stacked ``np.linalg.qr``, whose
-    R factors equal those of separate calls."""
-    p = datasets[0].p
-    aug = np.stack([np.column_stack([d.X, d.y]) for d in datasets])
-    r = np.linalg.qr(aug, mode="r")
-    return QrReduction(
-        r_factor=r[:, :p, :p],
-        qty=r[:, :p, p],
-        # Python's float power (libm pow), not numpy's x * x: they differ in
-        # the last bit for about one value in a thousand, and the pinned
-        # seed-42 records were computed with pow
-        sse_full=np.array([float(d) ** 2 for d in r[:, p, p]]),
     )

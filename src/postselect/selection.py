@@ -2,9 +2,11 @@
 
 A sub-model S is scored by ``n * log(SSE(S)) + c_n * |S|`` with natural
 logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
-``c_n = log(n)``.  :func:`select` minimizes the score by exhaustive
-enumeration: one QR factorization of ``[X | y]``, then one sweep over the
-subset lattice (:func:`_lattice_sse`), which can serve a stack of datasets.
+``c_n = log(n)``.  :func:`select_stack` minimizes the score by exhaustive
+enumeration for a stack of datasets of one shape: one stacked QR
+factorization of ``[X | y]``, then one sweep over the subset lattice
+(:func:`_lattice_sse`).  :func:`select` is a stack of one, and the
+simulation selects a block of replications at once.
 :func:`theorem_report` computes the
 quantities that link overfitting (choosing a strict superset of the true
 variables) to under-estimation of the error variance.
@@ -14,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Optional
+from functools import cache, cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AllSubsetsInfeasible, PostselectError
-from .linalg import RANK_RTOL, Dataset, QrReduction, Subset, ols_fit, qr_reduction
+from .errors import PostselectError
+from .linalg import RANK_RTOL, Dataset, Subset, ols_fit
 
 # 2^20 subsets is the most the exhaustive enumerator will attempt.
 ENUMERATION_LIMIT = 20
@@ -92,9 +94,6 @@ class SelectionResult:
 
     Attributes
     ----------
-    chosen : Subset
-        The score minimizer, with ties broken by smaller size and then
-        lexicographically smaller index list.
     truncated_sse_count : int
         Number of subsets whose SSE fell below the log floor.
     scores : ndarray, shape (2^p,)
@@ -106,11 +105,10 @@ class SelectionResult:
     size_cap : int
         Largest subset size requested (p when uncapped).
 
-    ``gamma_values``, ``ties`` and ``skipped`` are derived from ``scores``
-    on first access.
+    ``chosen``, ``gamma_values``, ``ties`` and ``skipped`` are derived from
+    ``scores`` on first access.
     """
 
-    chosen: Subset
     truncated_sse_count: int
     scores: np.ndarray = field(repr=False, compare=False)
     max_size: int
@@ -121,6 +119,13 @@ class SelectionResult:
         """Score of every feasible enumerated subset, by size then index list."""
         masks = _tiebreak_order(np.flatnonzero(np.isfinite(self.scores)), self._p)
         return {_subset(m): float(self.scores[m]) for m in masks.tolist()}
+
+    @cached_property
+    def chosen(self) -> Subset:
+        """The score minimizer, with ties broken by smaller size and then
+        lexicographically smaller index list.  The empty subset always has a
+        finite score (``Dataset`` bounds the data), so one exists."""
+        return self.ties[0]
 
     @cached_property
     def ties(self) -> tuple[Subset, ...]:
@@ -161,11 +166,13 @@ def _subset(mask: int) -> Subset:
     return Subset(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 
+@cache
 def _subset_sizes(p: int) -> np.ndarray:
-    """Number of indices in each of the 2^p bitmasks."""
-    sizes = np.zeros(1 << p, dtype=np.intp)
+    """Number of indices in each of the 2^p bitmasks; shared and read-only."""
+    sizes = np.zeros(1 << p, dtype=np.uint8)
     for i in range(p):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    sizes.setflags(write=False)
     return sizes
 
 
@@ -184,9 +191,17 @@ def _tiebreak_order(masks: np.ndarray, p: int, *keys: np.ndarray) -> np.ndarray:
     return masks[np.lexsort((-reversed_bits, sizes, *reversed(keys)))]
 
 
-def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
+def _lattice_sse(datasets: Sequence[Dataset], max_size: int) -> np.ndarray:
     """SSE of every subset of at most ``max_size`` columns: shape (B, 2^p),
-    one row per dataset of ``red``, indexed by bitmask.
+    one row per dataset, indexed by bitmask.
+
+    One stacked ``np.linalg.qr`` factors ``[X | y] = Q R`` for each dataset;
+    its R factors equal those of separate calls.  The leading p x p block
+    ``R0`` of R, the column ``u = Q0' y`` above ``R[p, p]`` and the full
+    model's ``sse_full = R[p, p]^2`` reduce every subset S to p dimensions:
+    with ``P_S`` the projection onto the columns of ``R0`` in S, ``SSE(S) =
+    sse_full + ||u - P_S u||^2``, read from a residual, not as a difference
+    of large sums of squares.
 
     The sweep walks the subset lattice as a tree: a subset's children add one
     index larger than its largest.  A subset's state is the residual of every
@@ -209,11 +224,16 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
     therefore rank deficient too and is not visited.  Such subsets, and those
     larger than ``max_size``, keep SSE ``inf``.
     """
-    b, p = red.qty.shape
+    b, p = len(datasets), datasets[0].p
+    r = np.linalg.qr(np.stack([np.column_stack([d.X, d.y]) for d in datasets]), mode="r")
+    # Python's float power (libm pow), not numpy's x * x: they differ in the
+    # last bit for about one value in a thousand, and the pinned seed-42
+    # records were computed with pow
+    sse_full = np.array([float(d) ** 2 for d in r[:, p, p]])
     sse = np.full((b, 1 << p), np.inf)
     # one dot product per dataset on R's strided column: a contiguous copy or
     # an einsum would round differently from a one-dataset sweep
-    sse[:, 0] = [full + float(u @ u) for full, u in zip(red.sse_full, red.qty)]
+    sse[:, 0] = [full + float(u @ u) for full, u in zip(sse_full, r[:, :p, p])]
     bits = np.left_shift(1, np.arange(p), dtype=np.intp)
     # pools[k]: blocks of states whose largest column (0-based) is k - 1, each a
     # tuple (flat indices, sizes, state, smallest pivot, largest pivot).  A
@@ -221,7 +241,7 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
     pools: list[list[tuple]] = [[] for _ in range(p)]
     counts = [0] * p
     if max_size > 0:
-        root = np.concatenate([red.r_factor, red.qty[:, :, None]], axis=2)
+        root = r[:, :p].copy()  # [R0 | u]
         index = np.arange(b, dtype=np.intp) << p
         sizes = np.zeros(b, np.intp)
         pools[0].append((index, sizes, root, np.full(b, np.inf), np.zeros(b)))
@@ -246,7 +266,7 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
         q = cols / np.where(pivots > 0.0, pivots, 1.0)[:, None, :]
         coef = np.matmul(q.transpose(0, 2, 1), state[:, :, 1:])
         resid_u = state[:, :, -1:] - q * coef[:, None, :, -1]
-        child_sse = red.sse_full[index >> p, None] + np.einsum(
+        child_sse = sse_full[index >> p, None] + np.einsum(
             "mpc,mpc->mc", resid_u, resid_u
         )
         child_lo = np.minimum(lo[:, None], pivots)
@@ -274,60 +294,29 @@ def _lattice_sse(red: QrReduction, max_size: int) -> np.ndarray:
     return sse
 
 
-def _choose(
-    sse: np.ndarray, n: int, crit: Criterion
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores of each row of ``_lattice_sse``, the count per row of SSEs
-    below ``SSE_FLOOR``, and each row's minimizer, ties broken by size and
-    then index list (-1 where no score is finite).
+def select_stack(
+    datasets: Sequence[Dataset], crit: Criterion, size_cap: Optional[int] = None
+) -> list[SelectionResult]:
+    """Choose, for each dataset of one shape, the subset minimizing the
+    selection score over all sub-models.
 
-    An SSE below ``(n eps)^2 ||y||^2``, rounding error in ``||y||^2 =
-    SSE(empty subset)``, is an exact fit and is set to zero in place.
-    """
-    p = sse.shape[1].bit_length() - 1
-    sse[sse <= (n * np.finfo(np.float64).eps) ** 2 * sse[:, :1]] = 0.0
-    truncated = np.count_nonzero(sse < SSE_FLOOR, axis=1)
-    scores = np.maximum(sse, SSE_FLOOR)
-    np.log(scores, out=scores)
-    scores *= n
-    scores += crit.c_n(n) * _subset_sizes(p)
-    lowest = scores.min(axis=1, keepdims=True)
-    chosen = [_tiebreak_order(np.flatnonzero(row), p)[0] for row in scores == lowest]
-    return scores, truncated, np.where(np.isfinite(lowest[:, 0]), chosen, -1)
-
-
-def _chosen(mask: int) -> Subset:
-    """The subset ``_choose`` picked for one row."""
-    if mask < 0:
-        raise AllSubsetsInfeasible("no enumerable subset satisfies the preconditions")
-    return _subset(int(mask))
-
-
-def select(
-    data: Dataset,
-    crit: Criterion,
-    size_cap: Optional[int] = None,
-) -> SelectionResult:
-    """Choose the subset minimizing the selection score over all sub-models.
-
-    One QR factorization of ``[X | y]`` (:func:`~postselect.linalg.qr_reduction`)
-    reduces every subset to p dimensions, and one sweep over the subset
-    lattice scores each subset of at most ``size_cap`` variables from its
-    parent's state (:func:`_lattice_sse`).  ``SSE(S) = SSE(full) + ||residual
-    of u||^2`` is computed directly, so a small SSE does not lose its digits
-    to cancellation against ``||y||^2`` at a high signal-to-noise ratio.
+    One stacked QR factorization of ``[X | y]`` reduces every subset to p
+    dimensions, and one sweep over the subset lattice scores each subset of
+    at most ``size_cap`` variables from its parent's state
+    (:func:`_lattice_sse`), reading its SSE from a residual, so a small SSE
+    keeps its digits at a high signal-to-noise ratio.
     Subsets whose columns are numerically collinear, or that would leave no
     residual degree of freedom, are skipped and recorded.  An SSE within
     rounding error of zero (``(n eps)^2 ||y||^2``) counts as an exact fit.
+    A dataset's result does not depend on the others in the stack.
 
     Raises
     ------
     ValueError
-        If ``p`` exceeds ``ENUMERATION_LIMIT`` (20).
-    AllSubsetsInfeasible
-        If no enumerated subset can be fitted.
+        If ``p`` exceeds ``ENUMERATION_LIMIT`` (20) or ``size_cap`` is
+        negative.
     """
-    n, p = data.n, data.p
+    n, p = datasets[0].n, datasets[0].p
     if p > ENUMERATION_LIMIT:
         raise ValueError(
             f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}"
@@ -338,17 +327,28 @@ def select(
     requested_max = p if size_cap is None else min(p, size_cap)
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
 
-    sse = _lattice_sse(qr_reduction([data]), max_size)
-    scores, truncated, chosen = _choose(sse, n, crit)
-    scores = scores[0]
+    sse = _lattice_sse(datasets, max_size)
+    sse[sse <= (n * np.finfo(np.float64).eps) ** 2 * sse[:, :1]] = 0.0
+    truncated = np.count_nonzero(sse < SSE_FLOOR, axis=1)
+    scores = np.maximum(sse, SSE_FLOOR, out=sse)
+    np.log(scores, out=scores)
+    scores *= n
+    scores += (crit.c_n(n) * np.arange(p + 1))[_subset_sizes(p)]
     scores.setflags(write=False)
-    return SelectionResult(
-        chosen=_chosen(chosen[0]),
-        truncated_sse_count=int(truncated[0]),
-        scores=scores,
-        max_size=max_size,
-        size_cap=requested_max,
-    )
+    return [
+        SelectionResult(int(count), row, max_size, requested_max)
+        for row, count in zip(scores, truncated)
+    ]
+
+
+def select(
+    data: Dataset,
+    crit: Criterion,
+    size_cap: Optional[int] = None,
+) -> SelectionResult:
+    """Choose the subset minimizing the selection score over all sub-models:
+    :func:`select_stack` on one dataset."""
+    return select_stack([data], crit, size_cap)[0]
 
 
 class ConditionDiagnostics(NamedTuple):

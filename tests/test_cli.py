@@ -222,6 +222,20 @@ class TestSelectCommand:
         missing = tmp_path / "missing.csv"
         assert run_cli(capsys, "select", str(missing))[0] == 2
 
+    def test_huge_response_exits_2(self, capsys, tmp_path):
+        # squares of values near 1e160 overflow float64: the data is rejected
+        # with one error line instead of failing inside the selection
+        rng = np.random.default_rng(9)
+        path = tmp_path / "huge.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "x3", "y"])
+            for row in rng.standard_normal((20, 4)):
+                writer.writerow([repr(float(v)) for v in row[:3]] + [repr(float(row[3]) * 1e160)])
+        code, _, err = run_cli(capsys, "select", str(path))
+        assert_one_error_line(code, err)
+        assert "magnitude" in err
+
     def test_too_many_predictors_exit_2(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "wide.csv"
@@ -445,6 +459,7 @@ INVALID_CONFIGS = {
     "infinite c_n": (["--cn", "inf"], "c_n = inf"),
     "non-finite sigma": (["--sigma", "nan"], "sigma = nan"),
     "s_star index 0": (["--s-star", "0"], "s_star = 0"),
+    "alpha below the rounding of 1 - alpha/2": (["--alpha", "1e-17"], "alpha = 1e-17"),
     "p beyond the enumeration limit": (
         ["--p", "21", "--beta-star", "1" + ",0" * 20],
         "p = 21\nbeta_star = 1" + ",0" * 20,

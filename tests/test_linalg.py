@@ -9,7 +9,7 @@ from postselect import (
     Subset,
     centered_dataset,
     ols_fit,
-    qr_reduction,
+    select,
     theorem_report,
 )
 from postselect.errors import PostselectError
@@ -64,6 +64,23 @@ class TestDataset:
             Dataset(y=[1.0, -1.0], X=np.array([[1.0], [0.0], [-1.0]]))
         with pytest.raises(ValueError):
             Dataset(y=[np.nan, 0.0, 0.0], X=np.array([[1.0], [0.0], [-1.0]]))
+
+    def test_magnitude_bound_keeps_every_sse_finite(self, rng):
+        # every value at the bound: no sum of squares in the QR or the sweep
+        # overflows (an overflow would warn, and pytest makes that an error)
+        n = 20
+        bound = np.sqrt(np.finfo(np.float64).max / (4 * n))
+        y = bound * np.resize([1.0, -1.0], n)
+        x = rng.standard_normal((n, 3))
+        x -= x.mean(axis=0)
+        x *= bound / np.abs(x).max()
+        result = select(Dataset(y=y, X=x), AIC)
+        assert np.all(np.isfinite(result.scores))
+        above = np.nextafter(bound, np.inf)
+        with pytest.raises(ValueError, match="magnitude"):
+            Dataset(y=above * np.resize([1.0, -1.0], n), X=x)
+        with pytest.raises(ValueError, match="magnitude"):
+            centered_dataset(rng.standard_normal(n) * 1e160, x)
 
     def test_arrays_are_frozen(self, hand_dataset):
         with pytest.raises(ValueError):
@@ -216,33 +233,3 @@ class TestSseDecomposition:
         data = Dataset(y=[0.0, 0.0, 0.0], X=np.array([[1.0], [0.0], [-1.0]]))
         with pytest.raises(PostselectError, match="is zero"):
             theorem_report(data, Subset(), Subset((1,)), AIC)
-
-
-class TestQrReduction:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_reduced_sse_matches_direct_fit(self, seed):
-        # SSE(S) = sse_full + ||u - P_S u||^2, P_S projecting onto the
-        # columns of the reduced factor that S selects
-        rng = np.random.default_rng(seed)
-        data = random_centered_dataset(rng, 18, 5)
-        r_factor, qty, sse_full = (x[0] for x in qr_reduction([data]))
-        for s in [Subset(), Subset((2,)), Subset((1, 4)), Subset((1, 2, 3, 4, 5))]:
-            resid = qty.copy()
-            if s.size:
-                cols = r_factor[:, s.positions]
-                coef = np.linalg.lstsq(cols, qty, rcond=None)[0]
-                resid -= cols @ coef
-            reduced_sse = sse_full + float(resid @ resid)
-            assert reduced_sse == pytest.approx(ols_fit(data, s).sse, rel=1e-10)
-        assert sse_full == pytest.approx(
-            ols_fit(data, Subset((1, 2, 3, 4, 5))).sse, rel=1e-10
-        )
-
-    def test_stacked_factors_equal_separate_ones(self, rng):
-        datasets = [random_centered_dataset(rng, 18, 5) for _ in range(4)]
-        stacked = qr_reduction(datasets)
-        for b, data in enumerate(datasets):
-            single = qr_reduction([data])
-            for whole, alone in zip(stacked, single):
-                assert np.array_equal(whole[b], alone[0])

@@ -11,9 +11,10 @@ from postselect import (
     Dataset,
     Subset,
     centered_dataset,
+    ols_fit,
     overfit_condition,
-    qr_reduction,
     select,
+    select_stack,
     theorem_report,
 )
 from postselect import selection
@@ -119,6 +120,20 @@ class TestGamma:
                     assert scores[mask | 1 << bit] > scores[mask]
 
 
+class TestLatticeSse:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reduced_sse_matches_direct_fit(self, seed):
+        # SSE(S) = sse_full + ||u - P_S u||^2, read from the reduction of
+        # [X | y] to p dimensions, is the SSE of a direct fit of S
+        rng = np.random.default_rng(seed)
+        data = random_centered_dataset(rng, 18, 5)
+        sse = selection._lattice_sse([data], 5)[0]
+        for s in [Subset(), Subset((2,)), Subset((1, 4)), Subset((1, 2, 3, 4, 5))]:
+            mask = sum(1 << int(i) for i in s.positions)
+            assert sse[mask] == pytest.approx(ols_fit(data, s).sse, rel=1e-10)
+
+
 class TestSelect:
     def test_zero_response_selects_empty_subset(self, rng):
         x = rng.standard_normal((12, 4))
@@ -183,9 +198,9 @@ class TestSelect:
         # swept between two well-conditioned datasets, each keeps its own row:
         # the pruning of one does not leak into the others
         stack = [before, data, after]
-        rows = selection._lattice_sse(qr_reduction(stack), 6)
+        rows = selection._lattice_sse(stack, 6)
         for row, alone in zip(rows, stack):
-            single = selection._lattice_sse(qr_reduction([alone]), 6)[0]
+            single = selection._lattice_sse([alone], 6)[0]
             assert np.array_equal(row.view(np.int64), single.view(np.int64))
         assert np.isinf(rows[1]).sum() > np.isinf(rows[0]).sum() == 1
 
@@ -220,8 +235,8 @@ class TestSelect:
         self, seed, p, extra, log_sigma, log_scales, rho
     ):
         # noise down to 1e-8, columns scaled by 1e-6..1e6, correlation up to
-        # 0.99 and n down to p + 2: a dataset's SSE row and its chosen subset
-        # do not depend on the datasets swept with it (and, as pytest turns
+        # 0.99 and n down to p + 2: a dataset's SSE row and its selection do
+        # not depend on the datasets swept with it (and, as pytest turns
         # warnings into errors, nothing warns)
         rng = np.random.default_rng(seed)
         n = p + extra
@@ -233,12 +248,14 @@ class TestSelect:
             )
             stack.append(centered_dataset(data.y, data.X * scales)[0])
         max_size = min(p, n - 2)
-        rows = selection._lattice_sse(qr_reduction(stack), max_size)
-        _, _, chosen = selection._choose(rows.copy(), n, AIC)
-        for row, mask, data in zip(rows, chosen, stack):
-            single = selection._lattice_sse(qr_reduction([data]), max_size)[0]
+        rows = selection._lattice_sse(stack, max_size)
+        for row, stacked, data in zip(rows, select_stack(stack, AIC), stack):
+            single = selection._lattice_sse([data], max_size)[0]
             assert np.array_equal(row.view(np.int64), single.view(np.int64))
-            assert selection._chosen(mask) == select(data, AIC).chosen
+            alone = select(data, AIC)
+            assert stacked.chosen == alone.chosen
+            assert np.array_equal(stacked.scores.view(np.int64), alone.scores.view(np.int64))
+            assert stacked.truncated_sse_count == alone.truncated_sse_count
 
     def test_size_cap_limits_enumeration(self, rng):
         data = random_centered_dataset(rng, 20, 6)

@@ -50,8 +50,9 @@ class TestExperimentConfig:
             ExperimentConfig(p=10, beta_star=(1.0,))
         with pytest.raises(ValueError):
             ExperimentConfig(reps=0)
-        with pytest.raises(ValueError, match="alpha"):
-            ExperimentConfig(alpha=1.5)
+        for alpha in (1.5, 1e-17):
+            with pytest.raises(ValueError, match="alpha"):
+                ExperimentConfig(alpha=alpha)
         with pytest.raises(ValueError):
             ExperimentConfig(rho=1.0)
         with pytest.raises(ValueError):
