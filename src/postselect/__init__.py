@@ -26,6 +26,7 @@ from .linalg import (
     Subset,
     centered_dataset,
     ols_fit,
+    ols_fit_stack,
 )
 from .selection import (
     Criterion,
@@ -41,6 +42,7 @@ from .simulation import (
     ExperimentSummary,
     ReplicationRecord,
     generate_dataset,
+    generate_stack,
     run_experiment,
     run_replication,
     summarize,
@@ -64,8 +66,10 @@ __all__ = [
     "centered_dataset",
     "covers",
     "generate_dataset",
+    "generate_stack",
     "mean_response_ci",
     "ols_fit",
+    "ols_fit_stack",
     "overfit_condition",
     "regularized_incomplete_beta",
     "run_experiment",

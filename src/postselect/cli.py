@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,10 +33,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# One records.csv column per ReplicationRecord field, in field order; s_hat
-# is written as its size.
-_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ReplicationRecord))
-RECORDS_COLUMNS = tuple("size_hat" if f == "s_hat" else f for f in _RECORD_FIELDS)
+# One records.csv column per ReplicationRecord field, in field order: a float
+# is written as its repr, an int or a bool as an integer, s_hat as its size.
+_RECORD_TYPES = {f.name: f.type for f in dataclasses.fields(ReplicationRecord)}
+RECORDS_COLUMNS = tuple("size_hat" if f == "s_hat" else f for f in _RECORD_TYPES)
+_CELL_FORMATS = {"float": "%r", "int": "%d", "bool": "%d", "Subset": "%d"}
+_RECORD_ROW = ",".join(_CELL_FORMATS[t] for t in _RECORD_TYPES.values()) + "\n"
+_record_values = attrgetter(*("s_hat.size" if f == "s_hat" else f for f in _RECORD_TYPES))
 
 RATIO_HIST_COLUMNS = ("bin_lo", "bin_hi", "count")
 _HIST_LO, _HIST_HI, _HIST_BINS = 1.0, 1.3, 30
@@ -208,19 +212,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def records_csv_text(records: Sequence[ReplicationRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORDS_COLUMNS)
-    for r in records:
-        writer.writerow([_cell(getattr(r, name)) for name in _RECORD_FIELDS])
-    return buf.getvalue()
-
-
-def _cell(value):
-    """A float as its repr, a subset as its size, a bool as 0 or 1."""
-    if isinstance(value, Subset):
-        return value.size
-    return repr(value) if isinstance(value, float) else int(value)
+    """The header and one row per record.  No cell needs quoting, so one
+    format string per row writes what ``csv.writer`` would."""
+    header = ",".join(RECORDS_COLUMNS) + "\n"
+    return "".join([header, *(_RECORD_ROW % _record_values(r) for r in records)])
 
 
 def ratio_hist_csv_text(records: Sequence[ReplicationRecord]) -> str:
@@ -275,6 +270,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     try:
         summary, records = run_experiment(cfg)
+    except ValueError as exc:  # a replication's data out of range, as at --sigma 1e200
+        return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
 

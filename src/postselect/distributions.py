@@ -3,8 +3,8 @@
 Sampling goes through :class:`RngStream`, a seeded, substream-indexed wrapper
 around a counter-based generator, so that parallel workers drawing from
 ``(seed, substream)`` pairs reproduce bit-identical results regardless of
-scheduling.  :func:`sample_ar1_rows` draws AR(1)-correlated design rows from
-such a stream; it trusts its dimension and correlation, which
+scheduling.  :func:`ar1_rows` turns such draws into AR(1)-correlated design
+rows; it trusts its correlation, which
 :class:`~postselect.simulation.ExperimentConfig` has already validated.
 
 The Student-t CDF and quantile are built on a continued-fraction evaluation
@@ -60,25 +60,20 @@ class RngStream:
         return f"RngStream(seed={self.seed}, substream={self.substream})"
 
 
-def sample_ar1_rows(rng: RngStream, rows: int, p: int, rho: float) -> np.ndarray:
-    """``rows`` iid draws from N_p(0, Sigma) with ``Sigma_ij = rho ** |i - j|``.
+def ar1_rows(z: np.ndarray, rho: float) -> np.ndarray:
+    """Draws from N_p(0, Sigma) with ``Sigma_ij = rho ** |i - j|``, one per
+    row of iid standard normals ``z`` along its last axis of length p.
 
-    Returns shape (rows, p).  Sigma is positive definite for ``|rho| < 1``.
-    Each row uses the exact scalar recursion ``x_1 = z_1``,
-    ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i`` with iid standard normal
-    ``z``, costing O(p) per row instead of a dense factor solve.  The stream
-    is consumed one whole row of ``z`` at a time.
+    Returns an array of ``z``'s shape.  Sigma is positive definite for
+    ``|rho| < 1``.  Each row uses the exact scalar recursion ``x_1 = z_1``,
+    ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i``, costing O(p) per row
+    instead of a dense factor solve; every row is computed on its own.
     """
-    z = rng.standard_normal((rows, p))
-    return _ar1_recursion(z, rho)
-
-
-def _ar1_recursion(z: np.ndarray, rho: float) -> np.ndarray:
     x = np.empty_like(z)
-    x[:, 0] = z[:, 0]
+    x[..., 0] = z[..., 0]
     innov = math.sqrt(1.0 - rho * rho)
-    for j in range(1, z.shape[1]):
-        x[:, j] = rho * x[:, j - 1] + innov * z[:, j]
+    for j in range(1, z.shape[-1]):
+        x[..., j] = rho * x[..., j - 1] + innov * z[..., j]
     return x
 
 

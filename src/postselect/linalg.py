@@ -9,8 +9,9 @@ has been absorbed by centering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -101,17 +102,21 @@ class Dataset:
             raise ValueError("X must have at least one column")
         if p >= n:
             raise ValueError(f"need p < n, got p={p}, n={n}")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
+        # one abs max per array serves both checks: only NaN or inf makes it nonfinite
+        y_max, X_max = np.abs(y).max(), np.abs(X).max(axis=0)
+        if not (math.isfinite(y_max) and math.isfinite(X_max.max())):
             raise ValueError("y and X must be finite")
         # no sum of n squares of values within the bound, as in an SSE, overflows
-        bound = np.sqrt(np.finfo(np.float64).max / (4 * n))
-        if max(np.abs(y).max(), np.abs(X).max()) > bound:
+        bound = math.sqrt(np.finfo(np.float64).max / (4 * n))
+        if max(y_max, X_max.max()) > bound:
             raise ValueError(f"centered y and X must not exceed {bound:.3e} in magnitude at n={n}")
-        y_raw, X_raw = (y, X) if raw is None else raw
-        if abs(y.mean()) > _centering_tolerance(y_raw):
-            raise ValueError(f"y is not centered: mean(y)={y.mean():.3e}")
-        col_means = np.abs(X.mean(axis=0))
-        if np.any(col_means > _centering_tolerance(X_raw)):
+        # the largest |value| each mean was taken over, before centering
+        y_scale, X_scale = (y_max, X_max) if raw is None else (np.abs(a).max(axis=0) for a in raw)
+        y_mean, col_means = y.sum() / n, np.abs(X.sum(axis=0) / n)  # bits of .mean()
+        eps = np.finfo(np.float64).eps
+        if abs(y_mean) > n * eps * y_scale:
+            raise ValueError(f"y is not centered: mean(y)={y_mean:.3e}")
+        if (col_means > n * eps * X_scale).any():
             raise ValueError(
                 f"X columns are not centered: max |mean|={col_means.max():.3e}"
             )
@@ -127,16 +132,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-
-def _centering_tolerance(raw: np.ndarray) -> np.ndarray:
-    """Per column, the largest mean that centering ``raw`` can leave behind.
-
-    The computed mean and each subtraction are exact to within
-    ``n * eps * max|value|``, so a residual mean below that is rounding.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    return raw.shape[0] * np.finfo(np.float64).eps * np.abs(raw).max(axis=0)
 
 
 def centered_dataset(
@@ -192,7 +187,15 @@ class SubsetFit:
 
 
 def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
-    """Fit the sub-model using the columns in ``s`` by QR least squares.
+    """Fit the sub-model using the columns in ``s``: one-dataset :func:`ols_fit_stack`."""
+    return ols_fit_stack([data], s)[0]
+
+
+def ols_fit_stack(datasets: Sequence[Dataset], s: Subset) -> list[SubsetFit]:
+    """Fit the sub-model using the columns in ``s`` to each dataset of one
+    shape by QR least squares.  One stacked ``np.linalg.qr`` and one stacked
+    ``np.linalg.solve`` treat each dataset on its own: a fit has the bits of
+    the fit of a stack of one.
 
     Raises
     ------
@@ -200,24 +203,26 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
         If ``s`` leaves no residual degree of freedom (``n - |S| - 1 < 1``)
         or has an index beyond p.
     PostselectError
-        If the selected columns are numerically collinear: the smallest
-        diagonal entry of R is below ``RANK_RTOL`` times the largest.
+        If the selected columns of a dataset are numerically collinear: the
+        smallest diagonal entry of R is below ``RANK_RTOL`` times the largest.
     """
-    df = data.n - s.size - 1
+    n, p = datasets[0].n, datasets[0].p
+    df = n - s.size - 1
     if df < 1:
-        raise ValueError(
-            f"subset of size {s.size} leaves {df} degrees of freedom at n={data.n}"
-        )
-    if s.size and s.indices[-1] > data.p:
-        raise ValueError(f"subset {s} has indices beyond the {data.p} available columns")
-    Xs = data.X[:, s.positions]
+        raise ValueError(f"subset of size {s.size} leaves {df} degrees of freedom at n={n}")
+    if s.size and s.indices[-1] > p:
+        raise ValueError(f"subset {s} has indices beyond the {p} available columns")
+    # indexing the columns lays each X_S out column-major, as data.X[:, S]
+    # is, and the matvec X_S beta rounds by layout
+    Xs = np.array([d.X for d in datasets])[:, :, s.positions]
+    y = np.array([d.y for d in datasets])[:, :, None]
     q, r = np.linalg.qr(Xs)
-    d = np.abs(np.diagonal(r))
-    if d.size and (d.max() == 0.0 or d.min() < RANK_RTOL * d.max()):
-        raise PostselectError(f"columns of subset {s} are numerically collinear")
-    beta = np.linalg.solve(r, q.T @ data.y)
-    resid = data.y - Xs @ beta
-    sse = float(resid @ resid)
-    return SubsetFit(
-        subset=s, beta_hat=beta, sse=sse, df=df, sigma_hat_sq=sse / df, r_factor=r
-    )
+    for d in np.abs(r.diagonal(0, 1, 2)).tolist() if s.size else ():
+        if max(d) == 0.0 or min(d) < RANK_RTOL * max(d):
+            raise PostselectError(f"columns of subset {s} are numerically collinear")
+    beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y)
+    resid = (y - Xs @ beta)[:, :, 0]
+    return [
+        SubsetFit(subset=s, beta_hat=b, sse=sse, df=df, sigma_hat_sq=sse / df, r_factor=rb)
+        for b, rb, sse in zip(beta[:, :, 0], r, (float(e @ e) for e in resid))
+    ]

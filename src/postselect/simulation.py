@@ -3,11 +3,12 @@
 Each replication draws a fresh dataset, fits the oracle model (the true
 subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
-Replications run in blocks, and one call of
-:func:`~postselect.selection.select_stack` selects for all the datasets of a
-block.  Replications are indexed substreams of one master seed, and a
-dataset's subset scores do not depend on the others in its block, so results
-are bit-identical for any block size and worker count.
+Replications run in blocks, drawn as one stack: one call of
+:func:`~postselect.selection.select_stack` selects for all of them, and one
+call of :func:`~postselect.linalg.ols_fit_stack` fits each subset in use.
+Replications are indexed substreams of one master seed, and every stacked
+step computes each dataset on its own, so results are bit-identical for any
+block size and worker count.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple, Optional, Union
+from itertools import count, repeat
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import RNG_ALGORITHM, RngStream, sample_ar1_rows
+from .distributions import RNG_ALGORITHM, RngStream, ar1_rows
 from .errors import DegenerateReplication, PostselectError
 from .inference import QueryPoint, covers, mean_response_ci, true_mean_response
-from .linalg import Dataset, Subset, centered_dataset, ols_fit
+from .linalg import Dataset, Subset, ols_fit_stack
 from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack
 
 # Replications per block, which share one call of select_stack.
@@ -115,18 +116,33 @@ class GeneratedData(NamedTuple):
 
 
 def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
-    """Draw one dataset and query point from the configured model.
+    """Draw one dataset and query point: one-stream :func:`generate_stack`."""
+    return generate_stack(cfg, [rng])[0]
 
-    Stream consumption order is fixed: n design rows, then n noise values,
-    then the query row.  The design and response are returned centered, with
-    the removed column means recorded for query-point handling.
+
+def generate_stack(cfg: ExperimentConfig, rngs: Sequence[RngStream]) -> list[GeneratedData]:
+    """One dataset and query point per stream, drawn from the configured model.
+
+    Each stream gives its ``n p + n + p`` standard normals in one call: n
+    design rows, n noise values, then the query row.  The design and response
+    are returned centered, with the removed column means recorded for
+    query-point handling.  A dataset depends only on its own stream, and its
+    validation error names the stream's substream as the replication.
     """
-    x_raw = sample_ar1_rows(rng, cfg.n, cfg.p, cfg.rho)
-    beta = np.asarray(cfg.beta_star)
-    y_raw = x_raw @ beta + cfg.sigma * rng.standard_normal(cfg.n)
-    data, _, col_means = centered_dataset(y_raw, x_raw)
-    query_x_raw = sample_ar1_rows(rng, 1, cfg.p, cfg.rho)[0]
-    return GeneratedData(data, col_means, query_x_raw)
+    n, p = cfg.n, cfg.p
+    z = np.array([rng.standard_normal(n * p + n + p) for rng in rngs])
+    # each stream's design rows and query row go through one AR(1) recursion
+    x = ar1_rows(np.concatenate([z[:, : n * p], z[:, -p:]], axis=1).reshape(-1, n + 1, p), cfg.rho)
+    x_raw = x[:, :n]
+    y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
+    y_means, col_means = y_raw.mean(axis=1), x_raw.mean(axis=1)
+    gens = []
+    for rng, yr, xr, ym, cm, q in zip(rngs, y_raw, x_raw, y_means, col_means, x[:, n]):
+        try:
+            gens.append(GeneratedData(Dataset(y=yr - ym, X=xr - cm, raw=(yr, xr)), cm, q))
+        except ValueError as exc:
+            raise ValueError(f"replication {rng.substream}: {exc}") from exc
+    return gens
 
 
 @dataclass(frozen=True)
@@ -160,31 +176,44 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
 def _replication_block(
     cfg: ExperimentConfig, start: int, stop: int
 ) -> list[ReplicationRecord]:
-    """Replications ``start..stop-1``: one call of ``select_stack`` selects
-    for all their datasets, then each is fitted alone."""
+    """Replications ``start..stop-1``, drawn, selected and fitted as stacks."""
     if cfg.sigma == 0.0:
         raise DegenerateReplication(
             f"replication {start}: sigma = 0 gives a noiseless model whose "
             "variance estimates are all zero; coverage summaries are undefined"
         )
-    gens = [generate_dataset(cfg, RngStream(cfg.seed, i)) for i in range(start, stop)]
+    gens = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(start, stop)])
+    datasets = [gen.data for gen in gens]
     # keep only what the fits need: holding the block's score array through
     # them raised the reference study's peak RSS by 0.4 MB
     selected = [
         (result.chosen, result.truncated_sse_count)
-        for result in select_stack([gen.data for gen in gens], cfg.criterion)
+        for result in select_stack(datasets, cfg.criterion)
     ]
+    groups: dict[Subset, list[int]] = {}
+    for j, (s_hat, floored) in enumerate(selected):
+        if not floored:  # a floored replication fails before its selected fit
+            groups.setdefault(s_hat, []).append(j)
+    try:
+        oracle_fits = ols_fit_stack(datasets, cfg.s_star)
+        selected_fits = {}
+        for s_hat, js in groups.items():
+            selected_fits.update(zip(js, ols_fit_stack([datasets[j] for j in js], s_hat)))
+    except PostselectError as exc:
+        if stop - start == 1:
+            raise type(exc)(f"replication {start}: {exc}") from exc
+        # a fit failed: one replication at a time, the first to fail raises
+        return [run_replication(cfg, i) for i in range(start, stop)]
     records = []
-    for i, gen, (s_hat, floored) in zip(range(start, stop), gens, selected):
+    for i, gen, (s_hat, floored), oracle_fit in zip(count(start), gens, selected, oracle_fits):
         data = gen.data
         try:
-            oracle_fit = ols_fit(data, cfg.s_star)
             if floored:
                 raise DegenerateReplication(
                     f"{floored} subsets hit the SSE floor; "
                     "variance comparisons would be meaningless"
                 )
-            selected_fit = ols_fit(data, s_hat)
+            selected_fit = selected_fits[i - start]
             query = QueryPoint(x=gen.query_x_raw - gen.raw_column_means, centered=True)
             truth = true_mean_response(query, np.asarray(cfg.beta_star))
             ci_oracle = mean_response_ci(data, oracle_fit, query, cfg.alpha)

@@ -388,6 +388,15 @@ class TestSimulateCommand:
         bad.write_text("nope = 1\n")
         assert run_cli(capsys, "simulate", "--config", str(bad))[0] == 2
 
+    def test_out_of_range_replication_data_exits_2(self, capsys, tmp_path):
+        # a valid sigma whose responses exceed Dataset's magnitude bound
+        code, _, err = run_cli(
+            capsys, "simulate", "--sigma", "1e200", "--reps", "2", "--workers", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert_one_error_line(code, err)
+        assert err.startswith("error: replication 0: centered y and X must not exceed")
+
     def test_custom_p_with_beta_star(self, capsys, tmp_path):
         out_dir = tmp_path / "p4"
         code, _, _ = run_cli(

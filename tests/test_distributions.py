@@ -9,7 +9,7 @@ from postselect import (
     student_t_cdf,
     student_t_quantile,
 )
-from postselect.distributions import sample_ar1_rows
+from postselect.distributions import ar1_rows
 
 from oracles import (
     ar1_covariance,
@@ -57,13 +57,13 @@ class TestStdNormal:
 
 class TestAr1Sampling:
     def test_rho_zero_components_independent(self):
-        draws = sample_ar1_rows(RngStream(7), 10**5, 6, 0.0)
+        draws = ar1_rows(RngStream(7).standard_normal((10**5, 6)), 0.0)
         corr = np.corrcoef(draws, rowvar=False)
         off_diag = corr[~np.eye(6, dtype=bool)]
         assert np.abs(off_diag).max() < 0.02
 
     def test_rho_half_lag_correlations(self):
-        draws = sample_ar1_rows(RngStream(11), 10**5, 10, 0.5)
+        draws = ar1_rows(RngStream(11).standard_normal((10**5, 10)), 0.5)
         corr = np.corrcoef(draws, rowvar=False)
         lag1 = np.array([corr[i, i + 1] for i in range(9)])
         lag2 = np.array([corr[i, i + 2] for i in range(8)])
@@ -73,36 +73,20 @@ class TestAr1Sampling:
     def test_recursion_covariance_matches_cholesky_analytically(self):
         # the recursion is linear in z; its transfer matrix must satisfy
         # A A' = Sigma, the same Gram identity the Cholesky factor satisfies
-        transfer = np.column_stack(
-            [
-                sample_ar1_rows(_FixedZ(np.eye(8)[j : j + 1]), 1, 8, 0.5)[0]
-                for j in range(8)
-            ]
-        )
+        transfer = ar1_rows(np.eye(8), 0.5).T
         sigma = ar1_covariance(8, 0.5)
         assert np.abs(transfer @ transfer.T - sigma).max() < 1e-12
         chol = np.linalg.cholesky(sigma)
         assert np.abs(chol @ chol.T - sigma).max() < 1e-12
 
     def test_recursion_vs_cholesky_empirical_covariance(self):
-        via_recursion = sample_ar1_rows(RngStream(21), 10**5, 5, 0.5)
+        via_recursion = ar1_rows(RngStream(21).standard_normal((10**5, 5)), 0.5)
         z = RngStream(22).standard_normal((10**5, 5))
         via_cholesky = ar1_rows_cholesky(z, 0.5)
         cov_a = np.cov(via_recursion, rowvar=False)
         cov_b = np.cov(via_cholesky, rowvar=False)
         assert np.abs(cov_a - cov_b).max() < 0.02
         assert np.abs(cov_a - ar1_covariance(5, 0.5)).max() < 0.02
-
-
-class _FixedZ:
-    """Stub stream returning a preset matrix, for transfer-matrix extraction."""
-
-    def __init__(self, z):
-        self._z = np.asarray(z, dtype=float)
-
-    def standard_normal(self, size):
-        assert self._z.shape == tuple(np.atleast_1d(size))
-        return self._z.copy()
 
 
 class TestIncompleteBeta:

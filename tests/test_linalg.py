@@ -9,6 +9,7 @@ from postselect import (
     Subset,
     centered_dataset,
     ols_fit,
+    ols_fit_stack,
     select,
     theorem_report,
 )
@@ -64,6 +65,16 @@ class TestDataset:
             Dataset(y=[1.0, -1.0], X=np.array([[1.0], [0.0], [-1.0]]))
         with pytest.raises(ValueError):
             Dataset(y=[np.nan, 0.0, 0.0], X=np.array([[1.0], [0.0], [-1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["y", "X"])
+    def test_nonfinite_value_is_named_as_such(self, bad, where):
+        # one abs max serves the finiteness and the magnitude checks; a NaN
+        # or inf must still get the finiteness message, in either array
+        y, X = np.array([1.0, 0.0, -1.0]), np.array([[1.0], [0.0], [-1.0]])
+        (y if where == "y" else X)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Dataset(y=y, X=X)
 
     def test_magnitude_bound_keeps_every_sse_finite(self, rng):
         # every value at the bound: no sum of squares in the QR or the sweep
@@ -134,6 +145,27 @@ class TestOlsFit:
         with pytest.raises(PostselectError, match="collinear"):
             ols_fit(data, Subset((1, 2)))
         ols_fit(data, Subset((1, 3)))  # independent pair is fine
+
+    @pytest.mark.parametrize("stack", [1, 13])
+    def test_stacked_rows_equal_one_dataset_fits(self, rng, stack):
+        # each row of a stacked fit, at every subset size from empty to p,
+        # has the bits of the one-dataset QR fit written out below
+        datasets = [
+            random_centered_dataset(rng, 30, 6, beta=rng.standard_normal(6), rho=0.5)
+            for _ in range(stack)
+        ]
+        for k in range(7):
+            s = Subset.of(rng.choice(6, size=k, replace=False) + 1)
+            for data, fit in zip(datasets, ols_fit_stack(datasets, s)):
+                xs = data.X[:, s.positions]
+                q, r = np.linalg.qr(xs)
+                beta = np.linalg.solve(r, q.T @ data.y)
+                resid = data.y - xs @ beta
+                assert np.array_equal(fit.beta_hat, beta)
+                assert fit.sse == float(resid @ resid)
+                assert np.array_equal(fit.r_factor, r)
+                single = ols_fit(data, s)
+                assert np.array_equal(single.beta_hat, beta) and single.sse == fit.sse
 
     def test_out_of_range_index(self, hand_dataset):
         with pytest.raises(ValueError, match="beyond"):

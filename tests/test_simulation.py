@@ -8,13 +8,16 @@ from postselect import (
     ExperimentConfig,
     RngStream,
     Subset,
+    centered_dataset,
     generate_dataset,
+    generate_stack,
     ols_fit,
     run_experiment,
     run_replication,
     theorem_report,
 )
 from postselect import simulation
+from postselect.distributions import ar1_rows
 from postselect.errors import DegenerateReplication, PostselectError
 
 from oracles import brute_force_select
@@ -107,6 +110,56 @@ class TestGenerateDataset:
         assert np.array_equal(a.data.y, b.data.y)
         assert np.array_equal(a.data.X, b.data.X)
         assert np.array_equal(a.query_x_raw, b.query_x_raw)
+
+
+def three_call_dataset(cfg, rng):
+    """One dataset drawn the one-stream way: design rows, noise and the query
+    row each from their own call, each dataset centered on its own."""
+    x_raw = ar1_rows(rng.standard_normal((cfg.n, cfg.p)), cfg.rho)
+    y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * rng.standard_normal(cfg.n)
+    data, _, col_means = centered_dataset(y_raw, x_raw)
+    query = ar1_rows(rng.standard_normal((1, cfg.p)), cfg.rho)[0]
+    return data, col_means, query
+
+
+class TestGenerateStack:
+    def test_one_draw_follows_the_three_call_stream_order(self):
+        n, p = 50, 10
+        one = RngStream(42, 3).standard_normal(n * p + n + p)
+        rng = RngStream(42, 3)
+        three = [rng.standard_normal((n, p)), rng.standard_normal(n), rng.standard_normal((1, p))]
+        assert np.array_equal(one, np.concatenate([z.reshape(-1) for z in three]))
+
+    @pytest.mark.parametrize("block", [1, 13, 16])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(seed=42),
+            # coefficients whose products round, so a matvec summed in another
+            # order shows in the last bits
+            ExperimentConfig(beta_star=(0.3, -1.7, 2.9, 0.0, 0.11, 0.0, 0.0, 0.5, 0.0, 1.3)),
+            ExperimentConfig(n=50, p=4, beta_star=(1.0, 2.0, 0.0, 0.0), sigma=2.5, rho=-0.3),
+            ExperimentConfig(n=12, p=1, beta_star=(3.0,), seed=7),
+        ],
+    )
+    def test_stack_rows_equal_one_stream_datasets(self, cfg, block):
+        start = 5
+        gens = generate_stack(cfg, [RngStream(cfg.seed, start + b) for b in range(block)])
+        for b, gen in enumerate(gens):
+            single = generate_dataset(cfg, RngStream(cfg.seed, start + b))
+            data, col_means, query = three_call_dataset(cfg, RngStream(cfg.seed, start + b))
+            for got in (gen, single):
+                assert np.array_equal(got.data.y, data.y)
+                assert np.array_equal(got.data.X, data.X)
+                assert np.array_equal(got.raw_column_means, col_means)
+                assert np.array_equal(got.query_x_raw, query)
+
+    def test_out_of_range_data_names_its_replication(self):
+        cfg = ExperimentConfig(sigma=1e200)
+        with pytest.raises(ValueError, match="^replication 3: centered y and X must not exceed"):
+            generate_stack(cfg, [RngStream(cfg.seed, i) for i in (3, 4)])
+        with pytest.raises(ValueError, match="^replication 0: centered y and X"):
+            run_experiment(small_cfg(sigma=1e200, reps=2))
 
 
 class TestRunReplication:
@@ -255,6 +308,27 @@ class TestRunExperiment:
         assert failed[0] == 7 and 7 % simulation._BLOCK_REPS != 0
         with pytest.raises(PostselectError, match="^replication 7: the empty model"):
             run_experiment(cfg)
+
+    def test_failed_stacked_fit_keeps_the_replication_order(self, monkeypatch):
+        # the block's stacked S* fit fails for replication 9; replication 7
+        # fails first when replications run one at a time, so its error wins
+        cfg = ExperimentConfig(
+            n=20, p=3, beta_star=(0.4, 0.0, 0.0), reps=simulation._BLOCK_REPS, seed=0, workers=1
+        )
+        bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
+        fit_stack = simulation.ols_fit_stack
+
+        def fit_stack_failing_at_9(datasets, s):
+            if any(np.array_equal(d.y, bad_y) for d in datasets):
+                raise PostselectError(f"columns of subset {s} are numerically collinear")
+            return fit_stack(datasets, s)
+
+        monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing_at_9)
+        with pytest.raises(PostselectError, match="^replication 7: the empty model"):
+            run_experiment(cfg)
+        with pytest.raises(PostselectError, match="^replication 9: columns of subset"):
+            run_replication(cfg, 9)
+        assert run_replication(cfg, 8).rep_index == 8
 
     def test_different_seeds_differ(self):
         _, a = run_experiment(small_cfg(seed=1, reps=5))
