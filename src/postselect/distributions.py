@@ -48,10 +48,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(substream,))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
-    @property
-    def algorithm(self) -> str:
-        return RNG_ALGORITHM
-
     def standard_normal(self, size) -> np.ndarray:
         """An array of iid standard normal draws, filled in C order."""
         return self._gen.standard_normal(size)
@@ -151,9 +147,13 @@ def student_t_cdf(df: int, t: float) -> float:
     t = float(t)
     if math.isnan(t):
         return math.nan
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
+    tail = _upper_tail(df, t)
     return 1.0 - tail if t >= 0.0 else tail
+
+
+def _upper_tail(df: int, t: float) -> float:
+    """P(T > |t|), without the cancellation of ``1 - cdf``."""
+    return 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
 
 
 def _student_t_pdf(df: int, t: float) -> float:
@@ -168,22 +168,29 @@ def _student_t_pdf(df: int, t: float) -> float:
 
 @lru_cache(maxsize=8192)
 def _upper_quantile(df: int, prob: float) -> float:
-    """Quantile for prob in [0.5, 1), by safeguarded Newton on the CDF."""
+    """Quantile for prob in [0.5, 1), by safeguarded Newton on ``cdf - prob``, or
+    within 1e-3 of 1, where ``cdf`` has rounded away the digits of ``1 - prob``,
+    on ``(1 - prob) - P(T > t)`` to a tolerance relative to ``1 - prob``."""
     if prob == 0.5:
         return 0.0
-    # bracket [lo, hi] with cdf(lo) <= prob <= cdf(hi)
+    tail = 1.0 - prob  # exact for prob in [0.5, 1]
+    if tail < 1e-3:
+        excess, tol = (lambda t: tail - _upper_tail(df, t)), min(_QUANTILE_TOL, 1e-11 * tail)
+    else:
+        excess, tol = (lambda t: student_t_cdf(df, t) - prob), _QUANTILE_TOL
+    # bracket [lo, hi] with excess(lo) <= 0 <= excess(hi)
     lo, hi = 0.0, 1.0
-    while student_t_cdf(df, hi) < prob:
+    while excess(hi) < 0.0:
         lo = hi
         hi *= 2.0
     t = 0.5 * (lo + hi)
     for _ in range(200):
-        f = student_t_cdf(df, t) - prob
+        f = excess(t)
         if f >= 0.0:
             hi = t
         else:
             lo = t
-        if abs(f) <= _QUANTILE_TOL:
+        if abs(f) <= tol:
             break
         pdf = _student_t_pdf(df, t)
         step = f / pdf if pdf > 0.0 else math.inf

@@ -2,7 +2,7 @@
 
 A bad argument raises the built-in ``ValueError`` (the CLI exits 2); a
 failure of the method on valid inputs raises :class:`PostselectError` (the
-CLI exits 3).
+CLI exits 3).  The empty model is not a failure: its interval is ``[0, 0]``.
 """
 
 
@@ -12,4 +12,4 @@ class PostselectError(Exception):
 
 
 class DegenerateReplication(PostselectError):
-    """A Monte Carlo replication produced quantities the summaries cannot use."""
+    """A replication's subsets hit the SSE floor: its variances are meaningless."""

@@ -4,6 +4,7 @@ Given a fitted sub-model S, the interval for the mean response at a query
 point x is ``x_S' beta_S +/- t_{n-|S|-1}(1 - alpha/2) * sigma_S *
 sqrt(x_S' (X_S' X_S)^-1 x_S)``.  The quadratic form is evaluated through the
 triangular factor the fit already holds, never through an explicit inverse.
+The empty model takes the same formula, which gives the interval ``[0, 0]``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import student_t_quantile
-from .errors import PostselectError
 from .linalg import Dataset, Subset, SubsetFit
 
 
@@ -67,7 +67,8 @@ def mean_response_ci(
         The dataset the fit was computed from.
     fit : SubsetFit
         A least-squares fit of some subset of ``data``'s columns, as returned
-        by ``ols_fit`` (which has already rejected collinear subsets).
+        by ``ols_fit`` (which has already rejected collinear subsets).  The
+        empty subset has no ``x_S``, so its interval is ``[0, 0]``.
     x : QueryPoint
         Full-dimension query point, centered by the training column means.
     alpha : float
@@ -79,16 +80,9 @@ def mean_response_ci(
     ValueError
         If alpha is outside (0, 1), or the query point does not have p
         components.
-    PostselectError
-        If the fitted subset is empty; the interval is undefined without
-        regressors.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if fit.subset.size == 0:
-        raise PostselectError(
-            "the empty model has no mean-response interval; choose a nonempty subset"
-        )
     if x.p != data.p:
         raise ValueError(f"query point has {x.p} components, expected {data.p}")
     if not x.centered:

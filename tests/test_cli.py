@@ -397,6 +397,26 @@ class TestSimulateCommand:
         assert_one_error_line(code, err)
         assert err.startswith("error: replication 0: centered y and X must not exceed")
 
+    def test_overflowing_replication_data_exits_2_without_warnings(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--sigma", "1.7e308", "--reps", "2", "--workers", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err == "error: replication 0: y and X must be finite\n"
+
+    def test_weak_signal_run_records_the_empty_model(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "simulate", "--n", "20", "--p", "3", "--beta-star", "0.4,0,0",
+            "--reps", "35", "--seed", "0", "--workers", "1", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        with open(tmp_path / "records.csv", newline="") as fh:
+            empty = [row for row in csv.DictReader(fh) if row["size_hat"] == "0"]
+        assert empty
+        for row in empty:
+            assert float(row["ci_width_selected"]) == 0.0 and row["covered_selected"] == "0"
+
     def test_custom_p_with_beta_star(self, capsys, tmp_path):
         out_dir = tmp_path / "p4"
         code, _, _ = run_cli(
@@ -467,6 +487,7 @@ INVALID_CONFIGS = {
     "workers not a number": (["--workers", "abc"], "workers = abc"),
     "infinite c_n": (["--cn", "inf"], "c_n = inf"),
     "non-finite sigma": (["--sigma", "nan"], "sigma = nan"),
+    "zero sigma": (["--sigma", "0"], "sigma = 0"),
     "s_star index 0": (["--s-star", "0"], "s_star = 0"),
     "alpha below the rounding of 1 - alpha/2": (["--alpha", "1e-17"], "alpha = 1e-17"),
     "p beyond the enumeration limit": (

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,9 +42,6 @@ class TestRngStream:
             RngStream(seed=2**64)
         with pytest.raises(ValueError):
             RngStream(seed=1, substream=-2)
-
-    def test_algorithm_name(self):
-        assert RngStream(0).algorithm == "philox4x64"
 
 
 class TestStdNormal:
@@ -179,6 +178,17 @@ class TestStudentTQuantile:
         q = student_t_quantile(1, 1.0 - 1e-12)
         assert abs(student_t_cdf(1, q) - (1.0 - 1e-12)) <= 1e-13
         assert q > 1e10  # Cauchy tail: roughly 1 / (pi * (1 - p))
+
+    @pytest.mark.parametrize("tail", [1e-4, 1e-8, 1e-12, 1e-15])
+    def test_tail_near_one_keeps_its_digits(self, tail):
+        # 1 - cdf(t) has lost the tail's digits here, so the tail is solved for
+        prob = 1.0 - tail
+        assert student_t_quantile(2, prob) == pytest.approx(t2_quantile(prob), rel=1e-11)
+        cauchy = 1.0 / math.tan(math.pi * (1.0 - prob))
+        assert student_t_quantile(1, prob) == pytest.approx(cauchy, rel=1e-11)
+
+    def test_quantile_at_one_minus_1e15(self):
+        assert student_t_quantile(46, 1.0 - 1e-15) == pytest.approx(11.7314916, rel=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="degrees of freedom"):

@@ -16,7 +16,6 @@ from postselect import (
     student_t_quantile,
     true_mean_response,
 )
-from postselect.errors import PostselectError
 
 from oracles import ar1_rows_cholesky, cauchy_quantile, random_centered_dataset
 
@@ -46,12 +45,11 @@ class TestMeanResponseCi:
         assert ci.half_width == pytest.approx(0.0, abs=1e-7)
         assert ci.lo == pytest.approx(ci.center, abs=1e-7)
 
-    def test_empty_subset_rejected(self, hand_dataset):
+    def test_empty_subset_gives_zero_interval(self, hand_dataset):
+        # no regressors: the estimate is 0 and its quadratic form is empty
         fit = ols_fit(hand_dataset, Subset())
-        with pytest.raises(PostselectError, match="empty model"):
-            mean_response_ci(
-                hand_dataset, fit, QueryPoint(x=[0.0], centered=True), alpha=0.05
-            )
+        ci = mean_response_ci(hand_dataset, fit, QueryPoint(x=[1.0], centered=True), alpha=0.05)
+        assert ci.lo == ci.hi == ci.center == 0.0
 
     def test_alpha_validation(self, hand_dataset):
         fit = ols_fit(hand_dataset, Subset((1,)))

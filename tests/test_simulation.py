@@ -29,6 +29,13 @@ def small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def floored_at_7(**overrides) -> ExperimentConfig:
+    """A config at the exact-fit threshold: replication 7 is the first whose
+    full-model SSE is within rounding of zero (0.04 times the threshold), and
+    replications 0-9 otherwise clear it by a factor of 17 or more."""
+    return ExperimentConfig(n=3, p=1, beta_star=(1.0,), sigma=8e-15, seed=187, **overrides)
+
+
 class TestExperimentConfig:
     def test_defaults_match_reference_study(self):
         cfg = ExperimentConfig()
@@ -89,7 +96,8 @@ class TestGenerateDataset:
             assert gen.query_x_raw.shape == (cfg.p,)
 
     def test_zero_noise_fits_truth_exactly(self):
-        cfg = ExperimentConfig(sigma=0.0)
+        # noise below the rounding of the signal leaves y = X beta* exactly
+        cfg = ExperimentConfig(sigma=1e-200)
         gen = generate_dataset(cfg, RngStream(3, 0))
         fit = ols_fit(gen.data, cfg.s_star)
         assert fit.sse < 1e-20
@@ -231,9 +239,10 @@ class TestRunReplication:
             assert rec.sigma_hat_oracle == pytest.approx(1e-7, rel=0.5)
 
     def test_sigma_zero_aborts(self):
-        cfg = ExperimentConfig(sigma=0.0)
-        with pytest.raises(DegenerateReplication, match="replication 3"):
-            run_replication(cfg, 3)
+        # a noiseless model has no variance to estimate: the config is
+        # rejected before any replication runs
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            ExperimentConfig(sigma=0.0)
 
 
 class TestRunExperiment:
@@ -288,33 +297,39 @@ class TestRunExperiment:
         assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_error_inside_a_block_names_its_replication(self, workers):
-        # a weak signal selects the empty model, which has no interval, in
-        # some replications; the first of them is not the first of its block
+    def test_weak_signal_run_records_the_empty_model(self, workers):
+        # AIC selects the empty model in some replications, the first
+        # mid-block; its interval is [0, 0], which misses a nonzero truth
         cfg = ExperimentConfig(
-            n=20,
-            p=3,
-            beta_star=(0.4, 0.0, 0.0),
-            reps=2 * simulation._BLOCK_REPS + 3,
-            seed=0,
+            n=20, p=3, beta_star=(0.4, 0.0, 0.0), reps=2 * simulation._BLOCK_REPS + 3, seed=0,
             workers=workers,
         )
+        _, records = run_experiment(cfg)
+        assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
+        empty = [r for r in records if r.s_hat == Subset()]
+        assert empty[0].rep_index == 7
+        for r in empty:
+            assert r.ci_width_selected == 0.0 and not r.covered_selected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_inside_a_block_names_its_replication(self, workers):
+        # some replications reach the SSE floor; the first of them is not the
+        # first of its block
+        cfg = floored_at_7(reps=2 * simulation._BLOCK_REPS + 3, workers=workers)
         failed = []
         for i in range(cfg.reps):
             try:
                 run_replication(cfg, i)
-            except PostselectError:
+            except DegenerateReplication:
                 failed.append(i)
         assert failed[0] == 7 and 7 % simulation._BLOCK_REPS != 0
-        with pytest.raises(PostselectError, match="^replication 7: the empty model"):
+        with pytest.raises(DegenerateReplication, match="^replication 7: 1 subsets hit the SSE floor"):
             run_experiment(cfg)
 
     def test_failed_stacked_fit_keeps_the_replication_order(self, monkeypatch):
         # the block's stacked S* fit fails for replication 9; replication 7
         # fails first when replications run one at a time, so its error wins
-        cfg = ExperimentConfig(
-            n=20, p=3, beta_star=(0.4, 0.0, 0.0), reps=simulation._BLOCK_REPS, seed=0, workers=1
-        )
+        cfg = floored_at_7(reps=simulation._BLOCK_REPS, workers=1)
         bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
         fit_stack = simulation.ols_fit_stack
 
@@ -324,7 +339,7 @@ class TestRunExperiment:
             return fit_stack(datasets, s)
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing_at_9)
-        with pytest.raises(PostselectError, match="^replication 7: the empty model"):
+        with pytest.raises(DegenerateReplication, match="^replication 7: 1 subsets hit the SSE floor"):
             run_experiment(cfg)
         with pytest.raises(PostselectError, match="^replication 9: columns of subset"):
             run_replication(cfg, 9)
@@ -337,7 +352,7 @@ class TestRunExperiment:
 
     def test_degenerate_config_propagates(self):
         with pytest.raises(DegenerateReplication):
-            run_experiment(small_cfg(sigma=0.0, reps=3))
+            run_experiment(floored_at_7(reps=8, workers=1))
 
 
 class TestSummarize:
