@@ -1,7 +1,7 @@
 """Best-subset selection, overfitting diagnostics, and coverage studies.
 
-The package fits every sub-model of a centered linear regression, selects one
-by minimizing ``n log SSE(S) + c_n |S|`` (AIC: ``c_n = 2``, BIC:
+The package selects the sub-model of a centered linear regression that
+minimizes ``n log SSE(S) + c_n |S|`` over all subsets (AIC: ``c_n = 2``, BIC:
 ``c_n = log n``), quantifies how overfitting depresses the selected model's
 variance estimate, and measures the resulting confidence-interval
 undercoverage by simulation.

@@ -275,15 +275,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
 
-    paths = {
-        name: os.path.join(out_dir, f"{name}.{ext}")
-        for name, ext in (
-            ("summary", "json"),
-            ("records", "csv"),
-            ("ratio_hist", "csv"),
-            ("manifest", "json"),
-        )
-    }
+    names = ("summary.json", "records.csv", "ratio_hist.csv", "manifest.json")
+    paths = {name.split(".")[0]: os.path.join(out_dir, name) for name in names}
     # everything needed to reproduce this run
     manifest = {
         "config": config_as_dict(cfg),
@@ -295,12 +288,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         _atomic_write(paths["records"], records_csv_text(records))
         _atomic_write(paths["ratio_hist"], ratio_hist_csv_text(records))
-        _atomic_write(
-            paths["summary"], json.dumps(_summary_json_obj(summary), indent=2) + "\n"
-        )
-        _atomic_write(
-            paths["manifest"], json.dumps(manifest, indent=2) + "\n"
-        )
+        _atomic_write(paths["summary"], json.dumps(_summary_json_obj(summary), indent=2) + "\n")
+        _atomic_write(paths["manifest"], json.dumps(manifest, indent=2) + "\n")
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_RUNTIME)
 
@@ -365,7 +354,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     try:
         crit = _build_criterion(args.criterion, args.cn)
         data, names = _read_dataset_csv(args.dataset)
-        result = select(data, crit, size_cap=args.size_cap)
+        result = select(data, crit, size_cap=args.size_cap, top=max(args.top, 1))
         chosen_fit = ols_fit(data, result.chosen)
     except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
@@ -376,8 +365,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     warnings = []
     if result.truncated_sse_count:
         warnings.append(
-            f"{result.truncated_sse_count} subsets had SSE at the floor "
-            f"(exact fits); their scores are saturated"
+            f"{result.truncated_sse_count} subsets met in the search had SSE at "
+            f"the floor (exact fits); their scores are saturated"
         )
     if result.skipped:
         reasons = {}
@@ -385,7 +374,7 @@ def cmd_select(args: argparse.Namespace) -> int:
             reasons.setdefault(reason, []).append(str(s))
         for reason, subs in reasons.items():
             shown = ", ".join(subs[:5]) + (", ..." if len(subs) > 5 else "")
-            warnings.append(f"{len(subs)} subsets skipped ({reason}): {shown}")
+            warnings.append(f"{len(subs)} subsets met in the search skipped ({reason}): {shown}")
 
     if args.json:
         obj = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +27,9 @@ _FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAXIT = 3000
 _QUANTILE_TOL = 1e-13
+# From this shape parameter on, lgamma differences are taken from Stirling's
+# series instead.
+_STIRLING_MIN = 100.0
 
 
 class RngStream:
@@ -113,26 +117,38 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """The regularized incomplete beta function I_x(a, b) for a, b > 0."""
+def regularized_incomplete_beta(a: float, b: float, x: float, y: Optional[float] = None) -> float:
+    """The regularized incomplete beta function I_x(a, b) for a, b > 0.
+
+    ``y = 1 - x``, if the caller knows it to more digits than ``1 - x`` has.
+    """
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    y = 1.0 - x if y is None else y
+    lo, hi = min(a, b), max(a, b)
+    if hi < _STIRLING_MIN:
+        ln_gamma = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        ln_front = ln_gamma + a * math.log(x) + b * math.log1p(-x)
+    else:
+        # lgamma(hi + lo) - lgamma(hi) from Stirling's series, without the
+        # cancellation of two values near hi log hi (DiDonato & Morris 1992);
+        # x^a y^b keeps the digits of y
+        w = 1.0 / (hi * (hi + lo))
+        ln_front = (
+            (hi - 0.5) * math.log1p(lo / hi) + lo * math.log(hi + lo) - lo - math.lgamma(lo)
+            - lo * w * (1.0 / 12.0 - (3.0 * hi * (hi + lo) + lo * lo) * w * w / 360.0)
+            + a * (math.log1p(-y) if y < 0.5 else math.log(x))
+            + b * (math.log1p(-x) if x < 0.5 else math.log(y))
+        )
     front = math.exp(ln_front)
     # evaluate the fraction on whichever side of the mean converges fast
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return 1.0 - front * _beta_cf(b, a, y) / b
 
 
 def _check_df(df: int) -> int:
@@ -153,7 +169,7 @@ def student_t_cdf(df: int, t: float) -> float:
 
 def _upper_tail(df: int, t: float) -> float:
     """P(T > |t|), without the cancellation of ``1 - cdf``."""
-    return 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
+    return 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t), t * t / (df + t * t))
 
 
 def _student_t_pdf(df: int, t: float) -> float:

@@ -113,9 +113,7 @@ def true_mean_response(x: QueryPoint, beta_star: np.ndarray) -> float:
     """The estimand ``x' beta_star``; zero coefficients drop out."""
     beta = np.asarray(beta_star, dtype=np.float64).reshape(-1)
     if beta.shape[0] != x.p:
-        raise ValueError(
-            f"query point has {x.p} components, beta_star has {beta.shape[0]}"
-        )
+        raise ValueError(f"query point has {x.p} components, beta_star has {beta.shape[0]}")
     return float(x.x @ beta)
 
 

@@ -17,8 +17,10 @@ import numpy as np
 
 from .errors import PostselectError
 
-# A subset's QR factor is rank deficient when its smallest diagonal pivot
-# falls below this fraction of the largest one.
+# A subset's QR factor is rank deficient when one of its diagonal entries,
+# the distance of a column from the span of the columns before it, is at
+# most this fraction of that column's norm.  The test does not depend on the
+# scale of the columns.
 RANK_RTOL = 1e-10
 
 
@@ -117,9 +119,7 @@ class Dataset:
         if abs(y_mean) > n * eps * y_scale:
             raise ValueError(f"y is not centered: mean(y)={y_mean:.3e}")
         if (col_means > n * eps * X_scale).any():
-            raise ValueError(
-                f"X columns are not centered: max |mean|={col_means.max():.3e}"
-            )
+            raise ValueError(f"X columns are not centered: max |mean|={col_means.max():.3e}")
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -203,8 +203,9 @@ def ols_fit_stack(datasets: Sequence[Dataset], s: Subset) -> list[SubsetFit]:
         If ``s`` leaves no residual degree of freedom (``n - |S| - 1 < 1``)
         or has an index beyond p.
     PostselectError
-        If the selected columns of a dataset are numerically collinear: the
-        smallest diagonal entry of R is below ``RANK_RTOL`` times the largest.
+        If the selected columns of a dataset are numerically collinear: a
+        diagonal entry of R is at most ``RANK_RTOL`` times the norm of its
+        column.
     """
     n, p = datasets[0].n, datasets[0].p
     df = n - s.size - 1
@@ -217,9 +218,8 @@ def ols_fit_stack(datasets: Sequence[Dataset], s: Subset) -> list[SubsetFit]:
     Xs = np.array([d.X for d in datasets])[:, :, s.positions]
     y = np.array([d.y for d in datasets])[:, :, None]
     q, r = np.linalg.qr(Xs)
-    for d in np.abs(r.diagonal(0, 1, 2)).tolist() if s.size else ():
-        if max(d) == 0.0 or min(d) < RANK_RTOL * max(d):
-            raise PostselectError(f"columns of subset {s} are numerically collinear")
+    if (np.abs(r.diagonal(0, 1, 2)) <= RANK_RTOL * np.hypot.reduce(r, axis=1)).any():
+        raise PostselectError(f"columns of subset {s} are numerically collinear")
     beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y)
     resid = (y - Xs @ beta)[:, :, 0]
     return [

@@ -2,11 +2,12 @@
 
 A sub-model S is scored by ``n * log(SSE(S)) + c_n * |S|`` with natural
 logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
-``c_n = log(n)``.  :func:`select_stack` minimizes the score by exhaustive
-enumeration for a stack of datasets of one shape: one stacked QR
-factorization of ``[X | y]``, then one sweep over the subset lattice
-(:func:`_lattice_sse`).  :func:`select` is a stack of one, and the
-simulation selects a block of replications at once.
+``c_n = log(n)``.  :func:`select_stack` finds the best-scoring subsets for
+a stack of datasets of one shape by an exact branch and bound over the
+column-dropping tree (Furnival & Wilson 1974; Hofmann, Gatu &
+Kontoghiorghes 2007): one stacked QR factorization of ``[X | y]``, then one
+batched Givens pass per tree level for the whole stack.  :func:`select` is
+a stack of one, and the simulation selects a block of replications at once.
 :func:`theorem_report` computes the
 quantities that link overfitting (choosing a strict superset of the true
 variables) to under-estimation of the error variance.
@@ -24,16 +25,20 @@ import numpy as np
 from .errors import PostselectError
 from .linalg import RANK_RTOL, Dataset, Subset, ols_fit
 
-# 2^20 subsets is the most the exhaustive enumerator will attempt.
+# 2^20 subsets is the most the exhaustive search will attempt.
 ENUMERATION_LIMIT = 20
 
 # SSE values below this floor are clamped before taking logs, so a perfect
 # fit scores a huge but finite negative value instead of -inf.
 SSE_FLOOR = 1e-300
 
-# The lattice sweep advances this many subsets per vectorized step, which
-# bounds the memory its states take, whatever the number of subsets.
-_SWEEP_CHUNK = 256
+# The search builds the children of about this many floats of R factors at
+# once, so its working memory does not grow with the number of subsets.
+_BATCH_FLOATS = 1 << 16
+
+# A subtree is pruned only when its bound exceeds the top-th best score by
+# more than this relative slack, so rounding never prunes a tie.
+_PRUNE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,267 +93,267 @@ class Criterion:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of exhaustive enumeration.
+    """Outcome of the search for one dataset.
 
     Subset S is the bitmask with bit ``i - 1`` set for each index ``i`` in S.
-
-    Attributes
-    ----------
-    truncated_sse_count : int
-        Number of subsets whose SSE fell below the log floor.
-    scores : ndarray, shape (2^p,)
-        Score of every subset by bitmask; ``inf`` for a subset that is rank
-        deficient or larger than ``max_size``.  Read-only.
-    max_size : int
-        Largest subset size scored: ``size_cap``, lowered to ``n - 2`` so
-        that every fit keeps a residual degree of freedom.
-    size_cap : int
-        Largest subset size requested (p when uncapped).
-
-    ``chosen``, ``gamma_values``, ``ties`` and ``skipped`` are derived from
-    ``scores`` on first access.
+    ``chosen`` minimizes the score, ties broken by smaller size and then
+    lexicographically smaller index list; the empty subset always has a
+    finite score (``Dataset`` bounds the data), so one exists.
+    ``truncated_sse_count`` counts the visited subsets whose SSE fell below
+    the log floor.  ``masks`` and ``scores`` (read-only) hold every visited
+    subset of at most ``size_cap`` variables and its score, ``inf`` if rank
+    deficient or larger than ``max_size`` (``size_cap`` lowered to ``n - 2``,
+    so that every fit keeps a residual degree of freedom), best first, ties
+    broken as for ``chosen``.  The search visits every subset among the
+    ``top`` best and every one that ties with the top-th, so ``ranked(k)`` is
+    exact for ``k <= top``; it may prune the others unseen.
     """
 
+    chosen: Subset
     truncated_sse_count: int
+    masks: np.ndarray = field(repr=False, compare=False)
     scores: np.ndarray = field(repr=False, compare=False)
     max_size: int
     size_cap: int
+    top: int
 
     @cached_property
     def gamma_values(self) -> dict[Subset, float]:
-        """Score of every feasible enumerated subset, by size then index list."""
-        masks = _tiebreak_order(np.flatnonzero(np.isfinite(self.scores)), self._p)
-        return {_subset(m): float(self.scores[m]) for m in masks.tolist()}
-
-    @cached_property
-    def chosen(self) -> Subset:
-        """The score minimizer, with ties broken by smaller size and then
-        lexicographically smaller index list.  The empty subset always has a
-        finite score (``Dataset`` bounds the data), so one exists."""
-        return self.ties[0]
+        """Score of every visited subset with a finite score, by size then
+        index list."""
+        finite = np.isfinite(self.scores)
+        items = zip(map(_subset, self.masks[finite].tolist()), self.scores[finite].tolist())
+        return dict(sorted(items, key=lambda item: (item[0].size, item[0].indices)))
 
     @cached_property
     def ties(self) -> tuple[Subset, ...]:
         """All subsets attaining the minimal score, in tie-break order."""
-        best = np.flatnonzero(self.scores == self.scores.min())
-        return tuple(_subset(m) for m in _tiebreak_order(best, self._p).tolist())
+        count = np.searchsorted(self.scores, self.scores[0], side="right")
+        return tuple(_subset(m) for m in self.masks[:count].tolist())
 
     @cached_property
     def skipped(self) -> tuple[tuple[Subset, str], ...]:
-        """Subsets excluded from the enumeration, with reasons."""
-        sizes = _subset_sizes(self._p)
-        too_big = np.flatnonzero((sizes > self.max_size) & (sizes <= self.size_cap))
-        deficient = np.flatnonzero(np.isinf(self.scores) & (sizes <= self.max_size))
-        return tuple(
-            (_subset(m), reason)
-            for group, reason in (
-                (too_big, "insufficient degrees of freedom"),
-                (deficient, "rank deficient"),
-            )
-            for m in _tiebreak_order(group, self._p).tolist()
-        )
+        """Visited subsets without a score, with reasons: those larger than
+        ``max_size``, then the rank-deficient ones, by size then index list."""
+        subsets = [_subset(m) for m in self.masks[np.isinf(self.scores)].tolist()]
+        big = [(s, "insufficient degrees of freedom") for s in subsets if s.size > self.max_size]
+        return (*big, *((s, "rank deficient") for s in subsets if s.size <= self.max_size))
 
-    def ranked(self, top: int) -> list[tuple[Subset, float]]:
-        """The ``top`` best-scoring subsets and their scores, ties broken as
-        for ``chosen``; only these become ``Subset`` objects."""
-        k = min(top, self.scores.size) - 1
-        cutoff = np.partition(self.scores, k)[k]  # the top-th score
-        masks = np.flatnonzero(np.isfinite(self.scores) & (self.scores <= cutoff))
-        order = _tiebreak_order(masks, self._p, self.scores[masks])[:top]
-        return [(_subset(m), float(self.scores[m])) for m in order.tolist()]
-
-    @property
-    def _p(self) -> int:
-        return self.scores.size.bit_length() - 1
+    def ranked(self, k: int) -> list[tuple[Subset, float]]:
+        """The ``k`` best-scoring subsets and their scores, ties broken as
+        for ``chosen``; ``ValueError`` if ``k`` exceeds ``top``."""
+        if k > self.top:
+            raise ValueError(f"ranked({k}) needs a search for the top {k}, not {self.top}")
+        count = min(k, np.searchsorted(self.scores, np.inf))
+        return list(zip(map(_subset, self.masks[:count].tolist()), self.scores[:count].tolist()))
 
 
 def _subset(mask: int) -> Subset:
     return Subset(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 
-@cache
-def _subset_sizes(p: int) -> np.ndarray:
-    """Number of indices in each of the 2^p bitmasks; shared and read-only."""
-    sizes = np.zeros(1 << p, dtype=np.uint8)
-    for i in range(p):
-        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    sizes.setflags(write=False)
-    return sizes
+# row and column indices of the upper triangle of an s x s matrix
+_upper = cache(np.triu_indices)
 
 
-def _tiebreak_order(masks: np.ndarray, p: int, *keys: np.ndarray) -> np.ndarray:
-    """Sort masks by ``keys`` in order, then by size, then by index list.
+def _drop_column(r: np.ndarray, parent: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """R factors of ``[X_S | y]``, shape ``(s + 1, s + 1)``, with column
+    ``j[c]`` of ``r[parent[c]]`` deleted, for ascending ``j``.
 
-    Among subsets of one size, a lexicographically smaller index list is a
-    larger bitmask once the bits are reversed.
+    The later columns shift left in place, and Givens rotations of rows
+    ``i, i + 1`` for ``i >= j`` re-triangularize the Hessenberg remainder,
+    ``O(s^2)`` work per child.  The children with ``j == i`` and with
+    ``j <= i`` are slices.  The result, ``(m, s + 1, s)``, has a zero last
+    row.  Its entry ``[s - 1, s - 1]`` is the hypot of the parent's ``[s, s]``
+    and another term, so no child's SSE is below its parent's, in floating
+    point too.
     """
-    if masks.size < 2:
-        return masks
-    reversed_bits = np.zeros_like(masks)
-    for i in range(p):
-        reversed_bits |= ((masks >> i) & 1) << (p - 1 - i)
-    sizes = _subset_sizes(p)[masks]
-    return masks[np.lexsort((-reversed_bits, sizes, *reversed(keys)))]
+    s = r.shape[1] - 1
+    h = r[parent]
+    counts = [0, *np.searchsorted(j, np.arange(s), "right").tolist()]
+    for i in range(int(j[0]), s):
+        h[counts[i] : counts[i + 1], :, i:s] = h[counts[i] : counts[i + 1], :, i + 1 :]
+        rows = h[: counts[i + 1], i : i + 2, i:s]
+        a, b = rows[:, 0, :1], rows[:, 1, :1]
+        rad = np.hypot(a, b)
+        if rad.all():
+            cos, sin = a / rad, b / rad
+        else:  # a zero column needs no rotation
+            cos = np.divide(a, rad, out=np.ones_like(rad), where=rad > 0.0)
+            sin = np.divide(b, rad, out=np.zeros_like(rad), where=rad > 0.0)
+        x, y = rows[:, 0, 1:], rows[:, 1, 1:]
+        upper = cos * x + sin * y
+        y *= cos
+        y -= sin * x
+        x[...], a[...], b[...] = upper, rad, 0.0
+    return h[:, :, :s]
 
 
-def _lattice_sse(datasets: Sequence[Dataset], max_size: int) -> np.ndarray:
-    """SSE of every subset of at most ``max_size`` columns: shape (B, 2^p),
-    one row per dataset, indexed by bitmask.
+def _batches(chunks: list, size: int):
+    """Yield the nodes of the chunks in slices of at most ``size``, releasing each chunk."""
+    while chunks:
+        r, meta = chunks.pop()
+        for first in range(0, len(r), size):
+            yield r[first : first + size], meta[first : first + size]
 
-    One stacked ``np.linalg.qr`` factors ``[X | y] = Q R`` for each dataset;
-    its R factors equal those of separate calls.  The leading p x p block
-    ``R0`` of R, the column ``u = Q0' y`` above ``R[p, p]`` and the full
-    model's ``sse_full = R[p, p]^2`` reduce every subset S to p dimensions:
-    with ``P_S`` the projection onto the columns of ``R0`` in S, ``SSE(S) =
-    sse_full + ||u - P_S u||^2``, read from a residual, not as a difference
-    of large sums of squares.
 
-    The sweep walks the subset lattice as a tree: a subset's children add one
-    index larger than its largest.  A subset's state is the residual of every
-    larger column of ``[R0 | u]`` after projecting out its own columns, so a
-    child orthogonalizes one column against its parent's state (modified
-    Gram-Schmidt) and reads ``SSE = sse_full + ||residual of u||^2``.
-
-    The B datasets share the sweep.  A state carries the flat index
-    ``b * 2^p + mask`` of its SSE, and every step is arithmetic on each state
-    alone, so a row does not depend on the other datasets.  States wait in
-    one pool per largest index and advance ``_SWEEP_CHUNK`` at a time.  The
-    deepest pool holding a full chunk goes first, else the shallowest
-    non-empty one, so no pool grows past twice the chunk, and a step builds
-    only the columns each child keeps: memory stays near ``_SWEEP_CHUNK *
-    p^3`` floats whatever B and 2^p are.
-
-    A subset is rank deficient when its smallest pivot (the norm of a column
-    as it is orthogonalized) is below ``RANK_RTOL`` times its largest.  Its
-    pivots lead those of every subset below it in the tree, which is
-    therefore rank deficient too and is not visited.  Such subsets, and those
-    larger than ``max_size``, keep SSE ``inf``.
-    """
-    b, p = len(datasets), datasets[0].p
-    r = np.linalg.qr(np.stack([np.column_stack([d.X, d.y]) for d in datasets]), mode="r")
-    # Python's float power (libm pow), not numpy's x * x: they differ in the
-    # last bit for about one value in a thousand, and the pinned seed-42
-    # records were computed with pow
-    sse_full = np.array([float(d) ** 2 for d in r[:, p, p]])
-    sse = np.full((b, 1 << p), np.inf)
-    # one dot product per dataset on R's strided column: a contiguous copy or
-    # an einsum would round differently from a one-dataset sweep
-    sse[:, 0] = [full + float(u @ u) for full, u in zip(sse_full, r[:, :p, p])]
-    bits = np.left_shift(1, np.arange(p), dtype=np.intp)
-    # pools[k]: blocks of states whose largest column (0-based) is k - 1, each a
-    # tuple (flat indices, sizes, state, smallest pivot, largest pivot).  A
-    # state has shape (p, p - k + 1): the residuals of columns k..p-1 and of u.
-    pools: list[list[tuple]] = [[] for _ in range(p)]
-    counts = [0] * p
-    if max_size > 0:
-        root = r[:, :p].copy()  # [R0 | u]
-        index = np.arange(b, dtype=np.intp) << p
-        sizes = np.zeros(b, np.intp)
-        pools[0].append((index, sizes, root, np.full(b, np.inf), np.zeros(b)))
-        counts[0] = b
-    while any(counts):
-        full = [k for k in range(p) if counts[k] >= _SWEEP_CHUNK]
-        k = full[-1] if full else next(k for k in range(p) if counts[k])
-        blocks, pools[k], counts[k] = pools[k], [], 0
-        if len(blocks) == 1:
-            block = blocks[0]
-        else:
-            block = tuple(map(np.concatenate, zip(*blocks)))
-        if block[0].size > _SWEEP_CHUNK:
-            pools[k] = [tuple(x[_SWEEP_CHUNK:] for x in block)]
-            counts[k] = block[0].size - _SWEEP_CHUNK
-            block = tuple(x[:_SWEEP_CHUNK] for x in block)
-        index, sizes, state, lo, hi = block
-
-        # child c adds index k + c; its state drops columns 0..c of the parent's
-        cols = state[:, :, :-1]
-        pivots = np.sqrt(np.einsum("mpc,mpc->mc", cols, cols))
-        q = cols / np.where(pivots > 0.0, pivots, 1.0)[:, None, :]
-        coef = np.matmul(q.transpose(0, 2, 1), state[:, :, 1:])
-        resid_u = state[:, :, -1:] - q * coef[:, None, :, -1]
-        child_sse = sse_full[index >> p, None] + np.einsum(
-            "mpc,mpc->mc", resid_u, resid_u
-        )
-        child_lo = np.minimum(lo[:, None], pivots)
-        child_hi = np.maximum(hi[:, None], pivots)
-        ok = (child_hi > 0.0) & (child_lo >= RANK_RTOL * child_hi)
-        child_index = index[:, None] | bits[k:]
-        sse.reshape(-1)[child_index[ok]] = child_sse[ok]
-
-        child_sizes = sizes + 1
-        ok &= (child_sizes < max_size)[:, None]  # only these have children
-        all_ok = ok.all()
-        for c in range(cols.shape[2] - 1):  # index p - 1 has no children
-            block = (
-                child_index[:, c],
-                child_sizes,
-                state[:, :, c + 1 :] - q[:, :, c, None] * coef[:, None, c, c:],
-                child_lo[:, c],
-                child_hi[:, c],
-            )
-            if not all_ok:
-                block = tuple(x[ok[:, c]] for x in block)
-            if block[0].size:
-                pools[k + c + 1].append(block)
-                counts[k + c + 1] += block[0].size
-    return sse
+def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
+    """The ``top``-th smallest score of each of b owners (``inf`` for one
+    with fewer), and the finite scores at most their owner's."""
+    if top == 1:
+        cut = np.full(b, np.inf)
+        np.minimum.at(cut, owner, scores)
+        return cut, np.flatnonzero(scores <= np.minimum(cut[owner], np.finfo(np.float64).max))
+    order = np.lexsort((scores, owner))
+    owner, scores = owner[order], scores[order]
+    kth = np.searchsorted(owner, np.arange(b)) + (top - 1)
+    stop = np.searchsorted(owner, np.arange(b), "right")
+    cut = np.where(kth < stop, scores[np.minimum(kth, scores.size - 1)], np.inf)
+    return cut, order[scores <= np.minimum(cut[owner], np.finfo(np.float64).max)]
 
 
 def select_stack(
-    datasets: Sequence[Dataset], crit: Criterion, size_cap: Optional[int] = None
+    datasets: Sequence[Dataset], crit: Criterion, size_cap: Optional[int] = None, top: int = 1
 ) -> list[SelectionResult]:
-    """Choose, for each dataset of one shape, the subset minimizing the
-    selection score over all sub-models.
+    """Find, for each dataset of one shape, the ``top`` subsets of at most
+    ``size_cap`` variables with the smallest selection scores.
 
-    One stacked QR factorization of ``[X | y]`` reduces every subset to p
-    dimensions, and one sweep over the subset lattice scores each subset of
-    at most ``size_cap`` variables from its parent's state
-    (:func:`_lattice_sse`), reading its SSE from a residual, so a small SSE
-    keeps its digits at a high signal-to-noise ratio.
-    Subsets whose columns are numerically collinear, or that would leave no
-    residual degree of freedom, are skipped and recorded.  An SSE within
-    rounding error of zero (``(n eps)^2 ||y||^2``) counts as an exact fit.
-    A dataset's result does not depend on the others in the stack.
+    An exact branch and bound over the column-dropping tree.  A node (S, k)
+    holds the R factor of ``[X_S | y]``, whose last diagonal entry squared is
+    SSE(S), read from a residual, so it keeps its digits at a high
+    signal-to-noise ratio.  Its children drop the column at one position
+    ``j >= k`` of S and become (S minus it, j) (:func:`_drop_column`).  Every
+    subset below (S, k) has a larger SSE and at least k variables, so it
+    scores at least ``n log SSE(S) + c_n k``; a subtree is pruned when that
+    bound exceeds the top-th best score so far by more than a relative
+    1e-12, so no tie is pruned.  The columns are preordered by full-model
+    |t| (``t_j^2`` is proportional to the SSE gained by dropping column j),
+    and one stacked QR of the permuted ``[X | y]`` scores the p + 1 nested
+    prefixes, which seed the bound.  The search goes one subset size at a
+    time through the live nodes of all datasets in bounded batches, pruning
+    by the scores of the sizes before, so what a dataset visits does not
+    depend on the rest of the stack.
 
-    Raises
-    ------
-    ValueError
-        If ``p`` exceeds ``ENUMERATION_LIMIT`` (20) or ``size_cap`` is
-        negative.
+    A node is rank deficient when a diagonal entry of its R is at most
+    ``RANK_RTOL`` times its column's norm; it scores ``inf`` but keeps its
+    children.  So does a subset that would leave no residual degree of
+    freedom.  An SSE at most ``(n eps)^2 ||y||^2`` is rounding error, an
+    exact fit scored at the floor; no subset has one unless the full model,
+    whose SSE is the smallest, does.  ``ValueError`` if ``p`` exceeds
+    ``ENUMERATION_LIMIT`` (20), ``size_cap`` is negative or ``top`` is below 1.
     """
-    n, p = datasets[0].n, datasets[0].p
+    n, p, b = datasets[0].n, datasets[0].p, len(datasets)
     if p > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}"
-        )
+        raise ValueError(f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}")
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be nonnegative, got {size_cap}")
-
+    if top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     requested_max = p if size_cap is None else min(p, size_cap)
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
+    c_n = crit.c_n(n)
+    everyone = np.arange(b)
 
-    sse = _lattice_sse(datasets, max_size)
-    sse[sse <= (n * np.finfo(np.float64).eps) ** 2 * sse[:, :1]] = 0.0
-    truncated = np.count_nonzero(sse < SSE_FLOOR, axis=1)
-    scores = np.maximum(sse, SSE_FLOOR, out=sse)
-    np.log(scores, out=scores)
-    scores *= n
-    scores += (crit.c_n(n) * np.arange(p + 1))[_subset_sizes(p)]
+    xy = np.empty((b, n, p + 1))
+    xy[:, :, :p], xy[:, :, p] = [d.X for d in datasets], [d.y for d in datasets]
+    r = np.linalg.qr(xy, mode="r")
+    drop_one = _drop_column(r, np.tile(everyone, p), np.repeat(np.arange(p), b))[:, p - 1, p - 1]
+    perm = np.full((b, p + 1), p)
+    perm[:, :p] = np.argsort(-drop_one.reshape(p, b).T, axis=1, kind="stable")
+    r = np.linalg.qr(np.take_along_axis(r, perm[:, None, :], 2), mode="r")
+    # each preorder position's bit in a bitmask and in its bit reversal
+    bits, reversed_bits = np.left_shift(1, perm[:, :p]), np.left_shift(1, p - 1 - perm[:, :p])
+    collinear = RANK_RTOL * np.hypot.reduce(r[:, :, :p], axis=1)  # per column
+    # the first m columns of the preorder leave the residual of rows m..p of y
+    resid = np.hypot.accumulate(np.abs(r[:, ::-1, p]), axis=1)[:, ::-1]
+    exact_fit = (n * np.finfo(np.float64).eps) ** 2 * resid[:, :1] ** 2
+    at_floor = ((resid[:, p:] ** 2 <= exact_fit) | (resid[:, p:] ** 2 < SSE_FLOOR)).any()
+
+    def score(exact_fit, sse, size, deficient):
+        """Log term, score and whether the SSE is at the floor."""
+        scored = ~deficient & (size <= max_size)
+        floored = np.zeros_like(scored)
+        if at_floor:
+            sse = np.where(sse > exact_fit, sse, 0.0)
+            floored = scored & (sse < SSE_FLOOR)
+            sse = np.maximum(sse, SSE_FLOOR)
+        log_term = n * np.log(sse)
+        return log_term, np.where(scored, log_term + c_n * size, np.inf), floored
+
+    # the seeds; a visited subset is (dataset, bitmask, reversed bitmask,
+    # size, score, floored)
+    sizes = np.arange(requested_max + 1)
+    deficient = np.zeros((b, p + 1), bool)
+    deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
+    _, scores, floored = score(exact_fit, resid[:, sizes] ** 2, sizes, deficient[:, sizes])
+    prefix = np.zeros((2, b, p + 1), bits.dtype)
+    prefix[:, :, 1:] = bits.cumsum(1), reversed_bits.cumsum(1)
+    owner = np.repeat(everyone, sizes.size)
+    masks = prefix[:, :, sizes].reshape(2, -1)
+    records = [(owner, *masks, np.tile(sizes, b), scores.ravel(), floored.ravel())]
+    cut, kept = _kth_best(owner, scores.ravel(), b, top)
+    candidates = (owner[kept], scores.ravel()[kept])
+
+    # a node is the upper triangle of its R factor, row by row, and its
+    # columns' preorder positions, dataset, k, bitmask and reversed bitmask
+    meta = np.empty((b, p + 4), np.intp)
+    meta[:, :p], meta[:, p], meta[:, p + 1] = np.arange(p), everyone, 0
+    meta[:, p + 2 :] = prefix[:, :, p].T
+    frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta)]
+    for s in range(p, 0, -1):
+        size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
+        level, chunks, frontier = [], frontier, []
+        for packed, meta in _batches(chunks, max(1, _BATCH_FLOATS // (s * s * (s + 1)))):
+            j, parent = np.nonzero(np.arange(s)[:, None] >= meta[:, s + 1])
+            node_r = np.zeros((len(packed), s + 1, s + 1))
+            node_r[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed
+            h = _drop_column(node_r, parent, j)
+            keep = np.arange(s + 3)
+            child = meta[parent[:, None], keep + (keep >= j[:, None])]
+            owner, dropped = child[:, size], meta[parent, j]
+            child[:, s] = j
+            child[:, s + 1] ^= bits[owner, dropped]
+            child[:, s + 2] ^= reversed_bits[owner, dropped]
+            d = np.abs(h.diagonal(0, 1, 2))
+            deficient = (d[:, :size] <= collinear[owner[:, None], child[:, :size]]).any(1)
+            log_term, scores, floored = score(exact_fit[owner, 0], d[:, size] ** 2, size, deficient)
+            if size <= requested_max:  # a prefix, with last position size - 1, was a seed
+                new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
+                rec = (owner, *child[:, s + 1 :].T, np.full(j.size, size), scores, floored)
+                level.append(tuple(x[new] for x in rec))
+            live = (j < min(size, max_size + 1)) & (log_term + c_n * j <= limit[owner])
+            if live.any():
+                frontier.append((h[live][:, _upper(s)[0], _upper(s)[1]], child[live]))
+        if level:
+            records += level
+            owner = np.concatenate([candidates[0], *(rec[0] for rec in level)])
+            scores = np.concatenate([candidates[1], *(rec[4] for rec in level)])
+            cut, kept = _kth_best(owner, scores, b, top)
+            candidates = (owner[kept], scores[kept])
+        if not frontier:
+            break
+
+    owner, masks, reversed_masks, sizes, scores, floored = map(np.concatenate, zip(*records))
+    ranking = np.lexsort((-reversed_masks, sizes, scores, owner))
+    owner, masks, scores = owner[ranking], masks[ranking], scores[ranking]
+    masks.setflags(write=False)
     scores.setflags(write=False)
+    bounds = np.searchsorted(owner, np.arange(b + 1)).tolist()
+    truncated = np.bincount(owner[floored[ranking]], minlength=b).tolist()
     return [
-        SelectionResult(int(count), row, max_size, requested_max)
-        for row, count in zip(scores, truncated)
+        SelectionResult(
+            _subset(int(masks[start])), count, masks[start:stop], scores[start:stop],
+            max_size, requested_max, top,
+        )
+        for start, stop, count in zip(bounds[:-1], bounds[1:], truncated)
     ]
 
 
 def select(
-    data: Dataset,
-    crit: Criterion,
-    size_cap: Optional[int] = None,
+    data: Dataset, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
 ) -> SelectionResult:
-    """Choose the subset minimizing the selection score over all sub-models:
-    :func:`select_stack` on one dataset."""
-    return select_stack([data], crit, size_cap)[0]
+    """:func:`select_stack` on one dataset."""
+    return select_stack([data], crit, size_cap, top)[0]
 
 
 class ConditionDiagnostics(NamedTuple):
@@ -374,9 +379,7 @@ def overfit_condition(
     if not 0.0 <= c_n < math.inf:
         raise ValueError(f"c_n must be finite and nonnegative, got {c_n}")
     if size_hat <= size_star:
-        raise ValueError(
-            f"need size_hat > size_star, got {size_hat} <= {size_star}"
-        )
+        raise ValueError(f"need size_hat > size_star, got {size_hat} <= {size_star}")
     if size_star < 0 or n - size_hat - 1 < 1:
         raise ValueError(
             f"sizes leave no residual degrees of freedom: n={n}, "

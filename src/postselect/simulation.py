@@ -30,7 +30,7 @@ from .linalg import Dataset, Subset, ols_fit_stack
 from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack
 
 # Replications per block, which share one call of select_stack.
-_BLOCK_REPS = 16
+_BLOCK_REPS = 32
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,7 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1, got {self.alpha}")
         beta = tuple(float(b) for b in self.beta_star)
         if len(beta) != self.p:
-            raise ValueError(
-                f"beta_star has length {len(beta)} but p={self.p}"
-            )
+            raise ValueError(f"beta_star has length {len(beta)} but p={self.p}")
         if not all(map(math.isfinite, beta)):
             raise ValueError(f"beta_star must be finite, got {beta}")
         object.__setattr__(self, "beta_star", beta)
@@ -180,12 +178,7 @@ def _replication_block(
     """Replications ``start..stop-1``, drawn, selected and fitted as stacks."""
     gens = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(start, stop)])
     datasets = [gen.data for gen in gens]
-    # keep only what the fits need: holding the block's score array through
-    # them raised the reference study's peak RSS by 0.4 MB
-    selected = [
-        (result.chosen, result.truncated_sse_count)
-        for result in select_stack(datasets, cfg.criterion)
-    ]
+    selected = [(r.chosen, r.truncated_sse_count) for r in select_stack(datasets, cfg.criterion)]
     groups: dict[Subset, list[int]] = {}
     for j, (s_hat, floored) in enumerate(selected):
         if not floored:  # a floored replication fails before its selected fit

@@ -5,6 +5,7 @@ failure output).  The Monte Carlo tolerances cover sampling error at the
 pinned seed; the property sweeps are exact (zero violations allowed).
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -15,6 +16,7 @@ from postselect import (
     ExperimentConfig,
     Subset,
     ols_fit,
+    overfit_condition,
     select,
     student_t_cdf,
     student_t_quantile,
@@ -81,6 +83,28 @@ def test_criterion_2_ratio_and_containment(default_run):
         f"mean sigma ratio over strict overfits={summary.mean_ratio_overfit:.4f} "
         f"in [1.04, 1.08]; containment_rate={summary.containment_rate:.4f} >= 0.99",
     )
+
+
+def test_paper_mechanism_bounds_every_ratio(default_run):
+    # S_hat beats S*, so SSE(S_hat) / SSE(S*) <= exp(-c_n (|S_hat| - |S*|) / n),
+    # and every strict overfit has ratio >= sqrt(exp(a_n d_n) (1 - d_n)); the
+    # overfit condition holds exactly when that bound exceeds 1.  Selection
+    # and the fits compute SSE differently, so 1e-12 relative is allowed.  A
+    # search that missed the minimizer would break the bound.
+    _, records = default_run
+    cfg = ExperimentConfig(seed=ACCEPT_SEED)
+    slack, overfits = math.inf, 0
+    for rec in records:
+        if not rec.strict_overfit:
+            continue
+        overfits += 1
+        diag = overfit_condition(cfg.n, cfg.s_star.size, rec.s_hat.size, cfg.criterion.c_n(cfg.n))
+        bound = math.sqrt(math.exp(diag.a_n * diag.d_n) * (1.0 - diag.d_n))
+        assert rec.ratio >= bound * (1.0 - 1e-12), (rec.rep_index, rec.ratio, bound)
+        assert rec.condition_holds == (bound > 1.0), rec.rep_index
+        slack = min(slack, rec.ratio / bound - 1.0)
+    assert overfits == 749
+    print(f"\nsmallest slack ratio/bound - 1 over {overfits} strict overfits: {slack:.2g}")
 
 
 def test_regression_anchor(default_run):

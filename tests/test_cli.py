@@ -260,6 +260,21 @@ class TestSelectCommand:
         assert out.count("gamma=") == 3
         assert "criterion: bic" in out
 
+    @pytest.mark.parametrize("top", [1, 25])
+    def test_top_table_matches_brute_force(self, capsys, tmp_path, top):
+        # --top sets how many subsets the search keeps exact, so the table is
+        # the brute force's ranking, ties broken by size then index list
+        path = tmp_path / "data.csv"
+        gen = write_fixture_csv(path, seed=3)
+        code, out, _ = run_cli(capsys, "select", str(path), "--json", "--top", str(top))
+        assert code == 0
+        table = json.loads(out)["gamma_table"]
+        _, bf = brute_force_select(gen.data, ExperimentConfig().criterion)
+        ranked = sorted(bf, key=lambda s: (bf[s], s.size, s.indices))[:top]
+        assert [tuple(row["subset"]) for row in table] == [s.indices for s in ranked]
+        for row, s in zip(table, ranked):
+            assert row["gamma"] == pytest.approx(bf[s], rel=1e-10)
+
 
 class TestSimulateCommand:
     def test_small_run_writes_all_outputs(self, capsys, tmp_path):

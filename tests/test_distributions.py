@@ -24,6 +24,28 @@ from oracles import (
 )
 
 
+# Student-t quantiles q with P(T > q) = 1 - (1 - 10^-k), k = 4..14, from
+# scipy.stats.t.isf (scipy 1.17); mpmath's betainc at 40 digits puts their
+# tails within 1e-14 of the target.
+LARGE_DF_QUANTILES = {
+    10**4: [
+        3.7203958691176684, 4.266937665767679, 4.756229685050958, 5.202983638365324,
+        5.616563428045506, 6.003355452553619, 6.3679413387372295, 6.713737739384998,
+        7.0433746983484715, 7.358871684696792, 7.662132224557133,
+    ],
+    10**5: [
+        3.7191543826413724, 4.265095403182341, 4.753704716385476, 5.199701988462917,
+        5.6124571740122216, 5.998361466274278, 6.362000407133168, 6.706793921326257,
+        7.035374828293038, 7.34976518936207, 7.65186973966039,
+    ],
+    10**6: [
+        3.719030274762571, 4.264911254070676, 4.7534523482738695, 5.199374020914423,
+        5.612046833499978, 5.997862460304971, 6.36140683616972, 6.7061002143939,
+        7.034575693273216, 7.348855594561493, 7.650844775643626,
+    ],
+}
+
+
 class TestRngStream:
     def test_same_seed_same_substream_bitwise_identical(self):
         a = RngStream(seed=99, substream=3).standard_normal(1000)
@@ -186,6 +208,23 @@ class TestStudentTQuantile:
         assert student_t_quantile(2, prob) == pytest.approx(t2_quantile(prob), rel=1e-11)
         cauchy = 1.0 / math.tan(math.pi * (1.0 - prob))
         assert student_t_quantile(1, prob) == pytest.approx(cauchy, rel=1e-11)
+
+    @pytest.mark.parametrize("df", sorted(LARGE_DF_QUANTILES))
+    def test_tail_near_one_at_large_df(self, df):
+        # at df = 10^6, lgamma(a + 1/2) - lgamma(a) cancels near 6e6 and
+        # a log(x) amplifies the rounding of x by a = df / 2; both are avoided,
+        # so the quantile's tail is exact to the 1e-11 it is solved to.  To
+        # first order its tail error is pdf(q_ref) |q - q_ref|.
+        for k, q_ref in enumerate(LARGE_DF_QUANTILES[df], start=4):
+            prob = 1.0 - 10.0**-k
+            tail = 1.0 - prob
+            assert student_t_cdf(df, -q_ref) == pytest.approx(tail, rel=2e-11)
+            log_pdf = (
+                math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+                - (df + 1) / 2 * math.log1p(q_ref * q_ref / df)
+            )
+            q = student_t_quantile(df, prob)
+            assert math.exp(log_pdf) * abs(q - q_ref) <= 1e-11 * tail, (k, q, q_ref)
 
     def test_quantile_at_one_minus_1e15(self):
         assert student_t_quantile(46, 1.0 - 1e-15) == pytest.approx(11.7314916, rel=1e-8)

@@ -77,7 +77,7 @@ class TestDataset:
             Dataset(y=y, X=X)
 
     def test_magnitude_bound_keeps_every_sse_finite(self, rng):
-        # every value at the bound: no sum of squares in the QR or the sweep
+        # every value at the bound: no sum of squares in the QR or the search
         # overflows (an overflow would warn, and pytest makes that an error)
         n = 20
         bound = np.sqrt(np.finfo(np.float64).max / (4 * n))
@@ -85,8 +85,8 @@ class TestDataset:
         x = rng.standard_normal((n, 3))
         x -= x.mean(axis=0)
         x *= bound / np.abs(x).max()
-        result = select(Dataset(y=y, X=x), AIC)
-        assert np.all(np.isfinite(result.scores))
+        result = select(Dataset(y=y, X=x), AIC, top=2**3)
+        assert result.scores.size == 2**3 and np.all(np.isfinite(result.scores))
         above = np.nextafter(bound, np.inf)
         with pytest.raises(ValueError, match="magnitude"):
             Dataset(y=above * np.resize([1.0, -1.0], n), X=x)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from postselect.errors import PostselectError
 from postselect.selection import SSE_FLOOR
 
 from oracles import (
+    TIE_RTOL,
     ar1_rows_cholesky,
     brute_force_select,
     preference_check,
@@ -65,40 +67,70 @@ def _orthogonal_dataset(n: int, p: int, sse: float, seed: int = 0) -> Dataset:
     return Dataset(y=y * (math.sqrt(sse) / np.linalg.norm(y)), X=x)
 
 
+def _extreme_dataset(
+    seed: int, p: int, extra: int, log_sigma: float, log_scales: list[float],
+    rho: float, duplicate: bool,
+) -> tuple[Dataset, Dataset]:
+    """n = p + extra rows, noise 10^log_sigma, AR(1) correlation rho and, when
+    ``duplicate`` (and p > 1), a last column that copies the first; returned
+    with column j scaled by 10^log_scales[j], and unscaled."""
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    data = random_centered_dataset(rng, n, p, sigma=10.0**log_sigma, beta=np.ones(p), rho=rho)
+    x = data.X.copy()
+    if duplicate and p > 1:
+        x[:, -1] = x[:, 0]
+    unscaled = centered_dataset(data.y, x)[0]
+    return centered_dataset(data.y, x * 10.0 ** np.array(log_scales[:p]))[0], unscaled
+
+
+def _exhaustive(data: Dataset, crit: Criterion, **kwargs):
+    """``select`` asked for every subset, so that it prunes nothing."""
+    return select(data, crit, top=2**data.p, **kwargs)
+
+
+def _table(result) -> dict[int, float]:
+    """Score of every visited subset, by bitmask."""
+    return dict(zip(result.masks.tolist(), result.scores.tolist()))
+
+
 class TestGamma:
-    """The score ``n log(max(SSE, floor)) + c_n |S|``, read from select's array."""
+    """The score ``n log(max(SSE, floor)) + c_n |S|`` of every subset."""
 
     def test_unit_sse_counts_only_penalty(self):
-        scores = select(_orthogonal_dataset(50, 3, 1.0), AIC).scores
-        sizes = [bin(mask).count("1") for mask in range(8)]
-        assert scores == pytest.approx([2.0 * size for size in sizes], abs=1e-12)
+        table = _table(_exhaustive(_orthogonal_dataset(50, 3, 1.0), AIC))
+        assert sorted(table) == list(range(8))
+        for mask, g in table.items():
+            assert g == pytest.approx(2.0 * bin(mask).count("1"), abs=1e-12)
 
     def test_euler_sse_adds_n(self):
-        scores = select(_orthogonal_dataset(50, 3, math.e), AIC).scores
-        assert scores[0b111] == pytest.approx(56.0, abs=1e-10)
+        table = _table(_exhaustive(_orthogonal_dataset(50, 3, math.e), AIC))
+        assert table[0b111] == pytest.approx(56.0, abs=1e-10)
 
     def test_bic_penalty(self):
-        scores = select(_orthogonal_dataset(50, 3, 1.0), BIC).scores
-        assert scores[0b111] == pytest.approx(3 * math.log(50), abs=1e-10)
+        table = _table(_exhaustive(_orthogonal_dataset(50, 3, 1.0), BIC))
+        assert table[0b111] == pytest.approx(3 * math.log(50), abs=1e-10)
 
     def test_nonpositive_sse(self, rng):
         # y = x1 exactly: every subset holding column 1 has a zero SSE, which
         # scores at the floor instead of as log(0) = -inf
         x = rng.standard_normal((30, 3))
         x -= x.mean(axis=0)
-        result = select(Dataset(y=x[:, 0], X=x), AIC)
+        result = _exhaustive(Dataset(y=x[:, 0], X=x), AIC)
         assert result.truncated_sse_count == 4
+        table = _table(result)
         for mask in (0b001, 0b011, 0b101, 0b111):
             expected = 30 * math.log(SSE_FLOOR) + 2.0 * bin(mask).count("1")
-            assert result.scores[mask] == pytest.approx(expected, rel=1e-15)
-        assert np.all(np.isfinite(result.scores))
+            assert table[mask] == pytest.approx(expected, rel=1e-15)
+        assert len(table) == 8 and np.all(np.isfinite(result.scores))
 
     def test_tiny_sse_clamped_to_floor(self):
         # SSE = 1e-310 > 0 below the floor scores exactly as a zero SSE does
         data = _orthogonal_dataset(50, 3, 1e-310)
-        tiny = select(data, AIC)
-        floor = select(Dataset(y=np.zeros(50), X=data.X), AIC)
+        tiny = _exhaustive(data, AIC)
+        floor = _exhaustive(Dataset(y=np.zeros(50), X=data.X), AIC)
         assert tiny.truncated_sse_count == floor.truncated_sse_count == 8
+        assert np.array_equal(tiny.masks, floor.masks)
         assert np.array_equal(tiny.scores, floor.scores)
 
     @settings(max_examples=50, deadline=None)
@@ -111,27 +143,29 @@ class TestGamma:
     def test_strictly_increasing_in_size_and_sse(self, sse, n, cn, seed):
         p = 4
         crit = Criterion.custom(cn)
-        scores = select(_orthogonal_dataset(n, p, sse, seed), crit).scores
-        larger = select(_orthogonal_dataset(n, p, sse * 1.01, seed), crit).scores
-        assert np.all(larger > scores)
+        scores = _table(_exhaustive(_orthogonal_dataset(n, p, sse, seed), crit))
+        larger = _table(_exhaustive(_orthogonal_dataset(n, p, sse * 1.01, seed), crit))
+        assert len(scores) == len(larger) == 1 << p
         for mask in range(1 << p):
+            assert larger[mask] > scores[mask]
             for bit in range(p):
                 if not mask >> bit & 1:
                     assert scores[mask | 1 << bit] > scores[mask]
 
 
-class TestLatticeSse:
+class TestNodeSse:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_reduced_sse_matches_direct_fit(self, seed):
-        # SSE(S) = sse_full + ||u - P_S u||^2, read from the reduction of
-        # [X | y] to p dimensions, is the SSE of a direct fit of S
+        # a node's SSE, the square of the last diagonal entry of its R factor
+        # after Givens column deletions from the stacked QR of [X | y], is the
+        # SSE of a direct fit of its subset; c_n = 0 leaves n log SSE
         rng = np.random.default_rng(seed)
         data = random_centered_dataset(rng, 18, 5)
-        sse = selection._lattice_sse([data], 5)[0]
-        for s in [Subset(), Subset((2,)), Subset((1, 4)), Subset((1, 2, 3, 4, 5))]:
-            mask = sum(1 << int(i) for i in s.positions)
-            assert sse[mask] == pytest.approx(ols_fit(data, s).sse, rel=1e-10)
+        gamma = _exhaustive(data, Criterion.custom(0.0)).gamma_values
+        assert len(gamma) == 2**5
+        for s, g in gamma.items():
+            assert math.exp(g / 18) == pytest.approx(ols_fit(data, s).sse, rel=1e-10)
 
 
 class TestSelect:
@@ -140,8 +174,8 @@ class TestSelect:
         data = Dataset(y=np.zeros(12), X=x - x.mean(axis=0))
         result = select(data, AIC)
         assert result.chosen == Subset()
-        assert result.truncated_sse_count == 2**4
         assert result.ties == (Subset(),)
+        assert _exhaustive(data, AIC).truncated_sse_count == 2**4
 
     def test_all_gammas_tie_under_zero_penalty_and_zero_response(self, rng):
         # every subset hits the SSE floor and the penalty is zero, so the
@@ -159,54 +193,82 @@ class TestSelect:
         beta = np.array([1.5, -1.0, 0.0, 0.0])
         data = random_centered_dataset(rng, 12, 4, beta=beta)
         crit = [AIC, BIC, Criterion.custom(0.7)][seed % 3]
-        result = select(data, crit)
         bf_chosen, bf_table = brute_force_select(data, crit)
+        assert select(data, crit).chosen == bf_chosen
+        result = _exhaustive(data, crit)
         assert result.chosen == bf_chosen
         assert set(result.gamma_values) == set(bf_table)
         for s, g in bf_table.items():
             assert result.gamma_values[s] == pytest.approx(g, rel=1e-10)
         bf_ranked = sorted(bf_table, key=lambda s: (bf_table[s], s.size, s.indices))
-        assert [s for s, _ in result.ranked(5)] == bf_ranked[:5]
+        assert [s for s, _ in select(data, crit, top=5).ranked(5)] == bf_ranked[:5]
+        assert [s for s, _ in result.ranked(2**4)] == bf_ranked
+
+    def test_ranked_beyond_top_raises(self, rng):
+        data = random_centered_dataset(rng, 12, 4)
+        result = select(data, AIC, top=3)
+        assert len(result.ranked(3)) == 3
+        with pytest.raises(ValueError, match="top"):
+            result.ranked(4)
+        with pytest.raises(ValueError, match="top"):
+            select(data, AIC, top=0)
+
+    def test_exhaustive_call_visits_every_subset(self, rng):
+        # top = 2^p keeps every subset exact, so the search prunes nothing
+        data = random_centered_dataset(rng, 20, 7, beta=np.arange(7.0))
+        result = _exhaustive(data, BIC)
+        assert sorted(result.masks.tolist()) == list(range(2**7))
+        assert len(select(data, BIC).masks) < 2**7
 
     @pytest.mark.parametrize("sigma", [1.0, 1e-4, 1e-6, 1e-8])
     def test_high_snr_sse_matches_lstsq(self, sigma):
-        # each SSE is read from a residual, not as ||y||^2 - ||proj||^2, so
-        # it keeps its digits when the noise is tiny next to the signal
-        rng = np.random.default_rng(2024)
-        beta = 10.0 * np.array([1.0, 2.0, 3.0] + [0.0] * 7)
-        data = random_centered_dataset(rng, 50, 10, sigma=sigma, beta=beta, rho=0.5)
-        result = select(data, AIC)
-        assert len(result.gamma_values) == 2**10
-        for s, g in result.gamma_values.items():
-            sse = math.exp((g - AIC.c_n(data.n) * s.size) / data.n)
-            xs = data.X[:, s.positions]
-            resid = data.y - xs @ np.linalg.lstsq(xs, data.y, rcond=None)[0]
-            expected = float(resid @ resid)
-            assert abs(sse - expected) <= 1e-6 * expected, (s, sse, expected)
+        # Each SSE is read from a residual, not as ||y||^2 - ||proj||^2.  To
+        # first order, a backward-stable orthogonal reduction perturbs the
+        # residual norm sqrt(SSE) by about eps sqrt(n) ||y||, so SSE has
+        # relative error about 2 eps sqrt(n) ||y|| / sqrt(SSE).  The engine and
+        # lstsq each contribute one such error; 8 allows twice that for both
+        # (about 2.5 is seen up to sigma = 1e-8, where the bound is 3e-6).
+        eps = np.finfo(np.float64).eps
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            beta = 10.0 * np.array([1.0, 2.0, 3.0] + [0.0] * 7)
+            data = random_centered_dataset(rng, 50, 10, sigma=sigma, beta=beta, rho=0.5)
+            gamma = _exhaustive(data, AIC).gamma_values
+            assert len(gamma) == 2**10
+            scale = 8 * eps * math.sqrt(data.n) * float(np.linalg.norm(data.y))
+            for s, g in gamma.items():
+                sse = math.exp((g - AIC.c_n(data.n) * s.size) / data.n)
+                xs = data.X[:, s.positions]
+                resid = data.y - xs @ np.linalg.lstsq(xs, data.y, rcond=None)[0]
+                expected = float(resid @ resid)
+                bound = scale / math.sqrt(expected)
+                assert abs(sse - expected) <= bound * expected, (seed, s, sse, expected)
 
     def test_collinear_subtrees_pruned_across_chunks(self, rng, monkeypatch):
         # columns 2 and 5 are equal, so every subset holding both is rank
-        # deficient; n=8 leaves the 7-variable model no residual degree of
-        # freedom; a tiny sweep chunk splits the pools of states
-        monkeypatch.setattr(selection, "_SWEEP_CHUNK", 3)
+        # deficient but keeps its children, which may drop one of them; n=8
+        # leaves the 7-variable model no residual degree of freedom; a tiny
+        # batch budget splits every level into batches of one node
+        monkeypatch.setattr(selection, "_BATCH_FLOATS", 1)
         before, data, after = (
             random_centered_dataset(rng, 8, 7, beta=np.arange(7.0)) for _ in range(3)
         )
         x = data.X.copy()
         x[:, 4] = x[:, 1]
         data = Dataset(y=data.y, X=x)
-        # swept between two well-conditioned datasets, each keeps its own row:
-        # the pruning of one does not leak into the others
+        # searched between two well-conditioned datasets, each keeps its own
+        # result: the pruning of one does not leak into the others
         stack = [before, data, after]
-        rows = selection._lattice_sse(stack, 6)
-        for row, alone in zip(rows, stack):
-            single = selection._lattice_sse([alone], 6)[0]
-            assert np.array_equal(row.view(np.int64), single.view(np.int64))
-        assert np.isinf(rows[1]).sum() > np.isinf(rows[0]).sum() == 1
+        results = select_stack(stack, AIC, top=2**7)
+        for stacked, alone in zip(results, stack):
+            alone = _exhaustive(alone, AIC)
+            assert np.array_equal(stacked.masks, alone.masks)
+            assert np.array_equal(stacked.scores.view(np.int64), alone.scores.view(np.int64))
+        assert np.isinf(results[1].scores).sum() > np.isinf(results[0].scores).sum() == 1
 
-        result = select(data, AIC)
+        result = results[1]
         bf_chosen, bf_table = brute_force_select(data, AIC)
-        assert result.chosen == bf_chosen
+        assert result.chosen == select(data, AIC).chosen == bf_chosen
         # both lists come in size order, then index-list order
         assert list(result.gamma_values) == list(bf_table)
         for s, g in bf_table.items():
@@ -230,40 +292,87 @@ class TestSelect:
         log_sigma=st.floats(-8.0, 0.0),
         log_scales=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
         rho=st.floats(0.0, 0.99),
+        duplicate=st.booleans(),
+        top=st.sampled_from([1, 3]),
     )
     def test_stacked_rows_equal_single_rows_at_extremes(
-        self, seed, p, extra, log_sigma, log_scales, rho
+        self, seed, p, extra, log_sigma, log_scales, rho, duplicate, top
     ):
         # noise down to 1e-8, columns scaled by 1e-6..1e6, correlation up to
-        # 0.99 and n down to p + 2: a dataset's SSE row and its selection do
-        # not depend on the datasets swept with it (and, as pytest turns
-        # warnings into errors, nothing warns)
-        rng = np.random.default_rng(seed)
-        n = p + extra
-        scales = 10.0 ** np.array(log_scales[:p])
-        stack = []
-        for _ in range(3):
-            data = random_centered_dataset(
-                rng, n, p, sigma=10.0**log_sigma, beta=np.ones(p), rho=rho
-            )
-            stack.append(centered_dataset(data.y, data.X * scales)[0])
-        max_size = min(p, n - 2)
-        rows = selection._lattice_sse(stack, max_size)
-        for row, stacked, data in zip(rows, select_stack(stack, AIC), stack):
-            single = selection._lattice_sse([data], max_size)[0]
-            assert np.array_equal(row.view(np.int64), single.view(np.int64))
-            alone = select(data, AIC)
+        # 0.99, n down to p + 2 and a duplicated column: a dataset's result,
+        # down to which subsets it visits, does not depend on the datasets
+        # searched with it (and, as pytest turns warnings into errors,
+        # nothing warns)
+        stack = [
+            _extreme_dataset(seed + i, p, extra, log_sigma, log_scales, rho, duplicate)[0]
+            for i in range(3)
+        ]
+        for stacked, data in zip(select_stack(stack, AIC, top=top), stack):
+            alone = select(data, AIC, top=top)
             assert stacked.chosen == alone.chosen
+            assert np.array_equal(stacked.masks, alone.masks)
             assert np.array_equal(stacked.scores.view(np.int64), alone.scores.view(np.int64))
             assert stacked.truncated_sse_count == alone.truncated_sse_count
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        extra=st.integers(2, 12),
+        log_sigma=st.floats(-8.0, 0.0),
+        log_scales=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+        rho=st.floats(0.0, 0.99),
+        duplicate=st.booleans(),
+        crit=st.sampled_from([AIC, BIC]),
+    )
+    def test_matches_brute_force_at_extremes(
+        self, seed, p, extra, log_sigma, log_scales, rho, duplicate, crit
+    ):
+        # the same extremes against the normal-equations brute force.  A
+        # subset's SSE does not depend on the scale of its columns, so the
+        # brute force runs on the unscaled columns, where its normal equations
+        # keep their digits, and over the subsets that the search does not
+        # call rank deficient: its rule, relative to R's largest diagonal
+        # entry, does depend on the scales.  The chosen subset and every tie
+        # score the minimum, up to TIE_RTOL, where the two computations may
+        # order near-equal scores differently.
+        data, unscaled = _extreme_dataset(seed, p, extra, log_sigma, log_scales, rho, duplicate)
+        result = select(data, crit)
+        deficient = {s for s, why in _exhaustive(data, crit).skipped if why == "rank deficient"}
+        table = {
+            s: g for s, g in brute_force_select(unscaled, crit)[1].items() if s not in deficient
+        }
+        best = min(table.values())
+
+        def ties_best(s):
+            return s in table and table[s] - best <= TIE_RTOL * max(1.0, abs(best))
+
+        assert ties_best(result.chosen)
+        assert all(ties_best(s) for s in result.ties)
+
     def test_size_cap_limits_enumeration(self, rng):
         data = random_centered_dataset(rng, 20, 6)
-        result = select(data, AIC, size_cap=2)
+        result = _exhaustive(data, AIC, size_cap=2)
         assert max(s.size for s in result.gamma_values) == 2
         assert len(result.gamma_values) == 1 + 6 + 15
         bf_chosen, _ = brute_force_select(data, AIC, size_cap=2)
-        assert result.chosen == bf_chosen
+        assert result.chosen == select(data, AIC, size_cap=2).chosen == bf_chosen
+
+    def test_select_memory_is_bounded(self):
+        # the search builds children in bounded batches and keeps each level's
+        # frontier as packed triangles, so p = 18 (262,144 subsets) stays small
+        rng = np.random.default_rng(42)
+        beta = np.zeros(18)
+        beta[[2, 9, 15]] = [1.5, 2.0, 2.5]
+        data = random_centered_dataset(rng, 200, 18, beta=beta, rho=0.5)
+        select(data, BIC, top=10)
+        tracemalloc.start()
+        try:
+            select(data, BIC, top=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, peak
 
     def test_too_many_predictors(self, rng):
         x = rng.standard_normal((23, 21))
