@@ -354,14 +354,14 @@ def cmd_select(args: argparse.Namespace) -> int:
     try:
         crit = _build_criterion(args.criterion, args.cn)
         data, names = _read_dataset_csv(args.dataset)
-        result = select(data, crit, size_cap=args.size_cap, top=max(args.top, 1))
+        result = select(data, crit, size_cap=args.size_cap, top=args.top)
         chosen_fit = ols_fit(data, result.chosen)
     except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
 
-    top = result.ranked(max(args.top, 1))
+    top = result.ranked(args.top)
     warnings = []
     if result.truncated_sse_count:
         warnings.append(

@@ -5,11 +5,12 @@ point x is ``x_S' beta_S +/- t_{n-|S|-1}(1 - alpha/2) * sigma_S *
 sqrt(x_S' (X_S' X_S)^-1 x_S)``.  The quadratic form is evaluated through the
 triangular factor the fit already holds, never through an explicit inverse.
 The empty model takes the same formula, which gives the interval ``[0, 0]``.
+:func:`interval_stack` is the formula's one home, for a stack of fits of one
+subset; :func:`mean_response_ci` is its stack of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,27 +60,13 @@ class ConfidenceInterval:
 def mean_response_ci(
     data: Dataset, fit: SubsetFit, x: QueryPoint, alpha: float
 ) -> ConfidenceInterval:
-    """Confidence interval for the mean response at ``x`` under ``fit``.
-
-    Parameters
-    ----------
-    data : Dataset
-        The dataset the fit was computed from.
-    fit : SubsetFit
-        A least-squares fit of some subset of ``data``'s columns, as returned
-        by ``ols_fit`` (which has already rejected collinear subsets).  The
-        empty subset has no ``x_S``, so its interval is ``[0, 0]``.
-    x : QueryPoint
-        Full-dimension query point, centered by the training column means.
-    alpha : float
-        Significance level in (0, 1); the interval has nominal level
-        ``1 - alpha``.
-
-    Raises
-    ------
-    ValueError
-        If alpha is outside (0, 1), or the query point does not have p
-        components.
+    """Confidence interval for the mean response at ``x`` under ``fit``, a
+    least-squares fit of some subset of ``data``'s columns: one-fit
+    :func:`interval_stack`.  The query point has all p components, centered
+    by the training column means.  The interval has nominal level
+    ``1 - alpha``; ``ValueError`` if alpha is outside (0, 1), the query point
+    is not centered or does not have p components, or the fit does not match
+    the dataset's dimensions.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
@@ -90,23 +77,29 @@ def mean_response_ci(
     if fit.df != data.n - fit.subset.size - 1:
         raise ValueError("fit does not match the dataset dimensions")
 
-    xs = x.x[fit.subset.positions]
-    center = float(xs @ fit.beta_hat)
-
-    # x_S' (X_S' X_S)^-1 x_S = ||R^-T x_S||^2 with X_S = Q R
-    w = np.linalg.solve(fit.r_factor.T, xs)
-    quad_form = float(w @ w)
-
-    t_crit = student_t_quantile(fit.df, 1.0 - alpha / 2.0)
-    half_width = t_crit * fit.sigma_hat * math.sqrt(quad_form)
-    return ConfidenceInterval(
-        center=center,
-        half_width=half_width,
-        lo=center - half_width,
-        hi=center + half_width,
-        alpha=alpha,
-        subset=fit.subset,
+    xs, beta, r = x.x[None, fit.subset.positions], fit.beta_hat[None, :, None], fit.r_factor[None]
+    center, half_width, lo, hi = (
+        float(v[0]) for v in interval_stack(xs, beta, r, fit.sigma_hat, fit.df, alpha)
     )
+    return ConfidenceInterval(center, half_width, lo, hi, alpha, fit.subset)
+
+
+def interval_stack(xs: np.ndarray, beta: np.ndarray, r: np.ndarray, sigma_hat, df: int,
+                   alpha: float) -> tuple[np.ndarray, ...]:
+    """Center, half-width, lower and upper end of the interval of each of m
+    fits of one subset S: query rows ``xs`` (m, |S|), ``beta`` (m, |S|, 1),
+    ``r`` (m, |S|, |S|), ``sigma_hat`` and ``df``.  Each dot product is a
+    stack of ``(1, |S|) @ (|S|, 1)`` products on contiguous rows, which BLAS
+    rounds as it rounds the one-fit product (not so at a stride).
+    """
+    xs = np.ascontiguousarray(xs)[:, None, :]
+    center = (xs @ beta)[:, 0, 0]
+    # x_S' (X_S' X_S)^-1 x_S = ||R^-T x_S||^2 with X_S = Q R
+    w = np.linalg.solve(r.transpose(0, 2, 1), xs.transpose(0, 2, 1))
+    half_width = student_t_quantile(df, 1.0 - alpha / 2.0) * sigma_hat * np.sqrt(
+        (w.transpose(0, 2, 1) @ w)[:, 0, 0]
+    )
+    return center, half_width, center - half_width, center + half_width
 
 
 def true_mean_response(x: QueryPoint, beta_star: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -186,28 +186,42 @@ class SubsetFit:
         return float(np.sqrt(self.sigma_hat_sq))
 
 
+def collinear_error(s: Subset) -> PostselectError:
+    return PostselectError(f"columns of subset {s} are numerically collinear")
+
+
 def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
-    """Fit the sub-model using the columns in ``s``: one-dataset :func:`ols_fit_stack`."""
-    return ols_fit_stack([data], s)[0]
+    """Fit the sub-model using the columns in ``s``: :func:`ols_fit_stack` on
+    one dataset, with a collinear fit raised as a ``PostselectError``."""
+    fit = ols_fit_stack(data.X[None], data.y[None], s)
+    if fit.collinear[0]:
+        raise collinear_error(s)
+    sse = float(fit.sse[0])
+    return SubsetFit(s, fit.beta[0, :, 0], sse, fit.df, sse / fit.df, fit.r[0])
 
 
-def ols_fit_stack(datasets: Sequence[Dataset], s: Subset) -> list[SubsetFit]:
-    """Fit the sub-model using the columns in ``s`` to each dataset of one
-    shape by QR least squares.  One stacked ``np.linalg.qr`` and one stacked
-    ``np.linalg.solve`` treat each dataset on its own: a fit has the bits of
-    the fit of a stack of one.
+class FitStack(NamedTuple):
+    """One subset fitted to b datasets: ``beta`` (b, |S|, 1), ``r`` (b, |S|,
+    |S|), ``sse`` (b,), ``df`` and ``collinear`` (b,).  A collinear dataset
+    is fitted with the identity in place of its R: finite, but meaningless."""
 
-    Raises
-    ------
-    ValueError
-        If ``s`` leaves no residual degree of freedom (``n - |S| - 1 < 1``)
-        or has an index beyond p.
-    PostselectError
-        If the selected columns of a dataset are numerically collinear: a
-        diagonal entry of R is at most ``RANK_RTOL`` times the norm of its
-        column.
+    beta: np.ndarray
+    r: np.ndarray
+    sse: np.ndarray
+    df: int
+    collinear: np.ndarray
+
+
+def ols_fit_stack(X: np.ndarray, y: np.ndarray, s: Subset) -> FitStack:
+    """Fit the columns in ``s`` of each design ``X`` (b, n, p) to its response
+    ``y`` (b, n) by QR least squares.  One stacked ``np.linalg.qr`` and one
+    stacked ``np.linalg.solve`` treat each dataset on its own: a fit has the
+    bits of the fit of a stack of one.  A dataset is collinear when a
+    diagonal entry of its R is at most ``RANK_RTOL`` times the norm of its
+    column; that is reported, not raised.  ``ValueError`` if ``s`` leaves no
+    residual degree of freedom (``n - |S| - 1 < 1``) or has an index beyond p.
     """
-    n, p = datasets[0].n, datasets[0].p
+    n, p = X.shape[1:]
     df = n - s.size - 1
     if df < 1:
         raise ValueError(f"subset of size {s.size} leaves {df} degrees of freedom at n={n}")
@@ -215,14 +229,11 @@ def ols_fit_stack(datasets: Sequence[Dataset], s: Subset) -> list[SubsetFit]:
         raise ValueError(f"subset {s} has indices beyond the {p} available columns")
     # indexing the columns lays each X_S out column-major, as data.X[:, S]
     # is, and the matvec X_S beta rounds by layout
-    Xs = np.array([d.X for d in datasets])[:, :, s.positions]
-    y = np.array([d.y for d in datasets])[:, :, None]
+    Xs, y = X[:, :, s.positions], y[:, :, None]
     q, r = np.linalg.qr(Xs)
-    if (np.abs(r.diagonal(0, 1, 2)) <= RANK_RTOL * np.hypot.reduce(r, axis=1)).any():
-        raise PostselectError(f"columns of subset {s} are numerically collinear")
+    collinear = (np.abs(r.diagonal(0, 1, 2)) <= RANK_RTOL * np.hypot.reduce(r, axis=1)).any(1)
+    r[collinear] = np.eye(s.size)  # a collinear R may be singular
     beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y)
-    resid = (y - Xs @ beta)[:, :, 0]
-    return [
-        SubsetFit(subset=s, beta_hat=b, sse=sse, df=df, sigma_hat_sq=sse / df, r_factor=rb)
-        for b, rb, sse in zip(beta[:, :, 0], r, (float(e @ e) for e in resid))
-    ]
+    resid = y - Xs @ beta
+    # each SSE is a stack of (1, n) @ (n, 1) products on contiguous rows, as e @ e is
+    return FitStack(beta, r, (resid.transpose(0, 2, 1) @ resid)[:, 0, 0], df, collinear)

@@ -3,12 +3,13 @@
 Each replication draws a fresh dataset, fits the oracle model (the true
 subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
-Replications run in blocks, drawn as one stack: one call of
-:func:`~postselect.selection.select_stack` selects for all of them, and one
-call of :func:`~postselect.linalg.ols_fit_stack` fits each subset in use.
-Replications are indexed substreams of one master seed, and every stacked
-step computes each dataset on its own, so results are bit-identical for any
-block size and worker count.
+Replications run in blocks, computed as stacks: one call of
+:func:`~postselect.selection.select_stack` selects for all of them, and for
+each subset in use one call of :func:`~postselect.linalg.ols_fit_stack` fits
+it and one of :func:`~postselect.inference.interval_stack` gives its
+intervals.  Replications are indexed substreams of one master seed, and
+every stacked step computes each dataset on its own, so results are
+bit-identical for any block size and worker count.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .distributions import RNG_ALGORITHM, RngStream, ar1_rows
 from .errors import DegenerateReplication, PostselectError
-from .inference import QueryPoint, covers, mean_response_ci, true_mean_response
-from .linalg import Dataset, Subset, ols_fit_stack
+from .inference import interval_stack
+from .linalg import Dataset, Subset, collinear_error, ols_fit_stack
 from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack
 
 # Replications per block, which share one call of select_stack.
@@ -175,59 +176,62 @@ def run_replication(cfg: ExperimentConfig, rep_index: int) -> ReplicationRecord:
 def _replication_block(
     cfg: ExperimentConfig, start: int, stop: int
 ) -> list[ReplicationRecord]:
-    """Replications ``start..stop-1``, drawn, selected and fitted as stacks."""
+    """Replications ``start..stop-1``, as one pass over stacks.
+
+    One :func:`generate_stack` and one :func:`select_stack` serve the block,
+    whose replications are then grouped by their chosen bitmask.  S* is
+    fitted to the block, each chosen subset to its group, and each fit gives
+    its intervals in one :func:`~postselect.inference.interval_stack`.  Every
+    step treats each replication on its own, so a record does not depend on
+    the block.  The block fails at its first failing replication, for that
+    replication's first failure: the S* fit, then the SSE floor, then the
+    selected fit.
+    """
     gens = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(start, stop)])
-    datasets = [gen.data for gen in gens]
-    selected = [(r.chosen, r.truncated_sse_count) for r in select_stack(datasets, cfg.criterion)]
-    groups: dict[Subset, list[int]] = {}
-    for j, (s_hat, floored) in enumerate(selected):
-        if not floored:  # a floored replication fails before its selected fit
-            groups.setdefault(s_hat, []).append(j)
-    try:
-        oracle_fits = ols_fit_stack(datasets, cfg.s_star)
-        selected_fits = {}
-        for s_hat, js in groups.items():
-            selected_fits.update(zip(js, ols_fit_stack([datasets[j] for j in js], s_hat)))
-    except PostselectError as exc:
-        if stop - start == 1:
-            raise type(exc)(f"replication {start}: {exc}") from exc
-        # a fit failed: one replication at a time, the first to fail raises
-        return [run_replication(cfg, i) for i in range(start, stop)]
-    records = []
-    for i, gen, (s_hat, floored), oracle_fit in zip(count(start), gens, selected, oracle_fits):
-        if floored:
+    results = select_stack([gen.data for gen in gens], cfg.criterion)
+    X, y = np.array([gen.data.X for gen in gens]), np.array([gen.data.y for gen in gens])
+    query = np.array([gen.query_x_raw - gen.raw_column_means for gen in gens])
+    truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
+    _, first, group = np.unique([r.masks[0] for r in results], return_index=True, return_inverse=True)
+    s_hats, star = [results[j].chosen for j in first], cfg.s_star
+    # (row, subset, replications): row 0 is the selected model's, row 1 S*'s
+    models = [(1, star, np.arange(len(gens)))]
+    models += [(0, s, np.flatnonzero(group == g)) for g, s in enumerate(s_hats)]
+    sigma, width = np.empty((2, 2, len(gens)))
+    collinear, covered = np.empty((2, 2, len(gens)), bool)
+    for k, s, js in models:
+        fit = ols_fit_stack(X[js], y[js], s)
+        sigma[k, js] = sigma_hat = np.sqrt(fit.sse / fit.df)
+        xs = query[js][:, s.positions]
+        *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
+        collinear[k, js], width[k, js] = fit.collinear, hi - lo
+        covered[k, js] = (lo <= truth[js]) & (truth[js] <= hi)
+    floored = np.array([r.truncated_sse_count for r in results])
+    failed = collinear[1] | (floored > 0) | collinear[0]
+    if failed.any():
+        j = int(failed.argmax())
+        if floored[j] and not collinear[1, j]:
             raise DegenerateReplication(
-                f"replication {i}: {floored} subsets hit the SSE floor; "
+                f"replication {start + j}: {floored[j]} subsets hit the SSE floor; "
                 "variance comparisons would be meaningless"
             )
-        data = gen.data
-        selected_fit = selected_fits[i - start]
-        query = QueryPoint(x=gen.query_x_raw - gen.raw_column_means, centered=True)
-        truth = true_mean_response(query, np.asarray(cfg.beta_star))
-        ci_oracle = mean_response_ci(data, oracle_fit, query, cfg.alpha)
-        ci_selected = mean_response_ci(data, selected_fit, query, cfg.alpha)
-        strict = cfg.s_star.is_strict_subset(s_hat)
-        condition = strict and overfit_condition(
-            data.n, cfg.s_star.size, s_hat.size, cfg.criterion.c_n(data.n)
-        ).holds
-        records.append(
-            ReplicationRecord(
-                rep_index=i,
-                s_hat=s_hat,
-                sigma_hat_selected=selected_fit.sigma_hat,
-                sigma_hat_oracle=oracle_fit.sigma_hat,
-                ratio=oracle_fit.sigma_hat / selected_fit.sigma_hat,
-                contains_star=cfg.s_star.issubset(s_hat),
-                strict_overfit=strict,
-                exact=s_hat == cfg.s_star,
-                covered_selected=covers(ci_selected, truth),
-                covered_oracle=covers(ci_oracle, truth),
-                ci_width_selected=ci_selected.width,
-                ci_width_oracle=ci_oracle.width,
-                condition_holds=condition,
-            )
+        s = star if collinear[1, j] else results[j].chosen
+        raise PostselectError(f"replication {start + j}: {collinear_error(s)}")
+    # per chosen subset: contains_star, strict_overfit, exact, and condition_holds
+    c_n = cfg.criterion.c_n(cfg.n)
+    labels = [(star.issubset(s), star.is_strict_subset(s), s == star) for s in s_hats]
+    condition = [
+        strict and overfit_condition(cfg.n, star.size, s.size, c_n).holds
+        for s, (_, strict, _) in zip(s_hats, labels)
+    ]
+    rows = zip(range(start, stop), results, group.tolist(), *sigma.tolist(), *covered.tolist(),
+               *width.tolist())
+    return [
+        ReplicationRecord(
+            i, sel, orc, orc / sel, r.chosen, *labels[g], c_sel, c_orc, w_sel, w_orc, condition[g]
         )
-    return records
+        for i, r, g, sel, orc, c_sel, c_orc, w_sel, w_orc in rows
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 These deliberately use different algorithms from the package: explicit
 normal-equations solves instead of QR, a dense Cholesky factor instead of the
-AR(1) recursion, closed-form distribution functions, and a plain-loop
-brute-force subset search.
+AR(1) recursion, closed-form distribution functions, a plain-loop
+brute-force subset search, and a replication computed one model at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +14,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from postselect import Criterion, Dataset, Subset, TheoremReport, centered_dataset
+from postselect import (
+    Criterion,
+    Dataset,
+    ExperimentConfig,
+    ReplicationRecord,
+    RngStream,
+    Subset,
+    TheoremReport,
+    centered_dataset,
+    generate_stack,
+    student_t_quantile,
+)
 
 SSE_FLOOR = 1e-300
 
@@ -130,3 +141,50 @@ def random_centered_dataset(
     signal = x_raw @ beta if beta is not None else 0.0
     y_raw = signal + sigma * rng.standard_normal(n)
     return centered_dataset(y_raw, x_raw)[0]
+
+
+def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecord]:
+    """Replications 0..reps-1 recomputed one model at a time.
+
+    Only the data come from the package (:func:`generate_stack`, whose AR(1)
+    rows are checked against a dense Cholesky factor), and the t quantile,
+    which has closed-form checks of its own.  Selection is
+    :func:`brute_force_select`, each fit ``np.linalg.lstsq``, each interval
+    a normal-equations solve, and the condition is written out from the
+    paper's ``1 - exp(-a_n d_n) > d_n``.
+    """
+    star, n = cfg.s_star, cfg.n
+    records = []
+    for i, gen in enumerate(generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(reps)])):
+        data, x0 = gen.data, gen.query_x_raw - gen.raw_column_means
+        truth = float(np.dot(x0, cfg.beta_star))
+        s_hat, _ = brute_force_select(data, cfg.criterion)
+        sigma, width, covered = {}, {}, {}
+        for s in (star, s_hat):
+            xs, xq, df = data.X[:, s.positions], x0[s.positions], n - s.size - 1
+            beta = np.linalg.lstsq(xs, data.y, rcond=None)[0]
+            resid = data.y - xs @ beta
+            sigma[s] = math.sqrt(float(resid @ resid) / df)
+            quad = float(xq @ np.linalg.solve(xs.T @ xs, xq)) if s.size else 0.0
+            half = student_t_quantile(df, 1.0 - cfg.alpha / 2.0) * sigma[s] * math.sqrt(quad)
+            center = float(xq @ beta)
+            width[s], covered[s] = 2.0 * half, center - half <= truth <= center + half
+        strict = star.is_strict_subset(s_hat)
+        a_n = cfg.criterion.c_n(n) / n * (n - star.size - 1)
+        d_n = (s_hat.size - star.size) / (n - star.size - 1)
+        records.append(ReplicationRecord(
+            rep_index=i,
+            sigma_hat_selected=sigma[s_hat],
+            sigma_hat_oracle=sigma[star],
+            ratio=sigma[star] / sigma[s_hat],
+            s_hat=s_hat,
+            contains_star=star.issubset(s_hat),
+            strict_overfit=strict,
+            exact=s_hat == star,
+            covered_selected=covered[s_hat],
+            covered_oracle=covered[star],
+            ci_width_selected=width[s_hat],
+            ci_width_oracle=width[star],
+            condition_holds=strict and 1.0 - math.exp(-a_n * d_n) > d_n,
+        ))
+    return records

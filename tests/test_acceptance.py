@@ -5,6 +5,7 @@ failure output).  The Monte Carlo tolerances cover sampling error at the
 pinned seed; the property sweeps are exact (zero violations allowed).
 """
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -14,6 +15,7 @@ import pytest
 from postselect import (
     Criterion,
     ExperimentConfig,
+    ReplicationRecord,
     Subset,
     ols_fit,
     overfit_condition,
@@ -30,6 +32,7 @@ from oracles import (
     normal_equations_fit,
     preference_check,
     random_centered_dataset,
+    reference_records,
     t2_quantile,
 )
 
@@ -42,10 +45,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def default_run_cfg() -> ExperimentConfig:
+    return ExperimentConfig(seed=ACCEPT_SEED)
+
+
 @pytest.fixture(scope="module")
 def default_run():
-    cfg = ExperimentConfig(seed=ACCEPT_SEED)
-    return run_once(cfg)
+    return run_once(default_run_cfg())
 
 
 def run_once(cfg):
@@ -114,6 +120,27 @@ def test_regression_anchor(default_run):
     assert summary.coverage_selected == 861 / 1000
     assert summary.coverage_oracle == 953 / 1000
     assert summary.mean_ratio_overfit == pytest.approx(1.05330, abs=1e-5)
+
+
+def _assert_records_match(records, reference) -> None:
+    """Every size and boolean equal, every float within 1e-12 relative."""
+    assert len(records) == len(reference)
+    for got, want in zip(records, reference):
+        for field in dataclasses.fields(ReplicationRecord):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.type == "float":
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0), (got.rep_index, field.name)
+            else:
+                assert a == b, (got.rep_index, field.name)
+
+
+def test_records_match_the_reference_oracle(default_run):
+    # the records against a replication recomputed one model at a time: the
+    # reference study's first 64, and 320 of the p = 4 study
+    _, records = default_run
+    _assert_records_match(records[:64], reference_records(default_run_cfg(), 64))
+    narrow = ExperimentConfig(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=ACCEPT_SEED, reps=320)
+    _assert_records_match(run_once(narrow)[1], reference_records(narrow, narrow.reps))
 
 
 # --- criterion 3: randomized theorem sweep ---------------------------------

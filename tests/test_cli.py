@@ -250,6 +250,14 @@ class TestSelectCommand:
         assert code == 2
         assert "enumeration limit" in err
 
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_exits_2(self, capsys, tmp_path, top):
+        path = tmp_path / "data.csv"
+        write_fixture_csv(path)
+        code, out, err = run_cli(capsys, "select", str(path), "--top", top)
+        assert (code, out) == (2, "")
+        assert err == f"error: top must be at least 1, got {top}\n"
+
     def test_top_table_and_bic_flag(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         write_fixture_csv(path)

@@ -154,18 +154,38 @@ class TestOlsFit:
             random_centered_dataset(rng, 30, 6, beta=rng.standard_normal(6), rho=0.5)
             for _ in range(stack)
         ]
+        X, y = np.array([d.X for d in datasets]), np.array([d.y for d in datasets])
         for k in range(7):
             s = Subset.of(rng.choice(6, size=k, replace=False) + 1)
-            for data, fit in zip(datasets, ols_fit_stack(datasets, s)):
+            fit = ols_fit_stack(X, y, s)
+            assert fit.df == 30 - k - 1 and not fit.collinear.any()
+            for data, beta_hat, r_factor, sse in zip(datasets, fit.beta[:, :, 0], fit.r, fit.sse):
                 xs = data.X[:, s.positions]
                 q, r = np.linalg.qr(xs)
                 beta = np.linalg.solve(r, q.T @ data.y)
                 resid = data.y - xs @ beta
-                assert np.array_equal(fit.beta_hat, beta)
-                assert fit.sse == float(resid @ resid)
-                assert np.array_equal(fit.r_factor, r)
+                assert np.array_equal(beta_hat, beta)
+                assert sse == float(resid @ resid)
+                assert np.array_equal(r_factor, r)
                 single = ols_fit(data, s)
-                assert np.array_equal(single.beta_hat, beta) and single.sse == fit.sse
+                assert np.array_equal(single.beta_hat, beta) and single.sse == sse
+
+    def test_collinear_dataset_is_reported_not_raised(self, rng):
+        # the middle dataset repeats a column: the stack marks it and still
+        # fits its neighbours bit for bit, while the one-dataset fit raises
+        datasets = [random_centered_dataset(rng, 10, 3) for _ in range(3)]
+        X = np.array([d.X for d in datasets])
+        X[1, :, 1] = X[1, :, 0]
+        y = np.array([d.y for d in datasets])
+        fit = ols_fit_stack(X, y, Subset((1, 2)))
+        assert fit.collinear.tolist() == [False, True, False]
+        assert np.isfinite(fit.sse).all()
+        for i in (0, 2):
+            single = ols_fit(datasets[i], Subset((1, 2)))
+            assert np.array_equal(fit.beta[i, :, 0], single.beta_hat) and fit.sse[i] == single.sse
+        message = r"^columns of subset \{1,2\} are numerically collinear$"
+        with pytest.raises(PostselectError, match=message):
+            ols_fit(Dataset(y=y[1], X=X[1]), Subset((1, 2)))
 
     def test_out_of_range_index(self, hand_dataset):
         with pytest.raises(ValueError, match="beyond"):

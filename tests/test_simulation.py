@@ -288,13 +288,27 @@ class TestRunExperiment:
         _, parallel = run_experiment(small_cfg(workers=4))
         assert serial == parallel
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_records_do_not_depend_on_blocks(self, workers):
+    @pytest.mark.parametrize(
+        "workers, overrides, full_model_picks",
+        [
+            (workers, overrides, picks)
+            for overrides, picks in [
+                (dict(reps=2 * simulation._BLOCK_REPS + 3), 0),
+                # the benchmark's p = 4 run, whose full-model picks show an
+                # interval's dot product taken at a stride
+                (dict(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=42, reps=160), 9),
+            ]
+            for workers in (1, 2)
+        ],
+        ids=["1", "2", "narrow-1", "narrow-2"],
+    )
+    def test_records_do_not_depend_on_blocks(self, workers, overrides, full_model_picks):
         # a partial last block, and blocks split between two processes, give
         # the records of one-replication blocks
-        cfg = small_cfg(reps=2 * simulation._BLOCK_REPS + 3, workers=workers)
+        cfg = small_cfg(workers=workers, **overrides)
         _, records = run_experiment(cfg)
         assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
+        assert sum(r.s_hat.size == cfg.p for r in records) == full_model_picks
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_weak_signal_run_records_the_empty_model(self, workers):
@@ -333,10 +347,9 @@ class TestRunExperiment:
         bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing_at_9(datasets, s):
-            if any(np.array_equal(d.y, bad_y) for d in datasets):
-                raise PostselectError(f"columns of subset {s} are numerically collinear")
-            return fit_stack(datasets, s)
+        def fit_stack_failing_at_9(X, y, s):
+            fit = fit_stack(X, y, s)
+            return fit._replace(collinear=fit.collinear | (y == bad_y).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing_at_9)
         with pytest.raises(DegenerateReplication, match="^replication 7: 1 subsets hit the SSE floor"):
@@ -344,6 +357,32 @@ class TestRunExperiment:
         with pytest.raises(PostselectError, match="^replication 9: columns of subset"):
             run_replication(cfg, 9)
         assert run_replication(cfg, 8).rep_index == 8
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            # replication 3's selected fit fails before replication 20's S* fit
+            ({"selected": 3, "star": 20}, r"^replication 3: columns of subset \{1,2,3,5\}"),
+            # both of replication 3's fits fail: the S* fit is reported
+            ({"selected": 3, "star": 3}, r"^replication 3: columns of subset \{1,2,3\} "),
+        ],
+    )
+    def test_first_failing_fit_names_its_subset(self, monkeypatch, failing, message):
+        cfg = small_cfg(reps=simulation._BLOCK_REPS)
+        bad_y = {
+            kind: generate_dataset(cfg, RngStream(cfg.seed, i)).data.y
+            for kind, i in failing.items()
+        }
+        fit_stack = simulation.ols_fit_stack
+
+        def fit_stack_failing(X, y, s):
+            fit = fit_stack(X, y, s)
+            bad = bad_y["star" if s == cfg.s_star else "selected"]
+            return fit._replace(collinear=fit.collinear | (y == bad).all(axis=1))
+
+        monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing)
+        with pytest.raises(PostselectError, match=message):
+            run_experiment(cfg)
 
     def test_different_seeds_differ(self):
         _, a = run_experiment(small_cfg(seed=1, reps=5))
