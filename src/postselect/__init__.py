@@ -26,7 +26,6 @@ from .linalg import (
     Subset,
     centered_dataset,
     ols_fit,
-    ols_fit_stack,
 )
 from .selection import (
     Criterion,
@@ -34,7 +33,6 @@ from .selection import (
     TheoremReport,
     overfit_condition,
     select,
-    select_stack,
     theorem_report,
 )
 from .simulation import (
@@ -42,7 +40,6 @@ from .simulation import (
     ExperimentSummary,
     ReplicationRecord,
     generate_dataset,
-    generate_stack,
     run_experiment,
     run_replication,
     summarize,
@@ -66,16 +63,13 @@ __all__ = [
     "centered_dataset",
     "covers",
     "generate_dataset",
-    "generate_stack",
     "mean_response_ci",
     "ols_fit",
-    "ols_fit_stack",
     "overfit_condition",
     "regularized_incomplete_beta",
     "run_experiment",
     "run_replication",
     "select",
-    "select_stack",
     "student_t_cdf",
     "student_t_quantile",
     "summarize",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,15 +77,11 @@ class Dataset:
         Design matrix with every column centered to mean zero, p < n.
 
     raw : (y_raw, X_raw), optional
-        The data the arrays were centered from.  Removing a mean leaves a
-        residual mean of up to ``n * eps * max|raw value|`` in each column,
-        so that is the tolerance of the centering check.  By default ``y``
-        and ``X`` are their own raw data.
+        The data the arrays were centered from; by default ``y`` and ``X``.
 
-    Centered values must not exceed ``sqrt(max float64 / (4 n))`` in
-    magnitude, so that no sum of squares of the data overflows.  Both arrays
-    are copied, cast to float64, and frozen; a Dataset is safe to share
-    across worker processes or threads.
+    The data must keep the rules of :func:`check_data`.  Both arrays are
+    copied, cast to float64, and frozen; a Dataset is safe to share across
+    worker processes or threads.
     """
 
     y: np.ndarray
@@ -104,22 +100,8 @@ class Dataset:
             raise ValueError("X must have at least one column")
         if p >= n:
             raise ValueError(f"need p < n, got p={p}, n={n}")
-        # one abs max per array serves both checks: only NaN or inf makes it nonfinite
-        y_max, X_max = np.abs(y).max(), np.abs(X).max(axis=0)
-        if not (math.isfinite(y_max) and math.isfinite(X_max.max())):
-            raise ValueError("y and X must be finite")
-        # no sum of n squares of values within the bound, as in an SSE, overflows
-        bound = math.sqrt(np.finfo(np.float64).max / (4 * n))
-        if max(y_max, X_max.max()) > bound:
-            raise ValueError(f"centered y and X must not exceed {bound:.3e} in magnitude at n={n}")
-        # the largest |value| each mean was taken over, before centering
-        y_scale, X_scale = (y_max, X_max) if raw is None else (np.abs(a).max(axis=0) for a in raw)
-        y_mean, col_means = y.sum() / n, np.abs(X.sum(axis=0) / n)  # bits of .mean()
-        eps = np.finfo(np.float64).eps
-        if abs(y_mean) > n * eps * y_scale:
-            raise ValueError(f"y is not centered: mean(y)={y_mean:.3e}")
-        if (col_means > n * eps * X_scale).any():
-            raise ValueError(f"X columns are not centered: max |mean|={col_means.max():.3e}")
+        y_raw, X_raw = (y, X) if raw is None else map(np.asarray, raw)
+        check_data(y[None], X[None], y_raw[None], X_raw[None])
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -132,6 +114,37 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a sum may overflow on rejected data
+def check_data(y, X, y_raw, X_raw, label: Callable[[int], str] = lambda i: "") -> None:
+    """``ValueError``, ``label(i)`` and then its first broken rule, for the first
+    dataset i of a stack, ``y`` (b, n) and ``X`` (b, n, p) centered from
+    ``y_raw`` and ``X_raw``, that breaks a rule.  The rules, in order: finite
+    values; none above ``sqrt(max float64 / (4 n))``, so that no sum of n
+    squares, as in an SSE, overflows; y and X's columns centered, to the
+    ``n * eps * max|raw value|`` that removing a mean leaves."""
+    n = y.shape[1]
+    # one abs max per array serves two rules: only NaN or inf makes it nonfinite
+    top = np.maximum(np.abs(y).max(axis=1), np.abs(X).max(axis=(1, 2)))
+    bound = math.sqrt(np.finfo(np.float64).max / (4 * n))
+    tol = n * np.finfo(np.float64).eps
+    y_mean, col_means = y.sum(axis=1) / n, np.abs(X.sum(axis=1) / n)  # bits of .mean()
+    failed = np.array([
+        ~np.isfinite(top),
+        top > bound,
+        np.abs(y_mean) > tol * np.abs(y_raw).max(axis=1),
+        (col_means > tol * np.abs(X_raw).max(axis=1)).any(axis=1),
+    ])
+    if failed.any():
+        j = int(failed.any(axis=0).argmax())
+        messages = (
+            "y and X must be finite",
+            f"centered y and X must not exceed {bound:.3e} in magnitude at n={n}",
+            f"y is not centered: mean(y)={y_mean[j]:.3e}",
+            f"X columns are not centered: max |mean|={col_means[j].max():.3e}",
+        )
+        raise ValueError(label(j) + messages[int(failed[:, j].argmax())])
 
 
 def centered_dataset(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -101,10 +101,10 @@ class SelectionResult:
     finite score (``Dataset`` bounds the data), so one exists.
     ``truncated_sse_count`` counts the visited subsets whose SSE fell below
     the log floor.  ``masks`` and ``scores`` (read-only) hold every visited
-    subset of at most ``size_cap`` variables and its score, ``inf`` if rank
-    deficient or larger than ``max_size`` (``size_cap`` lowered to ``n - 2``,
-    so that every fit keeps a residual degree of freedom), best first, ties
-    broken as for ``chosen``.  The search visits every subset among the
+    subset within the size cap and its score, ``inf`` if rank deficient or
+    larger than ``max_size`` (the cap lowered to ``n - 2``, so that every fit
+    keeps a residual degree of freedom), best first, ties broken as for
+    ``chosen``.  The search visits every subset among the
     ``top`` best and every one that ties with the top-th, so ``ranked(k)`` is
     exact for ``k <= top``; it may prune the others unseen.
     """
@@ -114,7 +114,6 @@ class SelectionResult:
     masks: np.ndarray = field(repr=False, compare=False)
     scores: np.ndarray = field(repr=False, compare=False)
     max_size: int
-    size_cap: int
     top: int
 
     @cached_property
@@ -122,20 +121,20 @@ class SelectionResult:
         """Score of every visited subset with a finite score, by size then
         index list."""
         finite = np.isfinite(self.scores)
-        items = zip(map(_subset, self.masks[finite].tolist()), self.scores[finite].tolist())
+        items = zip(map(subset_of_mask, self.masks[finite].tolist()), self.scores[finite].tolist())
         return dict(sorted(items, key=lambda item: (item[0].size, item[0].indices)))
 
     @cached_property
     def ties(self) -> tuple[Subset, ...]:
         """All subsets attaining the minimal score, in tie-break order."""
         count = np.searchsorted(self.scores, self.scores[0], side="right")
-        return tuple(_subset(m) for m in self.masks[:count].tolist())
+        return tuple(subset_of_mask(m) for m in self.masks[:count].tolist())
 
     @cached_property
     def skipped(self) -> tuple[tuple[Subset, str], ...]:
         """Visited subsets without a score, with reasons: those larger than
         ``max_size``, then the rank-deficient ones, by size then index list."""
-        subsets = [_subset(m) for m in self.masks[np.isinf(self.scores)].tolist()]
+        subsets = [subset_of_mask(m) for m in self.masks[np.isinf(self.scores)].tolist()]
         big = [(s, "insufficient degrees of freedom") for s in subsets if s.size > self.max_size]
         return (*big, *((s, "rank deficient") for s in subsets if s.size <= self.max_size))
 
@@ -145,10 +144,12 @@ class SelectionResult:
         if k > self.top:
             raise ValueError(f"ranked({k}) needs a search for the top {k}, not {self.top}")
         count = min(k, np.searchsorted(self.scores, np.inf))
-        return list(zip(map(_subset, self.masks[:count].tolist()), self.scores[:count].tolist()))
+        subsets = map(subset_of_mask, self.masks[:count].tolist())
+        return list(zip(subsets, self.scores[:count].tolist()))
 
 
-def _subset(mask: int) -> Subset:
+def subset_of_mask(mask: int) -> Subset:
+    """The subset whose bitmask, bit ``i - 1`` for each index ``i``, is ``mask``."""
     return Subset(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 
@@ -213,10 +214,14 @@ def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
 
 
 def select_stack(
-    datasets: Sequence[Dataset], crit: Criterion, size_cap: Optional[int] = None, top: int = 1
-) -> list[SelectionResult]:
-    """Find, for each dataset of one shape, the ``top`` subsets of at most
-    ``size_cap`` variables with the smallest selection scores.
+    X: np.ndarray, y: np.ndarray, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Find, for each centered design ``X`` (b, n, p) and response ``y``
+    (b, n), the ``top`` subsets of at most ``size_cap`` variables with the
+    smallest selection scores.  Returns ``(masks, scores, bounds, floored,
+    max_size)``: dataset i's :class:`SelectionResult` fields are rows
+    ``bounds[i]:bounds[i + 1]`` of ``masks`` and ``scores``, ``floored[i]``
+    (its ``truncated_sse_count``) and ``max_size``.
 
     An exact branch and bound over the column-dropping tree.  A node (S, k)
     holds the R factor of ``[X_S | y]``, whose last diagonal entry squared is
@@ -242,7 +247,7 @@ def select_stack(
     whose SSE is the smallest, does.  ``ValueError`` if ``p`` exceeds
     ``ENUMERATION_LIMIT`` (20), ``size_cap`` is negative or ``top`` is below 1.
     """
-    n, p, b = datasets[0].n, datasets[0].p, len(datasets)
+    b, n, p = X.shape
     if p > ENUMERATION_LIMIT:
         raise ValueError(f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}")
     if size_cap is not None and size_cap < 0:
@@ -254,9 +259,7 @@ def select_stack(
     c_n = crit.c_n(n)
     everyone = np.arange(b)
 
-    xy = np.empty((b, n, p + 1))
-    xy[:, :, :p], xy[:, :, p] = [d.X for d in datasets], [d.y for d in datasets]
-    r = np.linalg.qr(xy, mode="r")
+    r = np.linalg.qr(np.concatenate([X, y[:, :, None]], axis=2), mode="r")
     drop_one = _drop_column(r, np.tile(everyone, p), np.repeat(np.arange(p), b))[:, p - 1, p - 1]
     perm = np.full((b, p + 1), p)
     perm[:, :p] = np.argsort(-drop_one.reshape(p, b).T, axis=1, kind="stable")
@@ -338,22 +341,16 @@ def select_stack(
     owner, masks, scores = owner[ranking], masks[ranking], scores[ranking]
     masks.setflags(write=False)
     scores.setflags(write=False)
-    bounds = np.searchsorted(owner, np.arange(b + 1)).tolist()
-    truncated = np.bincount(owner[floored[ranking]], minlength=b).tolist()
-    return [
-        SelectionResult(
-            _subset(int(masks[start])), count, masks[start:stop], scores[start:stop],
-            max_size, requested_max, top,
-        )
-        for start, stop, count in zip(bounds[:-1], bounds[1:], truncated)
-    ]
+    bounds = np.searchsorted(owner, np.arange(b + 1))
+    return masks, scores, bounds, np.bincount(owner[floored[ranking]], minlength=b), max_size
 
 
 def select(
     data: Dataset, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
 ) -> SelectionResult:
     """:func:`select_stack` on one dataset."""
-    return select_stack([data], crit, size_cap, top)[0]
+    masks, scores, _, floored, cap = select_stack(data.X[None], data.y[None], crit, size_cap, top)
+    return SelectionResult(subset_of_mask(int(masks[0])), int(floored[0]), masks, scores, cap, top)
 
 
 class ConditionDiagnostics(NamedTuple):

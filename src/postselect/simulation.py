@@ -27,8 +27,8 @@ import numpy as np
 from .distributions import RNG_ALGORITHM, RngStream, ar1_rows
 from .errors import DegenerateReplication, PostselectError
 from .inference import interval_stack
-from .linalg import Dataset, Subset, collinear_error, ols_fit_stack
-from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack
+from .linalg import Dataset, Subset, check_data, collinear_error, ols_fit_stack
+from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack, subset_of_mask
 
 # Replications per block, which share one call of select_stack.
 _BLOCK_REPS = 32
@@ -114,35 +114,34 @@ class GeneratedData(NamedTuple):
     query_x_raw: np.ndarray
 
 
-def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
-    """Draw one dataset and query point: one-stream :func:`generate_stack`."""
-    return generate_stack(cfg, [rng])[0]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # Dataset rejects data that overflow
-def generate_stack(cfg: ExperimentConfig, rngs: Sequence[RngStream]) -> list[GeneratedData]:
-    """One dataset and query point per stream, drawn from the configured model.
-
-    Each stream gives its ``n p + n + p`` standard normals in one call: n
-    design rows, n noise values, then the query row.  The design and response
-    are returned centered, with the removed column means recorded for
-    query-point handling.  A dataset depends only on its own stream, and its
-    validation error names the stream's substream as the replication.
-    """
+@np.errstate(over="ignore", invalid="ignore")  # the data rules reject data that overflow
+def _generate(cfg: ExperimentConfig, rngs: Sequence[RngStream]):
+    """Each stream's centered design and response, column means, query row and
+    raw response and design, stacked and checked; a stream gives its n design
+    rows, n noise values and query row in one call."""
     n, p = cfg.n, cfg.p
     z = np.array([rng.standard_normal(n * p + n + p) for rng in rngs])
     # each stream's design rows and query row go through one AR(1) recursion
     x = ar1_rows(np.concatenate([z[:, : n * p], z[:, -p:]], axis=1).reshape(-1, n + 1, p), cfg.rho)
-    x_raw = x[:, :n]
-    y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
-    y_means, col_means = y_raw.mean(axis=1), x_raw.mean(axis=1)
-    gens = []
-    for rng, yr, xr, ym, cm, q in zip(rngs, y_raw, x_raw, y_means, col_means, x[:, n]):
-        try:
-            gens.append(GeneratedData(Dataset(y=yr - ym, X=xr - cm, raw=(yr, xr)), cm, q))
-        except ValueError as exc:
-            raise ValueError(f"replication {rng.substream}: {exc}") from exc
-    return gens
+    x_raw, y_raw = x[:, :n], x[:, :n] @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
+    col_means = x_raw.mean(axis=1)
+    X, y = x_raw - col_means[:, None], y_raw - y_raw.mean(axis=1)[:, None]
+    check_data(y, X, y_raw, x_raw, lambda i: f"replication {rngs[i].substream}: ")
+    return X, y, col_means, x[:, n], y_raw, x_raw
+
+
+def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
+    """One dataset and query point, as :func:`generate_stack` draws a row."""
+    X, y, col_means, query, y_raw, x_raw = _generate(cfg, [rng])
+    return GeneratedData(Dataset(y[0], X[0], raw=(y_raw[0], x_raw[0])), col_means[0], query[0])
+
+
+def generate_stack(cfg: ExperimentConfig, rngs: Sequence[RngStream]) -> tuple[np.ndarray, ...]:
+    """One dataset per stream: the centered designs (b, n, p) and responses
+    (b, n), and the query points (b, p) shifted by the column means.  A dataset
+    depends only on its stream, whose substream its data error names."""
+    X, y, col_means, query, *_ = _generate(cfg, rngs)
+    return X, y, query - col_means
 
 
 @dataclass(frozen=True)
@@ -187,18 +186,16 @@ def _replication_block(
     replication's first failure: the S* fit, then the SSE floor, then the
     selected fit.
     """
-    gens = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(start, stop)])
-    results = select_stack([gen.data for gen in gens], cfg.criterion)
-    X, y = np.array([gen.data.X for gen in gens]), np.array([gen.data.y for gen in gens])
-    query = np.array([gen.query_x_raw - gen.raw_column_means for gen in gens])
+    X, y, query = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(start, stop)])
+    masks, _, bounds, floored, _ = select_stack(X, y, cfg.criterion)
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
-    _, first, group = np.unique([r.masks[0] for r in results], return_index=True, return_inverse=True)
-    s_hats, star = [results[j].chosen for j in first], cfg.s_star
+    chosen, group = np.unique(masks[bounds[:-1]], return_inverse=True)
+    s_hats, star = [subset_of_mask(m) for m in chosen.tolist()], cfg.s_star
     # (row, subset, replications): row 0 is the selected model's, row 1 S*'s
-    models = [(1, star, np.arange(len(gens)))]
+    models = [(1, star, np.arange(len(X)))]
     models += [(0, s, np.flatnonzero(group == g)) for g, s in enumerate(s_hats)]
-    sigma, width = np.empty((2, 2, len(gens)))
-    collinear, covered = np.empty((2, 2, len(gens)), bool)
+    sigma, width = np.empty((2, 2, len(X)))
+    collinear, covered = np.empty((2, 2, len(X)), bool)
     for k, s, js in models:
         fit = ols_fit_stack(X[js], y[js], s)
         sigma[k, js] = sigma_hat = np.sqrt(fit.sse / fit.df)
@@ -206,7 +203,6 @@ def _replication_block(
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
         collinear[k, js], width[k, js] = fit.collinear, hi - lo
         covered[k, js] = (lo <= truth[js]) & (truth[js] <= hi)
-    floored = np.array([r.truncated_sse_count for r in results])
     failed = collinear[1] | (floored > 0) | collinear[0]
     if failed.any():
         j = int(failed.argmax())
@@ -215,7 +211,7 @@ def _replication_block(
                 f"replication {start + j}: {floored[j]} subsets hit the SSE floor; "
                 "variance comparisons would be meaningless"
             )
-        s = star if collinear[1, j] else results[j].chosen
+        s = star if collinear[1, j] else s_hats[group[j]]
         raise PostselectError(f"replication {start + j}: {collinear_error(s)}")
     # per chosen subset: contains_star, strict_overfit, exact, and condition_holds
     c_n = cfg.criterion.c_n(cfg.n)
@@ -224,13 +220,13 @@ def _replication_block(
         strict and overfit_condition(cfg.n, star.size, s.size, c_n).holds
         for s, (_, strict, _) in zip(s_hats, labels)
     ]
-    rows = zip(range(start, stop), results, group.tolist(), *sigma.tolist(), *covered.tolist(),
+    rows = zip(range(start, stop), group.tolist(), *sigma.tolist(), *covered.tolist(),
                *width.tolist())
     return [
         ReplicationRecord(
-            i, sel, orc, orc / sel, r.chosen, *labels[g], c_sel, c_orc, w_sel, w_orc, condition[g]
+            i, sel, orc, orc / sel, s_hats[g], *labels[g], c_sel, c_orc, w_sel, w_orc, condition[g]
         )
-        for i, r, g, sel, orc, c_sel, c_orc, w_sel, w_orc in rows
+        for i, g, sel, orc, c_sel, c_orc, w_sel, w_orc in rows
     ]
 
 

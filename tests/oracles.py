@@ -23,7 +23,7 @@ from postselect import (
     Subset,
     TheoremReport,
     centered_dataset,
-    generate_stack,
+    generate_dataset,
     student_t_quantile,
 )
 
@@ -146,7 +146,7 @@ def random_centered_dataset(
 def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecord]:
     """Replications 0..reps-1 recomputed one model at a time.
 
-    Only the data come from the package (:func:`generate_stack`, whose AR(1)
+    Only the data come from the package (:func:`generate_dataset`, whose AR(1)
     rows are checked against a dense Cholesky factor), and the t quantile,
     which has closed-form checks of its own.  Selection is
     :func:`brute_force_select`, each fit ``np.linalg.lstsq``, each interval
@@ -155,7 +155,8 @@ def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecor
     """
     star, n = cfg.s_star, cfg.n
     records = []
-    for i, gen in enumerate(generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(reps)])):
+    for i in range(reps):
+        gen = generate_dataset(cfg, RngStream(cfg.seed, i))
         data, x0 = gen.data, gen.query_x_raw - gen.raw_column_means
         truth = float(np.dot(x0, cfg.beta_star))
         s_hat, _ = brute_force_select(data, cfg.criterion)

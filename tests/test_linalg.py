@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,11 @@ from postselect import (
     Subset,
     centered_dataset,
     ols_fit,
-    ols_fit_stack,
     select,
     theorem_report,
 )
 from postselect.errors import PostselectError
+from postselect.linalg import check_data, ols_fit_stack
 
 from oracles import normal_equations_fit, random_centered_dataset
 
@@ -93,6 +95,56 @@ class TestDataset:
         with pytest.raises(ValueError, match="magnitude"):
             centered_dataset(rng.standard_normal(n) * 1e160, x)
 
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            (["finite"], "y and X must be finite"),
+            (["magnitude"], "centered y and X must not exceed"),
+            (["y centered"], "y is not centered"),
+            (["X centered"], "X columns are not centered"),
+            # a dataset that breaks two rules gets the earlier rule's message
+            (["X centered", "y centered"], "y is not centered"),
+            (["X centered", "finite"], "y and X must be finite"),
+        ],
+    )
+    def test_stacked_check_agrees_with_dataset_row_by_row(self, rng, rules, message):
+        # rows 2 and 4 fail, row 4 at the first rule: the stack names row 2,
+        # its first failing row, with the message Dataset gives for that row
+        y, X, y_raw, X_raw = _centered_stack(rng)
+        for rule in rules:
+            _break(y[2], X[2], rule)
+        _break(y[4], X[4], "finite")
+        for i in range(5):
+            row = dict(y=y[i], X=X[i], raw=(y_raw[i], X_raw[i]))
+            if i in (2, 4):
+                with pytest.raises(ValueError):
+                    Dataset(**row)
+            else:
+                Dataset(**row)
+        with pytest.raises(ValueError, match=message) as alone:
+            Dataset(y=y[2], X=X[2], raw=(y_raw[2], X_raw[2]))
+        with pytest.raises(ValueError) as stacked:
+            check_data(y, X, y_raw, X_raw, lambda i: f"row {i}: ")
+        assert str(stacked.value) == f"row 2: {alone.value}"
+
+    def test_stacked_check_takes_the_raw_scales(self, rng):
+        # removing a mean of 1e8 leaves residual means far above the rounding
+        # of the centered values, but within that of the raw ones
+        y, X, y_raw, X_raw = _centered_stack(rng, offset=1e8)
+        check_data(y, X, y_raw, X_raw)
+        with pytest.raises(ValueError, match="not centered"):
+            check_data(y, X, y, X)
+
+    def test_stacked_check_names_nonfinite_rows_without_warning(self, rng):
+        # +inf and -inf in one column make its sum NaN, which must not warn
+        y, X, y_raw, X_raw = _centered_stack(rng)
+        X[1, 3, 0], X[1, 5, 0], y[1, 2] = np.inf, -np.inf, np.nan
+        X[3, 0, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^row 1: y and X must be finite$"):
+                check_data(y, X, y_raw, X_raw, lambda i: f"row {i}: ")
+
     def test_arrays_are_frozen(self, hand_dataset):
         with pytest.raises(ValueError):
             hand_dataset.y[0] = 5.0
@@ -105,6 +157,26 @@ class TestDataset:
         assert col_means == pytest.approx(x_raw.mean(axis=0))
         assert abs(data.y.mean()) < 1e-10
         assert np.abs(data.X.mean(axis=0)).max() < 1e-10
+
+
+def _centered_stack(rng, offset=0.0):
+    """Five datasets, n = 10 and p = 3, centered from raw data about ``offset``:
+    ``(y, X, y_raw, X_raw)``."""
+    X_raw = offset + rng.standard_normal((5, 10, 3))
+    y_raw = offset + rng.standard_normal((5, 10))
+    return y_raw - y_raw.mean(axis=1)[:, None], X_raw - X_raw.mean(axis=1)[:, None], y_raw, X_raw
+
+
+def _break(y, X, rule):
+    """Make one dataset's y and X break a data rule, in place."""
+    if rule == "finite":
+        X[4, 1] = np.nan
+    elif rule == "magnitude":
+        y *= 1e160
+    elif rule == "y centered":
+        y += 1.0
+    else:
+        X[:, 0] += 1.0
 
 
 class TestOlsFit:

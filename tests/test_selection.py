@@ -15,12 +15,11 @@ from postselect import (
     ols_fit,
     overfit_condition,
     select,
-    select_stack,
     theorem_report,
 )
 from postselect import selection
 from postselect.errors import PostselectError
-from postselect.selection import SSE_FLOOR
+from postselect.selection import SSE_FLOOR, select_stack
 
 from oracles import (
     TIE_RTOL,
@@ -87,6 +86,14 @@ def _extreme_dataset(
 def _exhaustive(data: Dataset, crit: Criterion, **kwargs):
     """``select`` asked for every subset, so that it prunes nothing."""
     return select(data, crit, top=2**data.p, **kwargs)
+
+
+def _stacked(stack: list[Dataset], crit: Criterion, top: int):
+    """``select_stack`` on the datasets, as each one's masks, scores and
+    floored count."""
+    X, y = np.array([d.X for d in stack]), np.array([d.y for d in stack])
+    masks, scores, bounds, floored, _ = select_stack(X, y, crit, top=top)
+    return [(masks[a:b], scores[a:b], f) for a, b, f in zip(bounds[:-1], bounds[1:], floored)]
 
 
 def _table(result) -> dict[int, float]:
@@ -259,14 +266,15 @@ class TestSelect:
         # searched between two well-conditioned datasets, each keeps its own
         # result: the pruning of one does not leak into the others
         stack = [before, data, after]
-        results = select_stack(stack, AIC, top=2**7)
-        for stacked, alone in zip(results, stack):
+        rows = _stacked(stack, AIC, top=2**7)
+        for (masks, scores, _), alone in zip(rows, stack):
             alone = _exhaustive(alone, AIC)
-            assert np.array_equal(stacked.masks, alone.masks)
-            assert np.array_equal(stacked.scores.view(np.int64), alone.scores.view(np.int64))
-        assert np.isinf(results[1].scores).sum() > np.isinf(results[0].scores).sum() == 1
+            assert np.array_equal(masks, alone.masks)
+            assert np.array_equal(scores.view(np.int64), alone.scores.view(np.int64))
+        (_, scores_before, _), (_, scores_data, _), _ = rows
+        assert np.isinf(scores_data).sum() > np.isinf(scores_before).sum() == 1
 
-        result = results[1]
+        result = _exhaustive(data, AIC)
         bf_chosen, bf_table = brute_force_select(data, AIC)
         assert result.chosen == select(data, AIC).chosen == bf_chosen
         # both lists come in size order, then index-list order
@@ -307,12 +315,11 @@ class TestSelect:
             _extreme_dataset(seed + i, p, extra, log_sigma, log_scales, rho, duplicate)[0]
             for i in range(3)
         ]
-        for stacked, data in zip(select_stack(stack, AIC, top=top), stack):
+        for (masks, scores, floored), data in zip(_stacked(stack, AIC, top=top), stack):
             alone = select(data, AIC, top=top)
-            assert stacked.chosen == alone.chosen
-            assert np.array_equal(stacked.masks, alone.masks)
-            assert np.array_equal(stacked.scores.view(np.int64), alone.scores.view(np.int64))
-            assert stacked.truncated_sse_count == alone.truncated_sse_count
+            assert np.array_equal(masks, alone.masks)
+            assert np.array_equal(scores.view(np.int64), alone.scores.view(np.int64))
+            assert floored == alone.truncated_sse_count
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -548,6 +555,25 @@ class TestTheoremReport:
         assert report.sse_hat == pytest.approx(
             (1.0 - report.r_n) * report.sse_star, rel=1e-10
         )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scaling_y_or_one_column_leaves_the_report(self, seed):
+        # r_n and F_n are ratios of SSEs and the condition depends on the
+        # sizes alone, so none of them moves when y or a column is rescaled
+        data = _signal_dataset(seed)
+        s_star, s_hat = Subset((1, 2, 3)), Subset((1, 2, 3, 5, 7))
+        base = theorem_report(data, s_star, s_hat, AIC)
+        for factor in (1e6, 1e-6):
+            scaled = [Dataset(y=data.y * factor, X=data.X)]
+            for j in range(data.p):
+                x = data.X.copy()
+                x[:, j] *= factor
+                scaled.append(Dataset(y=data.y, X=x))
+            for d in scaled:
+                report = theorem_report(d, s_star, s_hat, AIC)
+                assert report.r_n == pytest.approx(base.r_n, rel=1e-10, abs=0)
+                assert report.f_n == pytest.approx(base.f_n, rel=1e-10, abs=0)
+                assert report.condition_holds == base.condition_holds
 
     def test_overfit_with_condition_implies_underestimation(self):
         # the central implication, on a randomized sweep (the acceptance

@@ -10,7 +10,6 @@ from postselect import (
     Subset,
     centered_dataset,
     generate_dataset,
-    generate_stack,
     ols_fit,
     run_experiment,
     run_replication,
@@ -19,6 +18,7 @@ from postselect import (
 from postselect import simulation
 from postselect.distributions import ar1_rows
 from postselect.errors import DegenerateReplication, PostselectError
+from postselect.simulation import generate_stack
 
 from oracles import brute_force_select
 
@@ -152,20 +152,33 @@ class TestGenerateStack:
     )
     def test_stack_rows_equal_one_stream_datasets(self, cfg, block):
         start = 5
-        gens = generate_stack(cfg, [RngStream(cfg.seed, start + b) for b in range(block)])
-        for b, gen in enumerate(gens):
+        X, y, query = generate_stack(cfg, [RngStream(cfg.seed, start + b) for b in range(block)])
+        assert X.shape == (block, cfg.n, cfg.p) and y.shape == (block, cfg.n)
+        for b in range(block):
             single = generate_dataset(cfg, RngStream(cfg.seed, start + b))
-            data, col_means, query = three_call_dataset(cfg, RngStream(cfg.seed, start + b))
-            for got in (gen, single):
-                assert np.array_equal(got.data.y, data.y)
-                assert np.array_equal(got.data.X, data.X)
-                assert np.array_equal(got.raw_column_means, col_means)
-                assert np.array_equal(got.query_x_raw, query)
+            data, col_means, query_raw = three_call_dataset(cfg, RngStream(cfg.seed, start + b))
+            assert np.array_equal(single.data.y, data.y) and np.array_equal(y[b], data.y)
+            assert np.array_equal(single.data.X, data.X) and np.array_equal(X[b], data.X)
+            assert np.array_equal(single.raw_column_means, col_means)
+            assert np.array_equal(single.query_x_raw, query_raw)
+            assert np.array_equal(query[b], query_raw - col_means)
+
+    def test_data_are_checked_at_their_raw_scale(self):
+        # at n = 3 a replication's centered values can be far smaller than its
+        # raw ones (replication 17 here), so a centering check at the centered
+        # scale would reject valid data
+        cfg = ExperimentConfig(n=3, p=1, beta_star=(1.0,), seed=2)
+        X, y, _ = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(32)])
+        single = generate_dataset(cfg, RngStream(cfg.seed, 17)).data
+        assert np.array_equal(X[17], single.X) and np.array_equal(y[17], single.y)
 
     def test_out_of_range_data_names_its_replication(self):
         cfg = ExperimentConfig(sigma=1e200)
-        with pytest.raises(ValueError, match="^replication 3: centered y and X must not exceed"):
+        message = "^replication 3: centered y and X must not exceed"
+        with pytest.raises(ValueError, match=message):
             generate_stack(cfg, [RngStream(cfg.seed, i) for i in (3, 4)])
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(cfg, RngStream(cfg.seed, 3))
         with pytest.raises(ValueError, match="^replication 0: centered y and X"):
             run_experiment(small_cfg(sigma=1e200, reps=2))
 
