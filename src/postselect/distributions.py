@@ -52,9 +52,10 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(substream,))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
-    def standard_normal(self, size) -> np.ndarray:
-        """An array of iid standard normal draws, filled in C order."""
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """An array of iid standard normal draws, filled in C order, or ``out``
+        (C-contiguous) filled with the draws of its size."""
+        return self._gen.standard_normal(size, out=out)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, substream={self.substream})"

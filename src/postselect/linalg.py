@@ -147,6 +147,7 @@ def check_data(y, X, y_raw, X_raw, label: Callable[[int], str] = lambda i: "") -
         raise ValueError(label(j) + messages[int(failed[:, j].argmax())])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Dataset rejects data whose means are not finite
 def centered_dataset(
     y_raw: np.ndarray, X_raw: np.ndarray
 ) -> tuple[Dataset, float, np.ndarray]:

@@ -260,9 +260,13 @@ def select_stack(
     everyone = np.arange(b)
 
     r = np.linalg.qr(np.concatenate([X, y[:, :, None]], axis=2), mode="r")
-    drop_one = _drop_column(r, np.tile(everyone, p), np.repeat(np.arange(p), b))[:, p - 1, p - 1]
+    drop_one, step = np.empty((b, p)), max(1, _BATCH_FLOATS // (p * (p + 1) ** 2))
+    for first in range(0, b, step):  # the p children of each batch of datasets
+        m = len(part := r[first : first + step])
+        children = _drop_column(part, np.tile(np.arange(m), p), np.repeat(np.arange(p), m))
+        drop_one[first : first + m] = children[:, p - 1, p - 1].reshape(p, m).T
     perm = np.full((b, p + 1), p)
-    perm[:, :p] = np.argsort(-drop_one.reshape(p, b).T, axis=1, kind="stable")
+    perm[:, :p] = np.argsort(-drop_one, axis=1, kind="stable")
     r = np.linalg.qr(np.take_along_axis(r, perm[:, None, :], 2), mode="r")
     # each preorder position's bit in a bitmask and in its bit reversal
     bits, reversed_bits = np.left_shift(1, perm[:, :p]), np.left_shift(1, p - 1 - perm[:, :p])
@@ -325,8 +329,10 @@ def select_stack(
                 rec = (owner, *child[:, s + 1 :].T, np.full(j.size, size), scores, floored)
                 level.append(tuple(x[new] for x in rec))
             live = (j < min(size, max_size + 1)) & (log_term + c_n * j <= limit[owner])
-            if live.any():
-                frontier.append((h[live][:, _upper(s)[0], _upper(s)[1]], child[live]))
+            if live.any():  # packed in one indexing step, not copied whole first
+                live = np.flatnonzero(live)
+                frontier.append((h[live[:, None], _upper(s)[0], _upper(s)[1]], child[live]))
+            del node_r, h  # before the next batch builds its children
         if level:
             records += level
             owner = np.concatenate([candidates[0], *(rec[0] for rec in level)])

@@ -3,7 +3,8 @@
 Each replication draws a fresh dataset, fits the oracle model (the true
 subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
-Replications run in blocks, computed as stacks: one call of
+Replications run in blocks of as many as fit in ``_BLOCK_FLOATS`` floats of
+data, and at least one, computed as stacks: one call of
 :func:`~postselect.selection.select_stack` selects for all of them, and for
 each subset in use one call of :func:`~postselect.linalg.ols_fit_stack` fits
 it and one of :func:`~postselect.inference.interval_stack` gives its
@@ -30,8 +31,9 @@ from .inference import interval_stack
 from .linalg import Dataset, Subset, check_data, collinear_error, ols_fit_stack
 from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack, subset_of_mask
 
-# Replications per block, which share one call of select_stack.
-_BLOCK_REPS = 32
+# A block holds as many replications as fit about this many floats of data,
+# n (p + 1) each, and at least one; its replications share one select_stack.
+_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,16 @@ def _generate(cfg: ExperimentConfig, rngs: Sequence[RngStream]):
     raw response and design, stacked and checked; a stream gives its n design
     rows, n noise values and query row in one call."""
     n, p = cfg.n, cfg.p
-    z = np.array([rng.standard_normal(n * p + n + p) for rng in rngs])
-    # each stream's design rows and query row go through one AR(1) recursion
-    x = ar1_rows(np.concatenate([z[:, : n * p], z[:, -p:]], axis=1).reshape(-1, n + 1, p), cfg.rho)
-    x_raw, y_raw = x[:, :n], x[:, :n] @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
+    z = np.empty((len(rngs), n * p + n + p))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    x_raw, query = ar1_rows(z[:, : n * p].reshape(-1, n, p), cfg.rho), ar1_rows(z[:, -p:], cfg.rho)
+    y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
+    del z  # the draws are not needed to center
     col_means = x_raw.mean(axis=1)
     X, y = x_raw - col_means[:, None], y_raw - y_raw.mean(axis=1)[:, None]
     check_data(y, X, y_raw, x_raw, lambda i: f"replication {rngs[i].substream}: ")
-    return X, y, col_means, x[:, n], y_raw, x_raw
+    return X, y, col_means, query, y_raw, x_raw
 
 
 def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
@@ -295,8 +299,9 @@ def run_experiment(
     """
     t0 = time.perf_counter()
     workers = min(cfg.resolved_workers(), cfg.reps)
-    starts = range(0, cfg.reps, _BLOCK_REPS)
-    stops = [min(start + _BLOCK_REPS, cfg.reps) for start in starts]
+    size = max(1, _BLOCK_FLOATS // (cfg.n * (cfg.p + 1)))
+    starts = range(0, cfg.reps, size)
+    stops = [min(start + size, cfg.reps) for start in starts]
     args = (repeat(cfg), starts, stops)
     if workers <= 1:
         blocks = list(map(_replication_block, *args))

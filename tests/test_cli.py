@@ -236,6 +236,15 @@ class TestSelectCommand:
         assert_one_error_line(code, err)
         assert "magnitude" in err
 
+    def test_infinities_of_both_signs_exit_2(self, capsys, tmp_path):
+        # a column holding inf and -inf has no mean; the data is rejected
+        # with one error line, and centering it warns of nothing
+        path = tmp_path / "inf.csv"
+        path.write_text("x1,y\ninf,1.0\n-inf,2.0\n0.5,3.0\n1.5,4.0\n")
+        code, _, err = run_cli(capsys, "select", str(path))
+        assert_one_error_line(code, err)
+        assert err.endswith("y and X must be finite\n")
+
     def test_too_many_predictors_exit_2(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "wide.csv"

@@ -357,6 +357,21 @@ class TestSelect:
         assert ties_best(result.chosen)
         assert all(ties_best(s) for s in result.ties)
 
+    def test_batches_of_one_dataset_change_no_bits(self, rng, monkeypatch):
+        # a batch budget of one float runs every pass, the drop-one ordering
+        # pass too, one dataset or node at a time; the last dataset's y = x1
+        # exactly, so some of its subsets hit the SSE floor
+        stack = [random_centered_dataset(rng, 30, 6, beta=np.arange(6.0)) for _ in range(4)]
+        stack.append(Dataset(y=stack[0].X[:, 0], X=stack[0].X))
+        X, y = np.array([d.X for d in stack]), np.array([d.y for d in stack])
+        default = select_stack(X, y, BIC, top=5)
+        monkeypatch.setattr(selection, "_BATCH_FLOATS", 1)
+        masks, scores, bounds, floored, cap = select_stack(X, y, BIC, top=5)
+        assert np.array_equal(masks, default[0]) and np.array_equal(bounds, default[2])
+        assert np.array_equal(scores.view(np.int64), default[1].view(np.int64))
+        assert np.array_equal(floored, default[3]) and floored[-1] > 0
+        assert cap == default[4]
+
     def test_size_cap_limits_enumeration(self, rng):
         data = random_centered_dataset(rng, 20, 6)
         result = _exhaustive(data, AIC, size_cap=2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def floored_at_7(**overrides) -> ExperimentConfig:
     full-model SSE is within rounding of zero (0.04 times the threshold), and
     replications 0-9 otherwise clear it by a factor of 17 or more."""
     return ExperimentConfig(n=3, p=1, beta_star=(1.0,), sigma=8e-15, seed=187, **overrides)
+
+
+# replications per block in the tests that cut a run into blocks of their own
+BLOCK = 32
+
+
+def blocks_of(monkeypatch, cfg: ExperimentConfig, reps: int = BLOCK) -> ExperimentConfig:
+    """``cfg``, which run_experiment now cuts into blocks of ``reps`` replications."""
+    monkeypatch.setattr(simulation, "_BLOCK_FLOATS", reps * cfg.n * (cfg.p + 1))
+    return cfg
 
 
 class TestExperimentConfig:
@@ -302,35 +313,42 @@ class TestRunExperiment:
         assert serial == parallel
 
     @pytest.mark.parametrize(
-        "workers, overrides, full_model_picks",
+        "workers, overrides, block, full_model_picks",
         [
-            (workers, overrides, picks)
-            for overrides, picks in [
-                (dict(reps=2 * simulation._BLOCK_REPS + 3), 0),
-                # the benchmark's p = 4 run, whose full-model picks show an
-                # interval's dot product taken at a stride
-                (dict(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=42, reps=160), 9),
+            (workers, overrides, block, picks)
+            for overrides, block, picks in [
+                (dict(reps=2 * BLOCK + 3), BLOCK, 0),
+                # the benchmark's p = 4 run in blocks of the default budget,
+                # 131 replications; its full-model picks show an interval's
+                # dot product taken at a stride
+                (dict(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=42, reps=160), None, 9),
             ]
             for workers in (1, 2)
         ],
         ids=["1", "2", "narrow-1", "narrow-2"],
     )
-    def test_records_do_not_depend_on_blocks(self, workers, overrides, full_model_picks):
+    def test_records_do_not_depend_on_blocks(
+        self, monkeypatch, workers, overrides, block, full_model_picks
+    ):
         # a partial last block, and blocks split between two processes, give
         # the records of one-replication blocks
         cfg = small_cfg(workers=workers, **overrides)
+        if block:
+            blocks_of(monkeypatch, cfg, block)
+        size = max(1, simulation._BLOCK_FLOATS // (cfg.n * (cfg.p + 1)))
+        assert cfg.reps > size and cfg.reps % size  # two blocks or more, the last partial
         _, records = run_experiment(cfg)
         assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
         assert sum(r.s_hat.size == cfg.p for r in records) == full_model_picks
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_weak_signal_run_records_the_empty_model(self, workers):
+    def test_weak_signal_run_records_the_empty_model(self, monkeypatch, workers):
         # AIC selects the empty model in some replications, the first
         # mid-block; its interval is [0, 0], which misses a nonzero truth
         cfg = ExperimentConfig(
-            n=20, p=3, beta_star=(0.4, 0.0, 0.0), reps=2 * simulation._BLOCK_REPS + 3, seed=0,
-            workers=workers,
+            n=20, p=3, beta_star=(0.4, 0.0, 0.0), reps=2 * BLOCK + 3, seed=0, workers=workers
         )
+        blocks_of(monkeypatch, cfg)
         _, records = run_experiment(cfg)
         assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
         empty = [r for r in records if r.s_hat == Subset()]
@@ -339,24 +357,24 @@ class TestRunExperiment:
             assert r.ci_width_selected == 0.0 and not r.covered_selected
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_error_inside_a_block_names_its_replication(self, workers):
+    def test_error_inside_a_block_names_its_replication(self, monkeypatch, workers):
         # some replications reach the SSE floor; the first of them is not the
         # first of its block
-        cfg = floored_at_7(reps=2 * simulation._BLOCK_REPS + 3, workers=workers)
+        cfg = blocks_of(monkeypatch, floored_at_7(reps=2 * BLOCK + 3, workers=workers))
         failed = []
         for i in range(cfg.reps):
             try:
                 run_replication(cfg, i)
             except DegenerateReplication:
                 failed.append(i)
-        assert failed[0] == 7 and 7 % simulation._BLOCK_REPS != 0
+        assert failed[0] == 7 and 7 % BLOCK != 0
         with pytest.raises(DegenerateReplication, match="^replication 7: 1 subsets hit the SSE floor"):
             run_experiment(cfg)
 
     def test_failed_stacked_fit_keeps_the_replication_order(self, monkeypatch):
         # the block's stacked S* fit fails for replication 9; replication 7
         # fails first when replications run one at a time, so its error wins
-        cfg = floored_at_7(reps=simulation._BLOCK_REPS, workers=1)
+        cfg = blocks_of(monkeypatch, floored_at_7(reps=BLOCK, workers=1))
         bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
         fit_stack = simulation.ols_fit_stack
 
@@ -381,7 +399,7 @@ class TestRunExperiment:
         ],
     )
     def test_first_failing_fit_names_its_subset(self, monkeypatch, failing, message):
-        cfg = small_cfg(reps=simulation._BLOCK_REPS)
+        cfg = blocks_of(monkeypatch, small_cfg(reps=BLOCK))
         bad_y = {
             kind: generate_dataset(cfg, RngStream(cfg.seed, i)).data.y
             for kind, i in failing.items()
@@ -396,6 +414,32 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing)
         with pytest.raises(PostselectError, match=message):
             run_experiment(cfg)
+
+    def test_data_over_the_budget_run_one_replication_per_block(self, monkeypatch):
+        cfg = small_cfg(n=7000, p=4, beta_star=(1.0, 2.0, 0.0, 0.0), reps=3)
+        assert cfg.n * (cfg.p + 1) > simulation._BLOCK_FLOATS
+        block, sizes = simulation._replication_block, []
+
+        def counted_block(cfg, start, stop):
+            sizes.append(stop - start)
+            return block(cfg, start, stop)
+
+        monkeypatch.setattr(simulation, "_replication_block", counted_block)
+        _, records = run_experiment(cfg)
+        assert sizes == [1, 1, 1]
+        assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
+
+    def test_block_memory_does_not_grow_with_n(self):
+        # a block holds about _BLOCK_FLOATS floats of data, here one
+        # replication of 0.9 MiB; one block of all 8 would peak near 28 MiB
+        cfg = small_cfg(n=20_000, p=5, beta_star=(1.0, 2.0, 0.0, 0.0, 0.0), reps=8)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, peak
 
     def test_different_seeds_differ(self):
         _, a = run_experiment(small_cfg(seed=1, reps=5))
