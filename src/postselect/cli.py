@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -62,9 +61,9 @@ def _fmt(value: float) -> str:
 # the --cn flag gives next to the criterion.  Flag text and config-file values
 # both pass through _coerce_config_value, which only converts text: a JSON
 # value is first written back as its JSON text, so 2.9 or true for an integer
-# field fails exactly as the line "reps = 2.9" does.  beta_star and s_star
-# are lists, criterion is a name, workers is an int when it reads as one, and
-# every other field is a number of its default's type.  Whether a value is
+# field fails exactly as the line "reps = 2.9" does.  beta_star is a list,
+# criterion is a name, workers is an int when it reads as one, and every
+# other field is a number of its default's type.  Whether a value is
 # valid is decided by Criterion and ExperimentConfig alone.
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _CONFIG_KEYS = (*_FIELDS, "c_n")
@@ -93,8 +92,8 @@ def _coerce_config_value(key: str, value):
     if key not in _CONFIG_KEYS:
         raise ValueError(f"unknown configuration field {key!r}")
     value = _json_text(value)
-    if key in ("beta_star", "s_star"):
-        return _parse_list(value, key, float if key == "beta_star" else int)
+    if key == "beta_star":
+        return _parse_list(value, key, float)
     if key == "criterion":
         return value
     if key == "workers":
@@ -165,14 +164,8 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None:
             merged[key] = _coerce_config_value(key, value)
 
-    kwargs = {
-        key: value
-        for key, value in merged.items()
-        if key not in ("s_star", "criterion", "c_n")
-    }
+    kwargs = {key: value for key, value in merged.items() if key not in ("criterion", "c_n")}
     kwargs["criterion"] = _build_criterion(merged.get("criterion"), merged.get("c_n"))
-    if "s_star" in merged:
-        kwargs["s_star"] = Subset.of(merged["s_star"])
     return ExperimentConfig(**kwargs)
 
 
@@ -183,8 +176,6 @@ def config_as_dict(cfg: ExperimentConfig) -> dict:
         value = getattr(cfg, key)
         if key == "beta_star":
             out[key] = list(value)
-        elif key == "s_star":
-            out[key] = list(value.indices)
         elif key == "criterion":
             out["criterion"] = value.kind
             out["c_n"] = value.custom_value
@@ -231,12 +222,9 @@ def ratio_hist_csv_text(records: Sequence[ReplicationRecord]) -> str:
         counts, _ = np.histogram(clipped, bins=edges)
     else:
         counts = np.zeros(_HIST_BINS, dtype=int)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RATIO_HIST_COLUMNS)
-    for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-        writer.writerow((f"{lo:.2f}", f"{hi:.2f}", int(count)))
-    return buf.getvalue()
+    header = ",".join(RATIO_HIST_COLUMNS) + "\n"
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    return "".join([header, *("%.2f,%.2f,%d\n" % row for row in rows)])
 
 
 def _summary_json_obj(summary) -> dict:
@@ -371,9 +359,9 @@ def cmd_select(args: argparse.Namespace) -> int:
     if result.skipped:
         reasons = {}
         for s, reason in result.skipped:
-            reasons.setdefault(reason, []).append(str(s))
+            reasons.setdefault(reason, []).append(s)
         for reason, subs in reasons.items():
-            shown = ", ".join(subs[:5]) + (", ..." if len(subs) > 5 else "")
+            shown = ", ".join(map(str, subs[:5])) + (", ..." if len(subs) > 5 else "")
             warnings.append(f"{len(subs)} subsets met in the search skipped ({reason}): {shown}")
 
     if args.json:
@@ -520,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--criterion", help=_CRITERION_HELP)
     sim.add_argument("--cn", help="penalty value for --criterion custom")
     sim.add_argument("--beta-star", help="comma-separated true coefficients")
-    sim.add_argument("--s-star", help="comma-separated true subset (1-based)")
     sim.add_argument("--out-dir", default=".", help="directory for output files")
     sim.set_defaults(func=cmd_simulate)
 

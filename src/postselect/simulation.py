@@ -43,17 +43,14 @@ class ExperimentConfig:
     Defaults reproduce the reference study: n=50 observations on p=10
     AR(1)-correlated predictors with one-step correlation 0.5, true
     coefficients (1, 2, 3, 0, ..., 0), unit noise variance, AIC selection,
-    95% intervals, 1000 replications.
-
-    ``beta_star`` must be nonzero exactly on ``s_star``; leave ``s_star``
-    unset to derive it from the support of ``beta_star``.
+    95% intervals, 1000 replications.  The true subset ``s_star`` is the
+    support of ``beta_star``.
     """
 
     n: int = 50
     p: int = 10
     sigma: float = 1.0
     beta_star: tuple[float, ...] = (1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    s_star: Optional[Subset] = None
     rho: float = 0.5
     reps: int = 1000
     alpha: float = 0.05
@@ -83,16 +80,8 @@ class ExperimentConfig:
         if not all(map(math.isfinite, beta)):
             raise ValueError(f"beta_star must be finite, got {beta}")
         object.__setattr__(self, "beta_star", beta)
-        support = Subset(tuple(i + 1 for i, b in enumerate(beta) if b != 0.0))
-        if support.size == 0:
+        if self.s_star.size == 0:
             raise ValueError("beta_star must have at least one nonzero coefficient")
-        if self.s_star is None:
-            object.__setattr__(self, "s_star", support)
-        elif self.s_star != support:
-            raise ValueError(
-                f"s_star {self.s_star} does not match the support {support} "
-                f"of beta_star"
-            )
         if self.s_star.size > self.n - 2:
             raise ValueError(
                 f"s_star {self.s_star} leaves the oracle fit no residual degree "
@@ -103,6 +92,11 @@ class ExperimentConfig:
         ):
             raise ValueError(f"workers must be 'auto' or a positive int, got {self.workers!r}")
         RngStream(self.seed)  # validates the seed range
+
+    @property
+    def s_star(self) -> Subset:
+        """The true subset: the indices of the nonzero coefficients."""
+        return Subset(tuple(i + 1 for i, b in enumerate(self.beta_star) if b != 0.0))
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
@@ -196,7 +190,7 @@ def _replication_block(
     chosen, group = np.unique(masks[bounds[:-1]], return_inverse=True)
     s_hats, star = [subset_of_mask(m) for m in chosen.tolist()], cfg.s_star
     # (row, subset, replications): row 0 is the selected model's, row 1 S*'s
-    models = [(1, star, np.arange(len(X)))]
+    models = [(1, star, slice(None))]
     models += [(0, s, np.flatnonzero(group == g)) for g, s in enumerate(s_hats)]
     sigma, width = np.empty((2, 2, len(X)))
     collinear, covered = np.empty((2, 2, len(X)), bool)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from postselect import ExperimentConfig, RngStream, generate_dataset
-from postselect.cli import main, records_csv_text, ratio_hist_csv_text, RECORDS_COLUMNS
+from postselect import ExperimentConfig, RngStream, Subset, generate_dataset
+from postselect.cli import (
+    RECORDS_COLUMNS, _assemble_config, build_parser, main, ratio_hist_csv_text, records_csv_text,
+)
 
 from oracles import brute_force_select
 
@@ -460,7 +462,28 @@ class TestSimulateCommand:
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["p"] == 4
-        assert manifest["config"]["s_star"] == [1, 2]
+        assert "s_star" not in manifest["config"]
+        args = build_parser().parse_args(["simulate", "--config", str(out_dir / "manifest.json")])
+        assert _assemble_config(args).s_star == Subset((1, 2))
+
+    def test_manifest_with_s_star_exits_2(self, capsys, tmp_path):
+        """S* is derived from beta_star, so a manifest that still echoes s_star
+        is refused, not read."""
+        first = tmp_path / "first"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--reps", "3", "--seed", "9", "--workers", "1",
+            "--out-dir", str(first),
+        )
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["s_star"] = [1, 2, 3]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest, indent=2) + "\n")
+        again = tmp_path / "again"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(old), "--out-dir", str(again))
+        assert_one_error_line(code, err)
+        assert err == "error: unknown configuration field 's_star'\n"
+        assert not again.exists()
 
 
 class TestCsvSchemas:
@@ -520,7 +543,6 @@ INVALID_CONFIGS = {
     "infinite c_n": (["--cn", "inf"], "c_n = inf"),
     "non-finite sigma": (["--sigma", "nan"], "sigma = nan"),
     "zero sigma": (["--sigma", "0"], "sigma = 0"),
-    "s_star index 0": (["--s-star", "0"], "s_star = 0"),
     "alpha below the rounding of 1 - alpha/2": (["--alpha", "1e-17"], "alpha = 1e-17"),
     "p beyond the enumeration limit": (
         ["--p", "21", "--beta-star", "1" + ",0" * 20],
@@ -538,7 +560,6 @@ TRUNCATED_JSON_VALUES = {
     "fractional reps": ({"reps": 2.9}, "reps = 2.9"),
     "boolean reps": ({"reps": True}, "reps = true"),
     "boolean workers": ({"workers": True}, "workers = true"),
-    "fractional s_star": ({"s_star": [1.5, 2, 3]}, "s_star = 1.5,2,3"),
 }
 
 

@@ -60,11 +60,9 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(p=4, beta_star=(0.0, 2.0, 0.0, -1.0), n=20)
         assert cfg.s_star == Subset((2, 4))
 
-    def test_s_star_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="support"):
-            ExperimentConfig(
-                p=4, n=20, beta_star=(1.0, 0.0, 0.0, 0.0), s_star=Subset((2,))
-            )
+    def test_s_star_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="s_star"):
+            ExperimentConfig(p=4, n=20, beta_star=(1.0, 0.0, 0.0, 0.0), s_star=Subset((1,)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
