@@ -25,7 +25,7 @@ from . import __version__
 from .distributions import RNG_ALGORITHM, student_t_quantile
 from .errors import PostselectError
 from .linalg import Dataset, Subset, centered_dataset, ols_fit
-from .selection import Criterion, overfit_condition, select, theorem_report
+from .selection import Criterion, overfit_condition, select, subset_of_mask, theorem_report
 from .simulation import ExperimentConfig, ReplicationRecord, run_experiment
 
 EXIT_OK = 0
@@ -356,13 +356,11 @@ def cmd_select(args: argparse.Namespace) -> int:
             f"{result.truncated_sse_count} subsets met in the search had SSE at "
             f"the floor (exact fits); their scores are saturated"
         )
-    if result.skipped:
-        reasons = {}
-        for s, reason in result.skipped:
-            reasons.setdefault(reason, []).append(s)
-        for reason, subs in reasons.items():
-            shown = ", ".join(map(str, subs[:5])) + (", ..." if len(subs) > 5 else "")
-            warnings.append(f"{len(subs)} subsets met in the search skipped ({reason}): {shown}")
+    for reason, masks in result.skipped_masks().items():
+        if masks:
+            more = ", ..." if len(masks) > 5 else ""
+            shown = ", ".join(str(subset_of_mask(m)) for m in masks[:5]) + more
+            warnings.append(f"{len(masks)} subsets met in the search skipped ({reason}): {shown}")
 
     if args.json:
         obj = {

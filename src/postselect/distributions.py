@@ -3,7 +3,8 @@
 Sampling goes through :class:`RngStream`, a seeded, substream-indexed wrapper
 around a counter-based generator, so that parallel workers drawing from
 ``(seed, substream)`` pairs reproduce bit-identical results regardless of
-scheduling.  :func:`ar1_rows` turns such draws into AR(1)-correlated design
+scheduling; :func:`stream_keys` derives the streams' keys many at a time.
+:func:`ar1_rows` turns such draws into AR(1)-correlated design
 rows; it trusts its correlation, which
 :class:`~postselect.simulation.ExperimentConfig` has already validated.
 
@@ -16,12 +17,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
+from itertools import permutations
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 # Counter-based generator backing every stream; recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
+# numpy SeedSequence's hash chains (start, multiplier): the pool's and the state's
+_POOL_CHAIN, _STATE_CHAIN, _MASK32 = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), 2**32 - 1
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
@@ -36,21 +40,15 @@ class RngStream:
     """Deterministic pseudo-random stream addressed by (seed, substream).
 
     Identical ``(seed, substream)`` pairs yield identical output sequences on
-    any host and under any thread or process count.  Streams are stateful and
-    must not be shared between workers; derive one stream per worker instead.
+    any host and under any thread or process count.  Its Philox key is
+    :func:`stream_keys`'s.  Streams are stateful and must not be shared
+    between workers; derive one stream per worker instead.
     """
 
     def __init__(self, seed: int, substream: int = 0) -> None:
-        seed = int(seed)
-        substream = int(substream)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if substream < 0:
-            raise ValueError(f"substream must be nonnegative, got {substream}")
-        self.seed = seed
-        self.substream = substream
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(substream,))
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self.seed, self.substream = int(seed), int(substream)
+        key = stream_keys(self.seed, [self.substream])[0]
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, size=None, out: Optional[np.ndarray] = None) -> np.ndarray:
         """An array of iid standard normal draws, filled in C order, or ``out``
@@ -59,6 +57,62 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, substream={self.substream})"
+
+
+def _hashmix(value, chain: tuple[int, int], k: int):
+    """SeedSequence's hash of a word, an int or a uint64 array, at step k of
+    the hash chain ``chain``."""
+    h = chain[0] * pow(chain[1], k, 1 << 32) & _MASK32
+    value = (value ^ h) * (h * chain[1] & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the hashed word ``y`` into the pool word ``x``."""
+    r = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """SeedSequence's pool of four words with the seed mixed in: its two words,
+    padded with zeros, as numpy pads a seed that a spawn key follows."""
+    pool = [_hashmix(w, _POOL_CHAIN, i) for i, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
+    for k, (src, dst) in enumerate(permutations(range(4), 2), 4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_CHAIN, k))
+    return tuple(pool)
+
+
+def stream_keys(seed: int, substreams: Sequence[int]) -> np.ndarray:
+    """The Philox keys, (b, 2) uint64, of the streams ``(seed, r)`` for r in
+    ``substreams``: numpy's ``SeedSequence(entropy=seed, spawn_key=(r,))``
+    key, ``generate_state(2, np.uint64)``, written out.  The seed's words are
+    mixed once, as ints, and only the spawn word and the state per stream, as
+    uint64 arrays masked to 32 bits.  From 2**32 on a spawn key takes two
+    words, so such a substream is refused."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    for edge in (min(substreams, default=0), max(substreams, default=0)):
+        if not 0 <= edge < 2**32:
+            raise ValueError(f"substream must lie in [0, 2**32), got {edge}")
+    # one substream is hashed as an int, without numpy's cost per call
+    r = int(substreams[0]) if len(substreams) == 1 else np.asarray(substreams, dtype=np.uint64)
+    pool = [_mix(w, _hashmix(r, _POOL_CHAIN, 16 + i)) for i, w in enumerate(_seed_pool(seed))]
+    w = [_hashmix(v, _STATE_CHAIN, j) for j, v in enumerate(pool)]
+    return np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64).T.reshape(-1, 2)
+
+
+def stream_generators(seed: int, substreams: Sequence[int]) -> Iterator[np.random.Generator]:
+    """One Generator, re-keyed to each stream ``(seed, r)`` in turn and
+    yielded: the key, counter 0 and an empty buffer, so that it draws what a
+    fresh ``RngStream(seed, r)`` draws."""
+    bitgen = np.random.Philox(key=0)
+    gen, state = np.random.Generator(bitgen), bitgen.state  # counter 0, buffer_pos 4
+    for key in stream_keys(seed, substreams):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
 
 
 def ar1_rows(z: np.ndarray, rho: float) -> np.ndarray:

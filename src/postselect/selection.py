@@ -16,6 +16,7 @@ variables) to under-estimation of the error variance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
@@ -134,9 +135,15 @@ class SelectionResult:
     def skipped(self) -> tuple[tuple[Subset, str], ...]:
         """Visited subsets without a score, with reasons: those larger than
         ``max_size``, then the rank-deficient ones, by size then index list."""
-        subsets = [subset_of_mask(m) for m in self.masks[np.isinf(self.scores)].tolist()]
-        big = [(s, "insufficient degrees of freedom") for s in subsets if s.size > self.max_size]
-        return (*big, *((s, "rank deficient") for s in subsets if s.size <= self.max_size))
+        items = self.skipped_masks().items()
+        return tuple((subset_of_mask(m), why) for why, masks in items for m in masks)
+
+    def skipped_masks(self) -> dict[str, list[int]]:
+        """The bitmasks of ``skipped``, by reason, in its order."""
+        # the unscored masks come last, by size: the rank-deficient ones first
+        masks = self.masks[np.searchsorted(self.scores, np.inf) :].tolist()
+        cut = bisect_right(masks, self.max_size, key=int.bit_count)
+        return {"insufficient degrees of freedom": masks[cut:], "rank deficient": masks[:cut]}
 
     def ranked(self, k: int) -> list[tuple[Subset, float]]:
         """The ``k`` best-scoring subsets and their scores, ties broken as

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import RNG_ALGORITHM, RngStream, ar1_rows
+from .distributions import RNG_ALGORITHM, RngStream, ar1_rows, stream_generators, stream_keys
 from .errors import DegenerateReplication, PostselectError
 from .inference import interval_stack
 from .linalg import Dataset, Subset, check_data, collinear_error, ols_fit_stack
@@ -91,7 +91,7 @@ class ExperimentConfig:
             not isinstance(self.workers, int) or self.workers < 1
         ):
             raise ValueError(f"workers must be 'auto' or a positive int, got {self.workers!r}")
-        RngStream(self.seed)  # validates the seed range
+        stream_keys(self.seed, [self.reps - 1])  # the seed and every substream in range
 
     @property
     def s_star(self) -> Subset:
@@ -111,34 +111,36 @@ class GeneratedData(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the data rules reject data that overflow
-def _generate(cfg: ExperimentConfig, rngs: Sequence[RngStream]):
+def _generate(cfg: ExperimentConfig, substreams: Sequence[int], streams):
     """Each stream's centered design and response, column means, query row and
     raw response and design, stacked and checked; a stream gives its n design
     rows, n noise values and query row in one call."""
     n, p = cfg.n, cfg.p
-    z = np.empty((len(rngs), n * p + n + p))
-    for rng, row in zip(rngs, z):
-        rng.standard_normal(out=row)
+    z = np.empty((len(substreams), n * p + n + p))
+    for stream, row in zip(streams, z):
+        stream.standard_normal(out=row)
     x_raw, query = ar1_rows(z[:, : n * p].reshape(-1, n, p), cfg.rho), ar1_rows(z[:, -p:], cfg.rho)
     y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
     del z  # the draws are not needed to center
     col_means = x_raw.mean(axis=1)
     X, y = x_raw - col_means[:, None], y_raw - y_raw.mean(axis=1)[:, None]
-    check_data(y, X, y_raw, x_raw, lambda i: f"replication {rngs[i].substream}: ")
+    check_data(y, X, y_raw, x_raw, lambda i: f"replication {substreams[i]}: ")
     return X, y, col_means, query, y_raw, x_raw
 
 
 def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
     """One dataset and query point, as :func:`generate_stack` draws a row."""
-    X, y, col_means, query, y_raw, x_raw = _generate(cfg, [rng])
+    X, y, col_means, query, y_raw, x_raw = _generate(cfg, [rng.substream], [rng])
     return GeneratedData(Dataset(y[0], X[0], raw=(y_raw[0], x_raw[0])), col_means[0], query[0])
 
 
-def generate_stack(cfg: ExperimentConfig, rngs: Sequence[RngStream]) -> tuple[np.ndarray, ...]:
-    """One dataset per stream: the centered designs (b, n, p) and responses
-    (b, n), and the query points (b, p) shifted by the column means.  A dataset
-    depends only on its stream, whose substream its data error names."""
-    X, y, col_means, query, *_ = _generate(cfg, rngs)
+def generate_stack(cfg: ExperimentConfig, substreams: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """One dataset per stream ``(cfg.seed, r)``, r in ``substreams``, drawn
+    through one re-keyed generator: the centered designs (b, n, p) and
+    responses (b, n), and the query points (b, p) shifted by the column means.
+    A dataset depends only on its stream, whose substream its data error names."""
+    streams = stream_generators(cfg.seed, substreams)
+    X, y, col_means, query, *_ = _generate(cfg, substreams, streams)
     return X, y, query - col_means
 
 
@@ -184,7 +186,7 @@ def _replication_block(
     replication's first failure: the S* fit, then the SSE floor, then the
     selected fit.
     """
-    X, y, query = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(start, stop)])
+    X, y, query = generate_stack(cfg, range(start, stop))
     masks, _, bounds, floored, _ = select_stack(X, y, cfg.criterion)
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
     chosen, group = np.unique(masks[bounds[:-1]], return_inverse=True)

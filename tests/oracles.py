@@ -3,29 +3,31 @@
 These deliberately use different algorithms from the package: explicit
 normal-equations solves instead of QR, a dense Cholesky factor instead of the
 AR(1) recursion, closed-form distribution functions, a plain-loop
-brute-force subset search, and a replication computed one model at a time.
+brute-force subset search, numpy's own ``SeedSequence`` instead of the
+package's stream-key hash, and a replication computed one model at a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from postselect import (
     Criterion,
     Dataset,
     ExperimentConfig,
     ReplicationRecord,
-    RngStream,
     Subset,
     TheoremReport,
     centered_dataset,
-    generate_dataset,
     student_t_quantile,
 )
+from postselect.distributions import ar1_rows
 
 SSE_FLOOR = 1e-300
 
@@ -146,18 +148,24 @@ def random_centered_dataset(
 def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecord]:
     """Replications 0..reps-1 recomputed one model at a time.
 
-    Only the data come from the package (:func:`generate_dataset`, whose AR(1)
-    rows are checked against a dense Cholesky factor), and the t quantile,
-    which has closed-form checks of its own.  Selection is
-    :func:`brute_force_select`, each fit ``np.linalg.lstsq``, each interval
-    a normal-equations solve, and the condition is written out from the
-    paper's ``1 - exp(-a_n d_n) > d_n``.
+    Replication i draws its normals from numpy's own
+    ``Philox(SeedSequence(entropy=seed, spawn_key=(i,)))``, not through the
+    package's key hash.  Only the rest of the data come from the package
+    (:func:`ar1_rows`, checked against a dense Cholesky factor, and
+    :func:`centered_dataset`), and the t quantile, which has closed-form
+    checks of its own.  Selection is :func:`brute_force_select`, each fit
+    ``np.linalg.lstsq``, each interval a normal-equations solve, and the
+    condition is written out from the paper's ``1 - exp(-a_n d_n) > d_n``.
     """
-    star, n = cfg.s_star, cfg.n
+    star, n, p = cfg.s_star, cfg.n, cfg.p
     records = []
     for i in range(reps):
-        gen = generate_dataset(cfg, RngStream(cfg.seed, i))
-        data, x0 = gen.data, gen.query_x_raw - gen.raw_column_means
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+        z = np.random.Generator(np.random.Philox(seq)).standard_normal(n * p + n + p)
+        x_raw = ar1_rows(z[: n * p].reshape(n, p), cfg.rho)
+        y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[n * p : -p]
+        data, _, col_means = centered_dataset(y_raw, x_raw)
+        x0 = ar1_rows(z[-p:], cfg.rho) - col_means
         truth = float(np.dot(x0, cfg.beta_star))
         s_hat, _ = brute_force_select(data, cfg.criterion)
         sigma, width, covered = {}, {}, {}
@@ -189,3 +197,15 @@ def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecor
             condition_holds=strict and 1.0 - math.exp(-a_n * d_n) > d_n,
         ))
     return records
+
+
+def assert_records_match(records, reference) -> None:
+    """Every size and boolean equal, every float within 1e-12 relative."""
+    assert len(records) == len(reference)
+    for got, want in zip(records, reference):
+        for field in dataclasses.fields(ReplicationRecord):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.type == "float":
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0), (got.rep_index, field.name)
+            else:
+                assert a == b, (got.rep_index, field.name)

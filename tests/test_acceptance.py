@@ -5,7 +5,6 @@ failure output).  The Monte Carlo tolerances cover sampling error at the
 pinned seed; the property sweeps are exact (zero violations allowed).
 """
 
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,7 +14,6 @@ import pytest
 from postselect import (
     Criterion,
     ExperimentConfig,
-    ReplicationRecord,
     Subset,
     ols_fit,
     overfit_condition,
@@ -27,6 +25,7 @@ from postselect import (
 from postselect.cli import records_csv_text
 
 from oracles import (
+    assert_records_match,
     brute_force_select,
     cauchy_quantile,
     normal_equations_fit,
@@ -122,25 +121,13 @@ def test_regression_anchor(default_run):
     assert summary.mean_ratio_overfit == pytest.approx(1.05330, abs=1e-5)
 
 
-def _assert_records_match(records, reference) -> None:
-    """Every size and boolean equal, every float within 1e-12 relative."""
-    assert len(records) == len(reference)
-    for got, want in zip(records, reference):
-        for field in dataclasses.fields(ReplicationRecord):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            if field.type == "float":
-                assert a == pytest.approx(b, rel=1e-12, abs=0.0), (got.rep_index, field.name)
-            else:
-                assert a == b, (got.rep_index, field.name)
-
-
 def test_records_match_the_reference_oracle(default_run):
     # the records against a replication recomputed one model at a time: the
     # reference study's first 64, and 320 of the p = 4 study
     _, records = default_run
-    _assert_records_match(records[:64], reference_records(default_run_cfg(), 64))
+    assert_records_match(records[:64], reference_records(default_run_cfg(), 64))
     narrow = ExperimentConfig(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=ACCEPT_SEED, reps=320)
-    _assert_records_match(run_once(narrow)[1], reference_records(narrow, narrow.reps))
+    assert_records_match(run_once(narrow)[1], reference_records(narrow, narrow.reps))
 
 
 # --- criterion 3: randomized theorem sweep ---------------------------------

@@ -548,6 +548,8 @@ INVALID_CONFIGS = {
         ["--p", "21", "--beta-star", "1" + ",0" * 20],
         "p = 21\nbeta_star = 1" + ",0" * 20,
     ),
+    "seed above 64 bits": (["--seed", str(2**64)], f"seed = {2**64}"),
+    "reps beyond the 2**32 substreams": (["--reps", str(2**32 + 1)], f"reps = {2**32 + 1}"),
     "s_star leaves the oracle no df": (
         ["--n", "11", "--beta-star", ",".join(["1"] * 10)],
         "n = 11\nbeta_star = " + ",".join(["1"] * 10),

@@ -11,7 +11,7 @@ from postselect import (
     student_t_cdf,
     student_t_quantile,
 )
-from postselect.distributions import ar1_rows
+from postselect.distributions import ar1_rows, stream_generators, stream_keys
 
 from oracles import (
     ar1_covariance,
@@ -64,6 +64,70 @@ class TestRngStream:
             RngStream(seed=2**64)
         with pytest.raises(ValueError):
             RngStream(seed=1, substream=-2)
+
+
+# seeds of one and of two 32-bit entropy words, the largest seed among them
+KEY_SEEDS = [0, 7, 42, 2**32 + 5, 123456789012345, 2**64 - 1]
+
+
+def numpy_generator(seed: int, substream: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(substream,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def numpy_keys(seed: int, substreams) -> np.ndarray:
+    return np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(2, np.uint64)
+        for r in substreams
+    ])
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_equal_numpy_seed_sequence(self, seed):
+        substreams = [*range(3000), 2**31, 2**32 - 1]
+        keys = stream_keys(seed, substreams)
+        assert keys.dtype == np.uint64 and keys.shape == (len(substreams), 2)
+        assert np.array_equal(keys, numpy_keys(seed, substreams))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        substreams=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    )
+    def test_keys_equal_numpy_for_any_seed(self, seed, substreams):
+        assert np.array_equal(stream_keys(seed, substreams), numpy_keys(seed, substreams))
+
+    def test_no_substreams_no_keys(self):
+        assert stream_keys(42, range(0)).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_stream_draws_what_numpy_seed_sequence_draws(self, seed):
+        for r in (0, 1, 999):
+            a, b = RngStream(seed, r).standard_normal(300), numpy_generator(seed, r).standard_normal(300)
+            assert np.array_equal(a, b)
+
+    def test_substream_limit_is_2_to_the_32(self):
+        # numpy's spawn key takes a second word from 2**32 on: refused, never
+        # keyed as if it had one
+        last = RngStream(3, 2**32 - 1).standard_normal(50)
+        assert np.array_equal(last, numpy_generator(3, 2**32 - 1).standard_normal(50))
+        with pytest.raises(ValueError, match=r"substream must lie in \[0, 2\*\*32\), got 4294967296"):
+            RngStream(3, 2**32)
+        with pytest.raises(ValueError, match=r"got 4294967296"):
+            stream_keys(3, [5, 2**32, 6])
+        with pytest.raises(ValueError, match=r"got -1"):
+            stream_keys(3, [5, -1])
+
+    def test_rekeyed_generator_draws_what_a_fresh_stream_draws(self):
+        # a row of 7 normals leaves Philox's buffer of 4 words partly used, so
+        # a re-key that kept the buffer would shift the next row's draws
+        substreams, sizes = [5, 6, 0, 2**32 - 1, 5, 9], [7, 254, 7, 7, 33, 1]
+        streams = stream_generators(42, substreams)
+        for i, (gen, r, size) in enumerate(zip(streams, substreams, sizes)):
+            assert np.array_equal(gen.standard_normal(size), RngStream(42, r).standard_normal(size))
+            if i == 0:
+                assert 0 < gen.bit_generator.state["buffer_pos"] < 4
 
 
 class TestStdNormal:

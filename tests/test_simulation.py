@@ -21,7 +21,7 @@ from postselect.distributions import ar1_rows
 from postselect.errors import DegenerateReplication, PostselectError
 from postselect.simulation import generate_stack
 
-from oracles import brute_force_select
+from oracles import assert_records_match, brute_force_select, reference_records
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -89,6 +89,15 @@ class TestExperimentConfig:
             ExperimentConfig(beta_star=(0.0,) * 10)
         with pytest.raises(ValueError):
             ExperimentConfig(n=10, p=10)
+
+    def test_seed_and_substream_ranges(self):
+        # replication r draws from substream r, and substreams stop at 2**32
+        assert ExperimentConfig(reps=2**32).reps == 2**32
+        with pytest.raises(ValueError, match=r"^substream must lie in \[0, 2\*\*32\), got 4294967296$"):
+            ExperimentConfig(reps=2**32 + 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
+                ExperimentConfig(seed=seed)
 
     def test_workers_resolution(self):
         assert ExperimentConfig(workers=3).resolved_workers() == 3
@@ -161,7 +170,7 @@ class TestGenerateStack:
     )
     def test_stack_rows_equal_one_stream_datasets(self, cfg, block):
         start = 5
-        X, y, query = generate_stack(cfg, [RngStream(cfg.seed, start + b) for b in range(block)])
+        X, y, query = generate_stack(cfg, range(start, start + block))
         assert X.shape == (block, cfg.n, cfg.p) and y.shape == (block, cfg.n)
         for b in range(block):
             single = generate_dataset(cfg, RngStream(cfg.seed, start + b))
@@ -177,7 +186,7 @@ class TestGenerateStack:
         # raw ones (replication 17 here), so a centering check at the centered
         # scale would reject valid data
         cfg = ExperimentConfig(n=3, p=1, beta_star=(1.0,), seed=2)
-        X, y, _ = generate_stack(cfg, [RngStream(cfg.seed, i) for i in range(32)])
+        X, y, _ = generate_stack(cfg, range(32))
         single = generate_dataset(cfg, RngStream(cfg.seed, 17)).data
         assert np.array_equal(X[17], single.X) and np.array_equal(y[17], single.y)
 
@@ -185,7 +194,7 @@ class TestGenerateStack:
         cfg = ExperimentConfig(sigma=1e200)
         message = "^replication 3: centered y and X must not exceed"
         with pytest.raises(ValueError, match=message):
-            generate_stack(cfg, [RngStream(cfg.seed, i) for i in (3, 4)])
+            generate_stack(cfg, [3, 4])
         with pytest.raises(ValueError, match=message):
             generate_dataset(cfg, RngStream(cfg.seed, 3))
         with pytest.raises(ValueError, match="^replication 0: centered y and X"):
@@ -338,6 +347,16 @@ class TestRunExperiment:
         _, records = run_experiment(cfg)
         assert records == [run_replication(cfg, i) for i in range(cfg.reps)]
         assert sum(r.s_hat.size == cfg.p for r in records) == full_model_picks
+
+    @pytest.mark.parametrize("seed", [2**32 + 5, 2**64 - 1])
+    def test_two_word_seeds_match_the_reference_oracle(self, monkeypatch, seed):
+        # seeds of two entropy words, over three blocks, against numpy's own
+        # SeedSequence streams
+        cfg = ExperimentConfig(
+            p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=seed, reps=2 * BLOCK + 5, workers=1
+        )
+        blocks_of(monkeypatch, cfg)
+        assert_records_match(run_experiment(cfg)[1], reference_records(cfg, cfg.reps))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_weak_signal_run_records_the_empty_model(self, monkeypatch, workers):
