@@ -432,10 +432,6 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
     try:
         s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
         s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
-        if not s_star.is_strict_subset(s_hat):
-            raise ValueError(
-                f"--s-hat {s_hat} must strictly contain --s-star {s_star}"
-            )
         crit = _build_criterion(args.criterion, args.cn)
         data, _ = _read_dataset_csv(args.data)
         report = theorem_report(data, s_star, s_hat, crit)

@@ -16,6 +16,7 @@ involved.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
@@ -46,8 +47,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, substream: int = 0) -> None:
+        key = stream_keys(seed, [substream])[0]
         self.seed, self.substream = int(seed), int(substream)
-        key = stream_keys(self.seed, [self.substream])[0]
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, size=None, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -89,10 +90,11 @@ def stream_keys(seed: int, substreams: Sequence[int]) -> np.ndarray:
     key, ``generate_state(2, np.uint64)``, written out.  The seed's words are
     mixed once, as ints, and only the spawn word and the state per stream, as
     uint64 arrays masked to 32 bits.  From 2**32 on a spawn key takes two
-    words, so such a substream is refused."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    words, so such a substream is refused, as is a seed that is a bool or not
+    an integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    seed = int(seed)
     for edge in (min(substreams, default=0), max(substreams, default=0)):
         if not 0 <= edge < 2**32:
             raise ValueError(f"substream must lie in [0, 2**32), got {edge}")

@@ -275,8 +275,7 @@ def select_stack(
     perm = np.full((b, p + 1), p)
     perm[:, :p] = np.argsort(-drop_one, axis=1, kind="stable")
     r = np.linalg.qr(np.take_along_axis(r, perm[:, None, :], 2), mode="r")
-    # each preorder position's bit in a bitmask and in its bit reversal
-    bits, reversed_bits = np.left_shift(1, perm[:, :p]), np.left_shift(1, p - 1 - perm[:, :p])
+    bits = np.left_shift(1, perm[:, :p])  # each preorder position's bit in a bitmask
     collinear = RANK_RTOL * np.hypot.reduce(r[:, :, :p], axis=1)  # per column
     # the first m columns of the preorder leave the residual of rows m..p of y
     resid = np.hypot.accumulate(np.abs(r[:, ::-1, p]), axis=1)[:, ::-1]
@@ -290,25 +289,22 @@ def select_stack(
         log_term = n * np.log(np.maximum(sse, SSE_FLOOR))
         return log_term, np.where(scored, log_term + c_n * size, np.inf), floored
 
-    # the seeds; a visited subset is (dataset, bitmask, reversed bitmask,
-    # size, score, floored)
+    # the seeds; a visited subset is (dataset, bitmask, size, score, floored)
     sizes = np.arange(requested_max + 1)
     deficient = np.zeros((b, p + 1), bool)
     deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
     _, scores, floored = score(exact_fit, resid[:, sizes] ** 2, sizes, deficient[:, sizes])
-    prefix = np.zeros((2, b, p + 1), bits.dtype)
-    prefix[:, :, 1:] = bits.cumsum(1), reversed_bits.cumsum(1)
+    prefix = np.concatenate([np.zeros((b, 1), bits.dtype), bits.cumsum(1)], 1)
     owner = np.repeat(everyone, sizes.size)
-    masks = prefix[:, :, sizes].reshape(2, -1)
-    records = [(owner, *masks, np.tile(sizes, b), scores.ravel(), floored.ravel())]
+    masks = prefix[:, sizes].ravel()
+    records = [(owner, masks, np.tile(sizes, b), scores.ravel(), floored.ravel())]
     cut, kept = _kth_best(owner, scores.ravel(), b, top)
     candidates = (owner[kept], scores.ravel()[kept])
 
     # a node is the upper triangle of its R factor, row by row, and its
-    # columns' preorder positions, dataset, k, bitmask and reversed bitmask
-    meta = np.empty((b, p + 4), np.intp)
-    meta[:, :p], meta[:, p], meta[:, p + 1] = np.arange(p), everyone, 0
-    meta[:, p + 2 :] = prefix[:, :, p].T
+    # columns' preorder positions, dataset, k and bitmask
+    meta = np.zeros((b, p + 3), np.intp)
+    meta[:, :p], meta[:, p], meta[:, p + 2] = np.arange(p), everyone, prefix[:, p]
     frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta)]
     for s in range(p, 0, -1):
         size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
@@ -318,18 +314,17 @@ def select_stack(
             node_r = np.zeros((len(packed), s + 1, s + 1))
             node_r[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed
             h = _drop_column(node_r, parent, j)
-            keep = np.arange(s + 3)
+            keep = np.arange(s + 2)
             child = meta[parent[:, None], keep + (keep >= j[:, None])]
             owner, dropped = child[:, size], meta[parent, j]
             child[:, s] = j
             child[:, s + 1] ^= bits[owner, dropped]
-            child[:, s + 2] ^= reversed_bits[owner, dropped]
             d = np.abs(h.diagonal(0, 1, 2))
             deficient = (d[:, :size] <= collinear[owner[:, None], child[:, :size]]).any(1)
             log_term, scores, floored = score(exact_fit[owner, 0], d[:, size] ** 2, size, deficient)
             if size <= requested_max:  # a prefix, with last position size - 1, was a seed
                 new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
-                rec = (owner, *child[:, s + 1 :].T, np.full(j.size, size), scores, floored)
+                rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
                 level.append(tuple(x[new] for x in rec))
             live = (j < min(size, max_size + 1)) & (log_term + c_n * j <= limit[owner])
             if live.any():  # packed in one indexing step, not copied whole first
@@ -339,14 +334,18 @@ def select_stack(
         if level:
             records += level
             owner = np.concatenate([candidates[0], *(rec[0] for rec in level)])
-            scores = np.concatenate([candidates[1], *(rec[4] for rec in level)])
+            scores = np.concatenate([candidates[1], *(rec[3] for rec in level)])
             cut, kept = _kth_best(owner, scores, b, top)
             candidates = (owner[kept], scores[kept])
         if not frontier:
             break
 
-    owner, masks, reversed_masks, sizes, scores, floored = map(np.concatenate, zip(*records))
-    ranking = np.lexsort((-reversed_masks, sizes, scores, owner))
+    owner, masks, sizes, scores, floored = map(np.concatenate, zip(*records))
+    # a smaller index list comes first: a larger p-bit reversal of the mask
+    flipped = np.zeros_like(masks)
+    for i in range(p):
+        flipped |= (masks >> i & 1) << (p - 1 - i)
+    ranking = np.lexsort((-flipped, sizes, scores, owner))
     owner, masks, scores = owner[ranking], masks[ranking], scores[ranking]
     masks.setflags(write=False)
     scores.setflags(write=False)
@@ -391,17 +390,6 @@ def overfit_condition(
             f"sizes leave no residual degrees of freedom: n={n}, "
             f"size_star={size_star}, size_hat={size_hat}"
         )
-    return _condition(n, size_star, size_hat, c_n)
-
-
-def _condition(
-    n: int, size_star: int, size_hat: int, c_n: float
-) -> ConditionDiagnostics:
-    """The condition's arithmetic, without the size checks.
-
-    ``a_n`` does not depend on ``size_hat``; equal sizes give ``d_n = 0`` and
-    a condition that does not hold.
-    """
     df_star = n - size_star - 1
     a_n = (c_n / n) * df_star
     d_n = (size_hat - size_star) / df_star
@@ -411,26 +399,24 @@ def _condition(
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Overfitting diagnostics for a (true subset, selected subset) pair.
+    """Overfitting diagnostics for a strict overfit: a selected subset
+    ``s_hat`` that strictly contains the true one, ``s_star``.
 
-    ``d_n``, ``r_n`` and ``f_n`` are present only when the selected subset
-    contains the true one; ``f_n`` additionally needs a strict size increase.
-    ``condition_holds`` is False whenever the containment fails.
-
+    ``a_n``, ``d_n`` and ``condition_holds`` are :func:`overfit_condition`'s.
     ``r_n = 1 - sse_hat / sse_star`` is the relative SSE drop, so
     ``sse_hat = (1 - r_n) * sse_star``.  ``f_n`` is
-    ``((sse_star - sse_hat) / (|s_hat| - |s_star|)) / (sse_hat / (n - |s_hat|))``
-    (infinite when ``sse_hat`` is zero).  Its denominator degrees of freedom
-    ``n - |s_hat|`` are one more than ``SubsetFit.df = n - |s_hat| - 1``,
-    which also counts the intercept removed by centering.
+    ``((sse_star - sse_hat) / (|s_hat| - |s_star|)) / (sse_hat / (n - |s_hat| - 1))``
+    (infinite when ``sse_hat`` is zero): its denominator is the selected
+    fit's variance estimate, whose degrees of freedom also count the
+    intercept removed by centering.
     """
 
     s_star: Subset
     s_hat: Subset
     a_n: float
-    d_n: Optional[float]
-    r_n: Optional[float]
-    f_n: Optional[float]
+    d_n: float
+    r_n: float
+    f_n: float
     condition_holds: bool
     sigma_hat_star: float
     sigma_hat_selected: float
@@ -442,53 +428,34 @@ class TheoremReport:
 def theorem_report(
     data: Dataset, s_star: Subset, s_hat: Subset, crit: Criterion
 ) -> TheoremReport:
-    """Compare the variance estimates of a reference model and a selected one.
-
-    Works for any fittable pair; the nested-model quantities are filled in
-    when ``s_hat`` contains ``s_star``.
+    """Compare the variance estimates of the true model and a strict overfit.
 
     Raises
     ------
+    ValueError
+        Before any fit, unless ``s_hat`` strictly contains ``s_star`` and
+        leaves a residual degree of freedom.
     PostselectError
         If ``SSE(s_star)`` is zero (the relative reduction is undefined).
     """
-    fit_star = ols_fit(data, s_star)
-    fit_hat = ols_fit(data, s_hat)
+    if not s_star.is_strict_subset(s_hat):
+        raise ValueError(f"s_hat {s_hat} must strictly contain s_star {s_star}")
+    diag = overfit_condition(data.n, s_star.size, s_hat.size, crit.c_n(data.n))
+    fit_star, fit_hat = ols_fit(data, s_star), ols_fit(data, s_hat)
     if fit_star.sse == 0.0:
         raise PostselectError(f"SSE({s_star}) is zero; theorem quantities undefined")
-
-    n = data.n
-    nested = s_star.issubset(s_hat)
-    # a_n does not depend on |s_hat|; a pair that is not nested is evaluated
-    # at zero extra variables, where the condition cannot hold
-    size_hat = s_hat.size if nested else s_star.size
-    diag = _condition(n, s_star.size, size_hat, crit.c_n(n))
-    d_n = r_n = f_n = None
-    if nested:
-        d_n = diag.d_n
-        r_n = 1.0 - fit_hat.sse / fit_star.sse
-        extra = s_hat.size - s_star.size
-        if extra > 0:
-            if fit_hat.sse == 0.0:
-                f_n = math.inf
-            else:
-                f_n = ((fit_star.sse - fit_hat.sse) / extra) / (
-                    fit_hat.sse / (n - s_hat.size)
-                )
-
-    sigma_star = fit_star.sigma_hat
-    sigma_sel = fit_hat.sigma_hat
+    gain = (fit_star.sse - fit_hat.sse) / (s_hat.size - s_star.size)
     return TheoremReport(
         s_star=s_star,
         s_hat=s_hat,
         a_n=diag.a_n,
-        d_n=d_n,
-        r_n=r_n,
-        f_n=f_n,
+        d_n=diag.d_n,
+        r_n=1.0 - fit_hat.sse / fit_star.sse,
+        f_n=gain / fit_hat.sigma_hat_sq if fit_hat.sse else math.inf,
         condition_holds=diag.holds,
-        sigma_hat_star=sigma_star,
-        sigma_hat_selected=sigma_sel,
-        underestimates=sigma_sel < sigma_star,
+        sigma_hat_star=fit_star.sigma_hat,
+        sigma_hat_selected=fit_hat.sigma_hat,
+        underestimates=fit_hat.sigma_hat < fit_star.sigma_hat,
         sse_star=fit_star.sse,
         sse_hat=fit_hat.sse,
     )

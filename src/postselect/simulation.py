@@ -16,6 +16,7 @@ bit-identical for any block size and worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +60,9 @@ class ExperimentConfig:
     workers: Union[int, str] = "auto"
 
     def __post_init__(self) -> None:
+        for name in ("n", "p", "reps"):  # numpy integers too, but not a bool or a float
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.p < 1 or self.n <= self.p:
             raise ValueError(f"need 1 <= p < n, got n={self.n}, p={self.p}")
         if self.p > ENUMERATION_LIMIT:
@@ -88,7 +92,7 @@ class ExperimentConfig:
                 f"of freedom at n={self.n}; need |s_star| <= n - 2"
             )
         if self.workers != "auto" and (
-            not isinstance(self.workers, int) or self.workers < 1
+            isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1
         ):
             raise ValueError(f"workers must be 'auto' or a positive int, got {self.workers!r}")
         stream_keys(self.seed, [self.reps - 1])  # the seed and every substream in range

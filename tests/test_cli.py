@@ -142,13 +142,14 @@ class TestTheoremCheckCommand:
     def test_data_mode_rejects_non_nested(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         write_fixture_csv(path)
-        code, _, err = run_cli(
-            capsys,
-            "theorem-check", "--data", str(path),
-            "--s-star", "1,2,3", "--s-hat", "1,2,4",
-        )
-        assert code == 2
-        assert "contain" in err
+        for s_hat in ("1,2,4", "1,2,3", "1,2"):  # not nested, equal, smaller
+            code, _, err = run_cli(
+                capsys,
+                "theorem-check", "--data", str(path),
+                "--s-star", "1,2,3", "--s-hat", s_hat,
+            )
+            assert_one_error_line(code, err)
+            assert "contain" in err
 
 
 class TestSelectCommand:

@@ -64,6 +64,9 @@ class TestRngStream:
             RngStream(seed=2**64)
         with pytest.raises(ValueError):
             RngStream(seed=1, substream=-2)
+        for seed in (2.9, True):  # not truncated to seed 2 or read as seed 1
+            with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
+                RngStream(seed)
 
 
 # seeds of one and of two 32-bit entropy words, the largest seed among them

@@ -322,8 +322,8 @@ class TestSseDecomposition:
         assert dec.sse_star == pytest.approx(6.0)
         assert dec.sse_hat == pytest.approx(1.5)
         assert dec.r_n == pytest.approx(0.75, abs=1e-12)
-        # F = ((6 - 1.5) / 1) / (1.5 / (3 - 1))
-        assert dec.f_n == pytest.approx(6.0, abs=1e-12)
+        # F = ((6 - 1.5) / 1) / (1.5 / (3 - 1 - 1))
+        assert dec.f_n == pytest.approx(3.0, abs=1e-12)
 
     def test_no_improvement_gives_zero_r_and_f(self):
         # second column constructed orthogonal to the first fit's residual

@@ -18,6 +18,7 @@ from postselect import (
     theorem_report,
 )
 from postselect import selection
+from postselect.distributions import regularized_incomplete_beta
 from postselect.errors import PostselectError
 from postselect.selection import SSE_FLOOR, select_stack
 
@@ -527,25 +528,25 @@ class TestTheoremReport:
         assert found >= 10
 
     def test_identical_subsets(self):
-        data = _signal_dataset(1)
-        s = Subset((1, 2, 3))
-        report = theorem_report(data, s, s, AIC)
-        assert report.d_n == 0.0
-        assert report.r_n == 0.0
-        assert report.f_n is None
-        assert not report.condition_holds
-        assert not report.s_star.is_strict_subset(report.s_hat)
-        assert not report.underestimates
-        assert report.sigma_hat_selected == report.sigma_hat_star
+        # the diagnostics describe a strict overfit; a pair that is not one is refused
+        with pytest.raises(ValueError, match="strictly contain"):
+            theorem_report(_signal_dataset(1), Subset((1, 2, 3)), Subset((1, 2, 3)), AIC)
 
     def test_non_nested_pair_flags_fields_absent(self):
-        data = _signal_dataset(2)
-        report = theorem_report(data, Subset((1, 2, 3)), Subset((1, 2, 4)), AIC)
-        assert report.d_n is None
-        assert report.r_n is None
-        assert report.f_n is None
-        assert not report.s_star.is_strict_subset(report.s_hat)
-        assert not report.condition_holds
+        with pytest.raises(ValueError, match="strictly contain"):
+            theorem_report(_signal_dataset(2), Subset((1, 2, 3)), Subset((1, 2, 4)), AIC)
+
+    def test_pair_is_checked_before_any_fit(self, monkeypatch):
+        def no_fit(*_):
+            raise AssertionError("fitted before the pair was checked")
+
+        monkeypatch.setattr(selection, "ols_fit", no_fit)
+        data = _signal_dataset(3)
+        for s_hat in (Subset((1, 2)), Subset((1, 2, 4)), Subset((1, 2, 3))):
+            with pytest.raises(ValueError, match="strictly contain"):
+                theorem_report(data, Subset((1, 2, 3)), s_hat, AIC)
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            theorem_report(data, Subset((1,)), Subset(tuple(range(1, 50))), AIC)
 
     def test_zero_sse_star_raises(self, rng):
         x = rng.standard_normal((10, 3))
@@ -589,6 +590,26 @@ class TestTheoremReport:
                 assert report.r_n == pytest.approx(base.r_n, rel=1e-10, abs=0)
                 assert report.f_n == pytest.approx(base.f_n, rel=1e-10, abs=0)
                 assert report.condition_holds == base.condition_holds
+
+    def test_f_n_has_its_f_distribution(self):
+        # under S*, F_n is F(|S_hat| - |S*|, n - |S_hat| - 1): centering spends
+        # one denominator degree of freedom on the intercept (here F(2, 14)); a
+        # Kolmogorov-Smirnov distance at the 0.1 % critical value of 1.95 / sqrt(N)
+        rng = np.random.default_rng(2017)
+        n, draws, beta = 20, 8000, np.array([1.0, 2.0, 3.0, 0.0, 0.0])
+        s_star, s_hat = Subset((1, 2, 3)), Subset((1, 2, 3, 4, 5))
+        f_n = []
+        for _ in range(draws):
+            x = rng.standard_normal((n, 5))
+            data = centered_dataset(5.0 + x @ beta + rng.standard_normal(n), x)[0]
+            f_n.append(theorem_report(data, s_star, s_hat, AIC).f_n)
+        d1, d2 = 2, n - 5 - 1
+        cdf = [
+            regularized_incomplete_beta(d1 / 2, d2 / 2, d1 * f / (d1 * f + d2), d2 / (d1 * f + d2))
+            for f in sorted(f_n)
+        ]
+        ks = max(max((i + 1) / draws - c, c - i / draws) for i, c in enumerate(cdf))
+        assert ks < 1.95 / math.sqrt(draws)
 
     def test_overfit_with_condition_implies_underestimation(self):
         # the central implication, on a randomized sweep (the acceptance
@@ -667,8 +688,8 @@ class TestPreferenceEquivalence:
     def test_not_nested_and_zero_sse_errors(self, rng):
         # a pair that is not nested has no r_n to compare against the threshold
         data = random_centered_dataset(rng, 15, 4)
-        report = theorem_report(data, Subset((1, 2)), Subset((1, 3)), AIC)
-        assert report.r_n is None and report.d_n is None
+        with pytest.raises(ValueError, match="strictly contain"):
+            _preference(data, Subset((1, 2)), Subset((1, 3)), AIC)
         x = rng.standard_normal((10, 3))
         degenerate = Dataset(y=np.zeros(10), X=x - x.mean(axis=0))
         with pytest.raises(PostselectError, match="is zero"):

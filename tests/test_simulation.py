@@ -47,6 +47,14 @@ def blocks_of(monkeypatch, cfg: ExperimentConfig, reps: int = BLOCK) -> Experime
     return cfg
 
 
+# (field, value) pairs that ExperimentConfig refuses: floats and bools where
+# an integer count or seed belongs
+NON_INTEGER_CONFIGS = [
+    ("seed", 2.9), ("seed", True), ("seed", 2.0), ("reps", 3.5), ("n", 50.5), ("p", 10.0),
+    ("workers", True),
+]
+
+
 class TestExperimentConfig:
     def test_defaults_match_reference_study(self):
         cfg = ExperimentConfig()
@@ -89,6 +97,19 @@ class TestExperimentConfig:
             ExperimentConfig(beta_star=(0.0,) * 10)
         with pytest.raises(ValueError):
             ExperimentConfig(n=10, p=10)
+
+    @pytest.mark.parametrize(
+        "field,value", NON_INTEGER_CONFIGS, ids=[f"{f}={v}" for f, v in NON_INTEGER_CONFIGS]
+    )
+    def test_non_integer_count_is_refused(self, field, value):
+        # a float is not truncated and a bool is not read as 0 or 1: both are
+        # refused with a ValueError that names the field
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = ExperimentConfig(n=np.int64(50), p=np.int32(10), reps=np.uint16(3), seed=np.uint64(7))
+        assert (cfg.n, cfg.p, cfg.reps, cfg.seed) == (50, 10, 3, 7)
 
     def test_seed_and_substream_ranges(self):
         # replication r draws from substream r, and substreams stop at 2**32
