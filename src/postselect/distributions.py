@@ -1,12 +1,11 @@
 """Random sampling and Student-t special functions.
 
-Sampling goes through :class:`RngStream`, a seeded, substream-indexed wrapper
-around a counter-based generator, so that parallel workers drawing from
-``(seed, substream)`` pairs reproduce bit-identical results regardless of
-scheduling; :func:`stream_keys` derives the streams' keys many at a time.
-:func:`ar1_rows` turns such draws into AR(1)-correlated design
-rows; it trusts its correlation, which
-:class:`~postselect.simulation.ExperimentConfig` has already validated.
+Every draw comes from a counter-based stream addressed by ``(seed, substream)``,
+so parallel workers reproduce bit-identical results under any scheduling.
+:func:`stream_keys` keys many streams in one array hash, :func:`stream_generators`
+re-keys one generator to each, and :class:`RngStream` is one such stream.
+:func:`ar1_rows` turns draws into AR(1) design rows; it trusts its correlation,
+which :class:`~postselect.simulation.ExperimentConfig` has validated.
 
 The Student-t CDF and quantile are built on a continued-fraction evaluation
 of the regularized incomplete beta function; no statistics library is
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,16 +38,14 @@ _STIRLING_MIN = 100.0
 class RngStream:
     """Deterministic pseudo-random stream addressed by (seed, substream).
 
-    Identical ``(seed, substream)`` pairs yield identical output sequences on
-    any host and under any thread or process count.  Its Philox key is
-    :func:`stream_keys`'s.  Streams are stateful and must not be shared
-    between workers; derive one stream per worker instead.
+    Identical pairs yield identical output on any host and under any thread
+    or process count: the generator :func:`stream_generators` yields for the
+    pair.  Streams are stateful; derive one per worker instead of sharing one.
     """
 
     def __init__(self, seed: int, substream: int = 0) -> None:
-        key = stream_keys(seed, [substream])[0]
+        self._gen = next(stream_generators(seed, [substream]))
         self.seed, self.substream = int(seed), int(substream)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, size=None, out: Optional[np.ndarray] = None) -> np.ndarray:
         """An array of iid standard normal draws, filled in C order, or ``out``
@@ -60,55 +56,55 @@ class RngStream:
         return f"RngStream(seed={self.seed}, substream={self.substream})"
 
 
-def _hashmix(value, chain: tuple[int, int], k: int):
-    """SeedSequence's hash of a word, an int or a uint64 array, at step k of
-    the hash chain ``chain``."""
+def _hashmix(value: np.ndarray, chain: tuple[int, int], k: int) -> np.ndarray:
+    """SeedSequence's hash of a uint64 array of 32-bit words at step k of the
+    hash chain ``chain``."""
     h = chain[0] * pow(chain[1], k, 1 << 32) & _MASK32
     value = (value ^ h) * (h * chain[1] & _MASK32) & _MASK32
     return value ^ value >> 16
 
 
-def _mix(x, y):
-    """SeedSequence's mix of the hashed word ``y`` into the pool word ``x``."""
+def _mix(x: int, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed words ``y``, a uint64 array, into pool word ``x``."""
     r = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
     return r ^ r >> 16
 
 
-@lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[int, ...]:
-    """SeedSequence's pool of four words with the seed mixed in: its two words,
-    padded with zeros, as numpy pads a seed that a spawn key follows."""
-    pool = [_hashmix(w, _POOL_CHAIN, i) for i, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    for k, (src, dst) in enumerate(permutations(range(4), 2), 4):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_CHAIN, k))
-    return tuple(pool)
+def _unsigned(values, bits: int, error: str) -> np.ndarray:
+    """``values``, an int or ints, as a uint64 array; the first that is a bool,
+    not an integer or outside [0, 2**bits) raises ``ValueError(error.format(it))``."""
+    words = np.asarray(values, dtype=object)  # as given: numpy reads [4, True] as [4, 1]
+    for v in words.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= v < 2**bits:
+            raise ValueError(error.format(v))
+    return words.astype(np.uint64)
+
+
+def check_streams(seed: int, substreams: Sequence[int]) -> tuple[int, np.ndarray]:
+    """The seed as an int and the substreams as uint64 words, refused as :func:`stream_keys`
+    states; it imports no numpy.random, so a config check keeps it out of a pool's parent."""
+    seed = int(_unsigned(seed, 64, "seed must be a 64-bit unsigned integer, got {}"))
+    return seed, _unsigned(substreams, 32, "substream must lie in [0, 2**32), got {}")
 
 
 def stream_keys(seed: int, substreams: Sequence[int]) -> np.ndarray:
     """The Philox keys, (b, 2) uint64, of the streams ``(seed, r)`` for r in
     ``substreams``: numpy's ``SeedSequence(entropy=seed, spawn_key=(r,))``
-    key, ``generate_state(2, np.uint64)``, written out.  The seed's words are
-    mixed once, as ints, and only the spawn word and the state per stream, as
-    uint64 arrays masked to 32 bits.  From 2**32 on a spawn key takes two
-    words, so such a substream is refused, as is a seed that is a bool or not
-    an integer."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    seed = int(seed)
-    for edge in (min(substreams, default=0), max(substreams, default=0)):
-        if not 0 <= edge < 2**32:
-            raise ValueError(f"substream must lie in [0, 2**32), got {edge}")
-    # one substream is hashed as an int, without numpy's cost per call
-    r = int(substreams[0]) if len(substreams) == 1 else np.asarray(substreams, dtype=np.uint64)
-    pool = [_mix(w, _hashmix(r, _POOL_CHAIN, 16 + i)) for i, w in enumerate(_seed_pool(seed))]
+    key, ``generate_state(2, np.uint64)``.  The seed's words are numpy's
+    ``SeedSequence(seed).pool``; the spawn words and states are mixed into it
+    as uint64 arrays.  A seed must be an integer in [0, 2**64) and a substream
+    one in [0, 2**32), where a spawn key has one word; none is truncated."""
+    seed, r = check_streams(seed, substreams)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    pool = [_mix(w, _hashmix(r, _POOL_CHAIN, 16 + i)) for i, w in enumerate(pool)]
     w = [_hashmix(v, _STATE_CHAIN, j) for j, v in enumerate(pool)]
     return np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64).T.reshape(-1, 2)
 
 
 def stream_generators(seed: int, substreams: Sequence[int]) -> Iterator[np.random.Generator]:
     """One Generator, re-keyed to each stream ``(seed, r)`` in turn and
-    yielded: the key, counter 0 and an empty buffer, so that it draws what a
-    fresh ``RngStream(seed, r)`` draws."""
+    yielded: :func:`stream_keys`'s key, counter 0 and an empty buffer, as a
+    fresh Philox seeded by that ``SeedSequence`` starts."""
     bitgen = np.random.Philox(key=0)
     gen, state = np.random.Generator(bitgen), bitgen.state  # counter 0, buffer_pos 4
     for key in stream_keys(seed, substreams):
@@ -231,16 +227,14 @@ def _student_t_pdf(df: int, t: float) -> float:
 
 
 @lru_cache(maxsize=8192)
-def _upper_quantile(df: int, prob: float) -> float:
-    """Quantile for prob in [0.5, 1), by safeguarded Newton on ``cdf - prob``, or
-    within 1e-3 of 1, where ``cdf`` has rounded away the digits of ``1 - prob``,
-    on ``(1 - prob) - P(T > t)`` to a tolerance relative to ``1 - prob``."""
-    if prob == 0.5:
-        return 0.0
-    tail = 1.0 - prob  # exact for prob in [0.5, 1]
+def _tail_quantile(df: int, tail: float) -> float:
+    """The t > 0 with P(T > t) = tail for tail in (0, 0.5), by safeguarded Newton
+    on ``cdf - (1 - tail)``, or below 1e-3, where ``1 - tail`` has rounded away
+    the tail's digits, on ``tail - P(T > t)`` to a tolerance relative to tail."""
     if tail < 1e-3:
         excess, tol = (lambda t: tail - _upper_tail(df, t)), min(_QUANTILE_TOL, 1e-11 * tail)
     else:
+        prob = 1.0 - tail
         excess, tol = (lambda t: student_t_cdf(df, t) - prob), _QUANTILE_TOL
     # bracket [lo, hi] with excess(lo) <= 0 <= excess(hi)
     lo, hi = 0.0, 1.0
@@ -270,8 +264,8 @@ def _upper_quantile(df: int, prob: float) -> float:
 def student_t_quantile(df: int, prob: float) -> float:
     """The value q with P(T <= q) = prob for a Student-t variable.
 
-    Antisymmetric about ``prob = 1/2`` by construction: the positive branch
-    is solved once and mirrored for lower-tail probabilities.
+    The positive quantile of the tail ``min(prob, 1 - prob)`` is solved for
+    and mirrored for ``prob < 1/2``, so a lower-tail prob keeps its digits.
     """
     df = _check_df(df)
     prob = float(prob)
@@ -279,6 +273,5 @@ def student_t_quantile(df: int, prob: float) -> float:
         raise ValueError(f"prob must lie strictly inside (0, 1), got {prob}")
     if prob == 0.5:
         return 0.0
-    upper = max(prob, 1.0 - prob)
-    q = _upper_quantile(df, upper)
+    q = _tail_quantile(df, min(prob, 1.0 - prob))
     return q if prob > 0.5 else -q

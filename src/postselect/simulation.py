@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import RNG_ALGORITHM, RngStream, ar1_rows, stream_generators, stream_keys
+from .distributions import RNG_ALGORITHM, RngStream, ar1_rows, check_streams, stream_generators
 from .errors import DegenerateReplication, PostselectError
 from .inference import interval_stack
 from .linalg import Dataset, Subset, check_data, collinear_error, ols_fit_stack
@@ -60,7 +60,8 @@ class ExperimentConfig:
     workers: Union[int, str] = "auto"
 
     def __post_init__(self) -> None:
-        for name in ("n", "p", "reps"):  # numpy integers too, but not a bool or a float
+        counts = ("n", "p", "reps") + (() if self.workers == "auto" else ("workers",))
+        for name in counts:  # numpy integers too, but not a bool or a float
             if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.p < 1 or self.n <= self.p:
@@ -91,11 +92,9 @@ class ExperimentConfig:
                 f"s_star {self.s_star} leaves the oracle fit no residual degree "
                 f"of freedom at n={self.n}; need |s_star| <= n - 2"
             )
-        if self.workers != "auto" and (
-            isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1
-        ):
+        if self.workers != "auto" and self.workers < 1:
             raise ValueError(f"workers must be 'auto' or a positive int, got {self.workers!r}")
-        stream_keys(self.seed, [self.reps - 1])  # the seed and every substream in range
+        check_streams(self.seed, [self.reps - 1])  # the seed and every substream in range
 
     @property
     def s_star(self) -> Subset:
@@ -261,8 +260,9 @@ class ExperimentSummary:
 def summarize(
     records: list[ReplicationRecord], runtime_seconds: float, seed: int
 ) -> ExperimentSummary:
-    """Fold an ordered record list into an ExperimentSummary."""
-    reps = len(records)
+    """Fold an ordered, non-empty record list into an ExperimentSummary."""
+    if not (reps := len(records)):
+        raise ValueError("summarize needs at least one record")
     rates = {
         "coverage_selected": sum(r.covered_selected for r in records) / reps,
         "coverage_oracle": sum(r.covered_oracle for r in records) / reps,

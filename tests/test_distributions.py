@@ -122,6 +122,41 @@ class TestStreamKeys:
         with pytest.raises(ValueError, match=r"got -1"):
             stream_keys(3, [5, -1])
 
+    def test_substream_containers_give_identical_keys(self):
+        keys = stream_keys(9, [5, 6, 7, 8])
+        for substreams in (
+            range(5, 9), np.arange(5, 9, dtype=np.int32), np.arange(5, 9, dtype=np.uint64),
+        ):
+            assert np.array_equal(stream_keys(9, substreams), keys)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: stream_keys(1, [2.5]),
+            lambda: stream_keys(1, [2, 2.5]),
+            lambda: stream_keys(1, np.array([2.5])),
+            lambda: stream_keys(1, np.array([True])),
+            lambda: stream_keys(1, [4, True]),
+            lambda: RngStream(1, 2.5),
+            lambda: RngStream(1, True),
+        ],
+        ids=[
+            "list", "mixed-list", "float-array", "bool-array", "bool-in-list", "stream", "bool-stream",
+        ],
+    )
+    def test_non_integer_substream_is_refused(self, make):
+        # neither truncated to substream 2 nor read as substream 1
+        message = r"^substream must lie in \[0, 2\*\*32\), got (2\.5|True)$"
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("substream", [0, 2**32 - 1])
+    def test_stream_draws_what_stream_generators_yields(self, seed, substream):
+        gen = next(stream_generators(seed, [substream]))
+        draws = RngStream(seed, substream).standard_normal(77)
+        assert np.array_equal(draws, gen.standard_normal(77))
+
     def test_rekeyed_generator_draws_what_a_fresh_stream_draws(self):
         # a row of 7 normals leaves Philox's buffer of 4 words partly used, so
         # a re-key that kept the buffer would shift the next row's draws
@@ -292,6 +327,13 @@ class TestStudentTQuantile:
             )
             q = student_t_quantile(df, prob)
             assert math.exp(log_pdf) * abs(q - q_ref) <= 1e-11 * tail, (k, q, q_ref)
+
+    @pytest.mark.parametrize("df", [1, 5, 46])
+    @pytest.mark.parametrize("prob", [1e-15, 1e-17])
+    def test_lower_tail_keeps_its_digits(self, df, prob):
+        # prob is solved for as the tail itself, not as 1 - (1 - prob)
+        q = student_t_quantile(df, prob)
+        assert abs(student_t_cdf(df, q) - prob) <= 1e-11 * prob
 
     def test_quantile_at_one_minus_1e15(self):
         assert student_t_quantile(46, 1.0 - 1e-15) == pytest.approx(11.7314916, rel=1e-8)

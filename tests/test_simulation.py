@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,6 +114,8 @@ class TestExperimentConfig:
     def test_numpy_integers_are_accepted(self):
         cfg = ExperimentConfig(n=np.int64(50), p=np.int32(10), reps=np.uint16(3), seed=np.uint64(7))
         assert (cfg.n, cfg.p, cfg.reps, cfg.seed) == (50, 10, 3, 7)
+        workers = ExperimentConfig(workers=np.int64(2)).resolved_workers()
+        assert workers == 2 and type(workers) is int
 
     def test_seed_and_substream_ranges(self):
         # replication r draws from substream r, and substreams stop at 2**32
@@ -119,6 +125,20 @@ class TestExperimentConfig:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
                 ExperimentConfig(seed=seed)
+
+    def test_validation_leaves_numpy_random_unimported(self):
+        # a pool's parent only validates; importing numpy.random there costs it
+        # about 5.6 MB of RSS that only the workers need
+        src = pathlib.Path(simulation.__file__).parents[1]
+        code = (
+            "import sys, postselect; postselect.ExperimentConfig(seed=7); "
+            "print('numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_workers_resolution(self):
         assert ExperimentConfig(workers=3).resolved_workers() == 3
@@ -505,3 +525,7 @@ class TestSummarize:
             assert summary.mean_ratio_overfit is None
         else:  # all three variables always enter; overfit impossible at p=3
             pytest.fail("full-support model cannot strictly overfit")
+
+    def test_no_records_is_a_bad_argument(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            simulation.summarize([], 0.0, 0)
