@@ -1,7 +1,8 @@
 """Command-line interface: simulate, select, theorem-check, quantile.
 
 Exit codes: 0 on success, 2 on usage or configuration errors (a
-``ValueError``), 3 when the method fails on the data (a ``PostselectError``).
+``ValueError``), 3 when the method fails on the data (a ``PostselectError``);
+:func:`main` is the one place that maps the two onto their codes.
 All file output is written atomically next to a manifest that echoes the full
 configuration; re-running with ``--config manifest.json`` reproduces
 summary.json, records.csv and ratio_hist.csv byte for byte.
@@ -245,24 +246,14 @@ def _summary_json_obj(summary) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _assemble_config(args)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-
+    cfg = _assemble_config(args)
     out_dir = args.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         return _fail(f"cannot create output directory: {exc}", EXIT_CONFIG)
 
-    try:
-        summary, records = run_experiment(cfg)
-    except ValueError as exc:  # a replication's data out of range, as at --sigma 1e200
-        return _fail(str(exc), EXIT_CONFIG)
-    except PostselectError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-
+    summary, records = run_experiment(cfg)
     names = ("summary.json", "records.csv", "ratio_hist.csv", "manifest.json")
     paths = {name.split(".")[0]: os.path.join(out_dir, name) for name in names}
     # everything needed to reproduce this run
@@ -339,16 +330,10 @@ def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    try:
-        crit = _build_criterion(args.criterion, args.cn)
-        data, names = _read_dataset_csv(args.dataset)
-        result = select(data, crit, size_cap=args.size_cap, top=args.top)
-        chosen_fit = ols_fit(data, result.chosen)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except PostselectError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-
+    crit = _build_criterion(args.criterion, args.cn)
+    data, names = _read_dataset_csv(args.dataset)
+    result = select(data, crit, size_cap=args.size_cap, top=args.top)
+    chosen_fit = ols_fit(data, result.chosen)
     top = result.ranked(args.top)
     warnings = []
     if result.truncated_sse_count:
@@ -404,16 +389,10 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
             if val is None
         ]
         if missing:
-            return _fail(
-                "analytic mode needs " + ", ".join(missing) + " (or use --data)",
-                EXIT_CONFIG,
-            )
-        try:
-            crit = _build_criterion(args.criterion, args.cn)
-            c_n = crit.c_n(args.n)
-            diag = overfit_condition(args.n, args.size_star, args.size_hat, c_n)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_CONFIG)
+            raise ValueError("analytic mode needs " + ", ".join(missing) + " (or use --data)")
+        crit = _build_criterion(args.criterion, args.cn)
+        c_n = crit.c_n(args.n)
+        diag = overfit_condition(args.n, args.size_star, args.size_hat, c_n)
         print(f"criterion: {crit.label()} (c_n = {_fmt(c_n)})")
         print(f"a_n = {_fmt(diag.a_n)}")
         print(f"D_n = {_fmt(diag.d_n)}")
@@ -428,18 +407,12 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.s_star is None or args.s_hat is None:
-        return _fail("data mode needs --s-star and --s-hat", EXIT_CONFIG)
-    try:
-        s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
-        s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
-        crit = _build_criterion(args.criterion, args.cn)
-        data, _ = _read_dataset_csv(args.data)
-        report = theorem_report(data, s_star, s_hat, crit)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except PostselectError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-
+        raise ValueError("data mode needs --s-star and --s-hat")
+    s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
+    s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
+    crit = _build_criterion(args.criterion, args.cn)
+    data, _ = _read_dataset_csv(args.data)
+    report = theorem_report(data, s_star, s_hat, crit)
     print(f"s_star = {report.s_star}, s_hat = {report.s_hat}")
     print(f"criterion: {crit.label()} (c_n = {_fmt(crit.c_n(data.n))})")
     print(f"a_n = {_fmt(report.a_n)}")
@@ -458,10 +431,7 @@ def cmd_theorem_check(args: argparse.Namespace) -> int:
 
 
 def cmd_quantile(args: argparse.Namespace) -> int:
-    try:
-        q = student_t_quantile(args.df, args.prob)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+    q = student_t_quantile(args.df, args.prob)
     # ten significant digits, keeping trailing zeros
     print("0" if q == 0.0 else f"{q:#.10g}")
     return EXIT_OK
@@ -537,9 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
+    except PostselectError as exc:
+        return _fail(str(exc), EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from .errors import PostselectError
 
 # Counter-based generator backing every stream; recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
@@ -131,7 +134,8 @@ def ar1_rows(z: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta integral (Lentz's method)."""
+    """Continued fraction for the incomplete beta integral (Lentz's method);
+    ``PostselectError`` if it has not converged after ``_CF_MAXIT`` terms."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
@@ -155,7 +159,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(
+    raise PostselectError(
         f"incomplete beta continued fraction failed to converge for "
         f"a={a}, b={b}, x={x}"
     )
@@ -196,8 +200,11 @@ def regularized_incomplete_beta(a: float, b: float, x: float, y: Optional[float]
 
 
 def _check_df(df: int) -> int:
-    if isinstance(df, bool) or int(df) != df or df < 1:
+    """df as an int: a positive integer that a float can hold."""
+    if isinstance(df, bool) or not 1 <= df < math.inf or int(df) != df:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
+    if df > sys.float_info.max:
+        raise ValueError(f"degrees of freedom too large for a float (above {sys.float_info.max:g})")
     return int(df)
 
 

@@ -16,6 +16,7 @@ variables) to under-estimation of the error variance.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -261,6 +262,7 @@ def select_stack(
         raise ValueError(f"size_cap must be nonnegative, got {size_cap}")
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
+    top = min(top, 1 << p)  # no dataset has more subsets
     requested_max = p if size_cap is None else min(p, size_cap)
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
     c_n = crit.c_n(n)
@@ -378,11 +380,14 @@ def overfit_condition(
     ``a_n = (c_n / n) * (n - size_star - 1)`` and
     ``d_n = (size_hat - size_star) / (n - size_star - 1)``; the condition
     holds when ``1 - exp(-a_n * d_n) > d_n``.  Requires a strict size
-    increase and at least one residual degree of freedom for both models.
-    The condition depends on the sizes alone, so it needs no fitted model.
+    increase, at least one residual degree of freedom for both models and
+    an ``n`` that a float can hold.  The condition depends on the sizes
+    alone, so it needs no fitted model.
     """
     if not 0.0 <= c_n < math.inf:
         raise ValueError(f"c_n must be finite and nonnegative, got {c_n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n too large for a float (above {sys.float_info.max:g})")
     if size_hat <= size_star:
         raise ValueError(f"need size_hat > size_star, got {size_hat} <= {size_star}")
     if size_star < 0 or n - size_hat - 1 < 1:

@@ -646,3 +646,76 @@ class TestOneConversionPath:
         code, out, _ = run_cli(capsys, "select", str(path), "--criterion", "BIC", "--top", "1")
         assert code == 0
         assert "criterion: bic" in out
+
+
+# One row per way a command can end: argv, with ``{tmp}`` standing for a
+# directory that ``cli_inputs`` fills, the exit code and the start of stderr.
+EXIT_CODES = {
+    "analytic mode without a size": (
+        "theorem-check --n 30 --size-star 2", 2, "error: analytic mode needs --size-hat"
+    ),
+    "data mode without --s-hat": (
+        "theorem-check --data {tmp}/thm.csv --s-star 1,2", 2, "error: data mode needs --s-star"
+    ),
+    "duplicated column": (
+        "theorem-check --data {tmp}/dup.csv --s-star 1,2 --s-hat 1,2,3",
+        3,
+        "error: columns of subset {1,2,3} are numerically collinear",
+    ),
+    "SSE floor": (
+        "simulate --n 3 --p 1 --beta-star 1 --sigma 8e-15 --seed 187 --reps 70 --workers 1"
+        " --out-dir {tmp}/floor",
+        3,
+        "error: replication 7: 1 subsets hit the SSE floor",
+    ),
+    "out-dir under a file": (
+        "simulate --reps 2 --workers 1 --out-dir {tmp}/file/out",
+        2,
+        "error: cannot create output directory",
+    ),
+    "records.csv is a directory": (
+        "simulate --reps 2 --workers 1 --out-dir {tmp}/taken", 3, "error: cannot write outputs"
+    ),
+    "top above 2^p": (f"select {{tmp}}/thm.csv --top {10**20}", 0, ""),
+    "df beyond a float": (
+        f"quantile --df {10**400} --prob 0.9", 2, "error: degrees of freedom too large"
+    ),
+    "n beyond a float": (
+        f"theorem-check --n {10**400} --size-star 1 --size-hat 2", 2, "error: n too large"
+    ),
+    "continued fraction does not converge": (
+        f"quantile --df {10**300} --prob 0.9",
+        3,
+        "error: incomplete beta continued fraction failed to converge",
+    ),
+}
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """A 30 x 4 CSV with signal on columns 1 and 2, the same CSV with column
+    3 a copy of column 1, a regular file, and an out-dir whose records.csv
+    is a directory."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((30, 4))
+    y = 5.0 + x[:, 0] + 2.0 * x[:, 1] + rng.standard_normal(30)
+    header = "x1,x2,x3,x4,y"
+    np.savetxt(tmp_path / "thm.csv", np.column_stack([x, y]), delimiter=",", header=header, comments="")
+    x[:, 2] = x[:, 0]
+    np.savetxt(tmp_path / "dup.csv", np.column_stack([x, y]), delimiter=",", header=header, comments="")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "taken" / "records.csv").mkdir(parents=True)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,code,prefix", EXIT_CODES.values(), ids=EXIT_CODES.keys())
+def test_exit_code_table(capsys, cli_inputs, argv, code, prefix):
+    result, out, err = run_cli(capsys, *argv.format(tmp=cli_inputs).split())
+    assert result == code
+    if code == 0:
+        assert out and not err
+    else:
+        assert not out
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), err
+

@@ -12,6 +12,7 @@ from postselect import (
     student_t_quantile,
 )
 from postselect.distributions import ar1_rows, stream_generators, stream_keys
+from postselect.errors import PostselectError
 
 from oracles import (
     ar1_covariance,
@@ -343,6 +344,11 @@ class TestStudentTQuantile:
             student_t_quantile(0, 0.5)
         with pytest.raises(ValueError, match="degrees of freedom"):
             student_t_quantile(2.5, 0.5)
+        for df in (math.inf, 10**400):  # no float holds them
+            with pytest.raises(ValueError, match="degrees of freedom"):
+                student_t_quantile(df, 0.9)
+        with pytest.raises(PostselectError, match="failed to converge"):
+            student_t_quantile(10**300, 0.9)
         with pytest.raises(ValueError, match="prob"):
             student_t_quantile(3, 0.0)
         with pytest.raises(ValueError, match="prob"):

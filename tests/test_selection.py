@@ -221,6 +221,14 @@ class TestSelect:
         with pytest.raises(ValueError, match="top"):
             select(data, AIC, top=0)
 
+    def test_top_above_the_subset_count_searches_them_all(self, rng):
+        data = random_centered_dataset(rng, 12, 4)
+        every, beyond = select(data, AIC, top=2**4), select(data, AIC, top=10**20)
+        assert beyond.top == 10**20
+        assert beyond.masks.tolist() == every.masks.tolist()
+        assert beyond.scores.tolist() == every.scores.tolist()
+        assert beyond.ranked(10**20) == every.ranked(2**4)
+
     def test_exhaustive_call_visits_every_subset(self, rng):
         # top = 2^p keeps every subset exact, so the search prunes nothing
         data = random_centered_dataset(rng, 20, 7, beta=np.arange(7.0))
@@ -456,6 +464,8 @@ class TestOverfitCondition:
             overfit_condition(50, 4, 3, 2.0)
         with pytest.raises(ValueError):
             overfit_condition(5, 1, 4, 2.0)
+        with pytest.raises(ValueError, match="too large for a float"):
+            overfit_condition(10**400, 1, 2, 2.0)
         for c_n in (-2.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 overfit_condition(50, 3, 4, c_n)
