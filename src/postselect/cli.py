@@ -1,8 +1,8 @@
 """Command-line interface: simulate, select, theorem-check, quantile.
 
 Exit codes: 0 on success, 2 on usage or configuration errors (a
-``ValueError``), 3 when the method fails on the data (a ``PostselectError``);
-:func:`main` is the one place that maps the two onto their codes.
+``ValueError``), 3 when the method fails on the data (a ``PostselectError``)
+or memory runs out; :func:`main` is the one place that maps them to codes.
 All file output is written atomically next to a manifest that echoes the full
 configuration; re-running with ``--config manifest.json`` reproduces
 summary.json, records.csv and ratio_hist.csv byte for byte.
@@ -514,6 +514,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc), EXIT_CONFIG)
     except PostselectError as exc:
         return _fail(str(exc), EXIT_RUNTIME)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

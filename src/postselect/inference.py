@@ -6,7 +6,7 @@ sqrt(x_S' (X_S' X_S)^-1 x_S)``.  The quadratic form is evaluated through the
 triangular factor the fit already holds, never through an explicit inverse.
 The empty model takes the same formula, which gives the interval ``[0, 0]``.
 :func:`interval_stack` is the formula's one home, for a stack of fits of one
-subset; :func:`mean_response_ci` is its stack of one.
+size; :func:`mean_response_ci` is its stack of one.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def mean_response_ci(
 def interval_stack(xs: np.ndarray, beta: np.ndarray, r: np.ndarray, sigma_hat, df: int,
                    alpha: float) -> tuple[np.ndarray, ...]:
     """Center, half-width, lower and upper end of the interval of each of m
-    fits of one subset S: query rows ``xs`` (m, |S|), ``beta`` (m, |S|, 1),
+    fits of |S| columns: query rows ``xs`` (m, |S|), ``beta`` (m, |S|, 1),
     ``r`` (m, |S|, |S|), ``sigma_hat`` and ``df``.  Each dot product is a
     stack of ``(1, |S|) @ (|S|, 1)`` products on contiguous rows, which BLAS
     rounds as it rounds the one-fit product (not so at a stride).

@@ -207,7 +207,7 @@ def collinear_error(s: Subset) -> PostselectError:
 def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
     """Fit the sub-model using the columns in ``s``: :func:`ols_fit_stack` on
     one dataset, with a collinear fit raised as a ``PostselectError``."""
-    fit = ols_fit_stack(data.X[None], data.y[None], s)
+    fit = ols_fit_stack(data.X[None], data.y[None], s.positions[None])
     if fit.collinear[0]:
         raise collinear_error(s)
     sse = float(fit.sse[0])
@@ -215,9 +215,9 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
 
 
 class FitStack(NamedTuple):
-    """One subset fitted to b datasets: ``beta`` (b, |S|, 1), ``r`` (b, |S|,
-    |S|), ``sse`` (b,), ``df`` and ``collinear`` (b,).  A collinear dataset
-    is fitted with the identity in place of its R: finite, but meaningless."""
+    """b fits of k columns each: ``beta`` (b, k, 1), ``r`` (b, k, k), ``sse``
+    (b,), ``df`` and ``collinear`` (b,).  A collinear dataset is fitted with
+    the identity in place of its R: finite, but meaningless."""
 
     beta: np.ndarray
     r: np.ndarray
@@ -226,27 +226,26 @@ class FitStack(NamedTuple):
     collinear: np.ndarray
 
 
-def ols_fit_stack(X: np.ndarray, y: np.ndarray, s: Subset) -> FitStack:
-    """Fit the columns in ``s`` of each design ``X`` (b, n, p) to its response
-    ``y`` (b, n) by QR least squares.  One stacked ``np.linalg.qr`` and one
-    stacked ``np.linalg.solve`` treat each dataset on its own: a fit has the
-    bits of the fit of a stack of one.  A dataset is collinear when a
-    diagonal entry of its R is at most ``RANK_RTOL`` times the norm of its
-    column; that is reported, not raised.  ``ValueError`` if ``s`` leaves no
-    residual degree of freedom (``n - |S| - 1 < 1``) or has an index beyond p.
+def ols_fit_stack(X: np.ndarray, y: np.ndarray, positions: np.ndarray) -> FitStack:
+    """Fit columns ``positions[i]`` of each design ``X[i]`` (b, n, p) to its
+    response ``y[i]`` (b, n) by QR least squares, for 0-based ``positions``
+    (b, k).  One stacked ``np.linalg.qr`` and one stacked ``np.linalg.solve``
+    treat each dataset on its own: a fit has the bits of the fit of a stack
+    of one.  A dataset is collinear when a diagonal entry of its R is at most
+    ``RANK_RTOL`` times the norm of its column; that is reported, not raised.
+    ``ValueError`` if ``n - k - 1 < 1`` or a position is not one of p columns.
     """
-    n, p = X.shape[1:]
-    df = n - s.size - 1
-    if df < 1:
-        raise ValueError(f"subset of size {s.size} leaves {df} degrees of freedom at n={n}")
-    if s.size and s.indices[-1] > p:
-        raise ValueError(f"subset {s} has indices beyond the {p} available columns")
-    # indexing the columns lays each X_S out column-major, as data.X[:, S]
-    # is, and the matvec X_S beta rounds by layout
-    Xs, y = X[:, :, s.positions], y[:, :, None]
+    (b, n, p), k = X.shape, positions.shape[1]
+    if (df := n - k - 1) < 1:
+        raise ValueError(f"subset of size {k} leaves {df} degrees of freedom at n={n}")
+    if (bad := positions[(positions < 0) | (positions >= p)] + 1).size:
+        raise ValueError(f"columns {sorted({*bad.tolist()})} lie beyond the {p} available columns")
+    # each row's columns are gathered column-major, as data.X[:, S] is, and
+    # the matvec X_S beta rounds by layout
+    Xs, y = X.swapaxes(1, 2)[np.arange(b)[:, None], positions].swapaxes(1, 2), y[:, :, None]
     q, r = np.linalg.qr(Xs)
     collinear = (np.abs(r.diagonal(0, 1, 2)) <= RANK_RTOL * np.hypot.reduce(r, axis=1)).any(1)
-    r[collinear] = np.eye(s.size)  # a collinear R may be singular
+    r[collinear] = np.eye(k)  # a collinear R may be singular
     beta = np.linalg.solve(r, q.transpose(0, 2, 1) @ y)
     resid = y - Xs @ beta
     # each SSE is a stack of (1, n) @ (n, 1) products on contiguous rows, as e @ e is

@@ -57,10 +57,11 @@ class Criterion:
     def __post_init__(self) -> None:
         if self.kind not in ("aic", "bic", "custom"):
             raise ValueError(f"criterion: expected aic, bic or custom, got {self.kind!r}")
-        if self.kind == "custom":
-            if self.custom_value is None or not 0.0 <= self.custom_value < math.inf:
+        if self.kind == "custom":  # c_n * ENUMERATION_LIMIT must fit in half the float range
+            top = sys.float_info.max / 2 / ENUMERATION_LIMIT
+            if self.custom_value is None or not 0.0 <= self.custom_value <= top:
                 raise ValueError(
-                    f"custom criterion needs a finite nonnegative c_n, got {self.custom_value}"
+                    f"custom criterion needs a c_n in [0, {top:.6g}], got {self.custom_value}"
                 )
         elif self.custom_value is not None:
             raise ValueError(f"c_n only applies to the custom criterion, not {self.kind}")

@@ -5,12 +5,12 @@ subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
 Replications run in blocks of as many as fit in ``_BLOCK_FLOATS`` floats of
 data, and at least one, computed as stacks: one call of
-:func:`~postselect.selection.select_stack` selects for all of them, and for
-each subset in use one call of :func:`~postselect.linalg.ols_fit_stack` fits
-it and one of :func:`~postselect.inference.interval_stack` gives its
-intervals.  Replications are indexed substreams of one master seed, and
-every stacked step computes each dataset on its own, so results are
-bit-identical for any block size and worker count.
+:func:`~postselect.selection.select_stack` selects for all of them, and per
+model size one :func:`~postselect.linalg.ols_fit_stack` fits the selected
+and true subsets of that size and one :func:`~postselect.inference.interval_stack`
+gives their intervals.  Replications are indexed substreams of one master
+seed, and every stacked step computes each dataset on its own, so results
+are bit-identical for any block size and worker count.
 """
 
 from __future__ import annotations
@@ -180,32 +180,34 @@ def _replication_block(
 ) -> list[ReplicationRecord]:
     """Replications ``start..stop-1``, as one pass over stacks.
 
-    One :func:`generate_stack` and one :func:`select_stack` serve the block,
-    whose replications are then grouped by their chosen bitmask.  S* is
-    fitted to the block, each chosen subset to its group, and each fit gives
-    its intervals in one :func:`~postselect.inference.interval_stack`.  Every
-    step treats each replication on its own, so a record does not depend on
-    the block.  The block fails at its first failing replication, for that
-    replication's first failure: the S* fit, then the SSE floor, then the
-    selected fit.
+    One :func:`generate_stack` and one :func:`select_stack` serve the block.
+    Each replication has two models, its chosen bitmask and S*, and all the
+    block's models of one size share one ``ols_fit_stack`` and one
+    ``interval_stack``.  Every step treats each replication on its own, so a
+    record does not depend on the block.  The block fails at its first
+    failing replication, for that replication's first failure: the S* fit,
+    then the SSE floor, then the selected fit.
     """
     X, y, query = generate_stack(cfg, range(start, stop))
     masks, _, bounds, floored, _ = select_stack(X, y, cfg.criterion)
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
-    chosen, group = np.unique(masks[bounds[:-1]], return_inverse=True)
-    s_hats, star = [subset_of_mask(m) for m in chosen.tolist()], cfg.s_star
-    # (row, subset, replications): row 0 is the selected model's, row 1 S*'s
-    models = [(1, star, slice(None))]
-    models += [(0, s, np.flatnonzero(group == g)) for g, s in enumerate(s_hats)]
-    sigma, width = np.empty((2, 2, len(X)))
-    collinear, covered = np.empty((2, 2, len(X)), bool)
-    for k, s, js in models:
-        fit = ols_fit_stack(X[js], y[js], s)
-        sigma[k, js] = sigma_hat = np.sqrt(fit.sse / fit.df)
-        xs = query[js][:, s.positions]
+    star = sum(1 << i for i, beta in enumerate(cfg.beta_star) if beta != 0.0)
+    chosen, b = masks[bounds[:-1]], len(X)
+    # the 2b models, as the (2, b) arrays below hold them flat: each
+    # replication's selected subset in row 0, S* in row 1
+    bits = np.concatenate([chosen, np.full_like(chosen, star)])[:, None] >> np.arange(cfg.p) & 1
+    sizes = bits.sum(axis=1)
+    (sigma, width), (collinear, covered) = np.empty((2, 2, b)), np.empty((2, 2, b), bool)
+    # sizes as a set, not np.unique: its hash table keeps about 1 MB once used
+    for k in sorted(set(sizes.tolist())):
+        js = (model := np.flatnonzero(sizes == k)) % b
+        positions = np.nonzero(bits[model])[1].reshape(len(js), k)
+        fit = ols_fit_stack(X[js], y[js], positions)
+        sigma.flat[model] = sigma_hat = np.sqrt(fit.sse / fit.df)
+        xs, t = query[js[:, None], positions], truth[js]
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
-        collinear[k, js], width[k, js] = fit.collinear, hi - lo
-        covered[k, js] = (lo <= truth[js]) & (truth[js] <= hi)
+        collinear.flat[model], width.flat[model] = fit.collinear, hi - lo
+        covered.flat[model] = (lo <= t) & (t <= hi)
     failed = collinear[1] | (floored > 0) | collinear[0]
     if failed.any():
         j = int(failed.argmax())
@@ -214,23 +216,19 @@ def _replication_block(
                 f"replication {start + j}: {floored[j]} subsets hit the SSE floor; "
                 "variance comparisons would be meaningless"
             )
-        s = star if collinear[1, j] else s_hats[group[j]]
+        s = subset_of_mask(star if collinear[1, j] else int(chosen[j]))
         raise PostselectError(f"replication {start + j}: {collinear_error(s)}")
-    # per chosen subset: contains_star, strict_overfit, exact, and condition_holds
-    c_n = cfg.criterion.c_n(cfg.n)
-    labels = [(star.issubset(s), star.is_strict_subset(s), s == star) for s in s_hats]
-    condition = [
-        strict and overfit_condition(cfg.n, star.size, s.size, c_n).holds
-        for s, (_, strict, _) in zip(s_hats, labels)
-    ]
-    rows = zip(range(start, stop), group.tolist(), *sigma.tolist(), *covered.tolist(),
-               *width.tolist())
-    return [
-        ReplicationRecord(
-            i, sel, orc, orc / sel, s_hats[g], *labels[g], c_sel, c_orc, w_sel, w_orc, condition[g]
-        )
-        for i, g, sel, orc, c_sel, c_orc, w_sel, w_orc in rows
-    ]
+    contains, exact = chosen & star == star, chosen == star
+    strict = contains & ~exact
+    holds = np.zeros(cfg.p + 1, bool)  # the overfit condition, by the selected size
+    for k in set(sizes[:b][strict].tolist()):
+        holds[k] = overfit_condition(cfg.n, cfg.s_star.size, k, cfg.criterion.c_n(cfg.n)).holds
+    s_hats = {m: subset_of_mask(m) for m in set(chosen.tolist())}
+    rows = zip(range(start, stop), chosen.tolist(), *sigma.tolist(), contains.tolist(),
+               strict.tolist(), exact.tolist(), *covered.tolist(), *width.tolist(),
+               (strict & holds[sizes[:b]]).tolist())
+    return [ReplicationRecord(i, sel, orc, orc / sel, s_hats[m], *rest)
+            for i, m, sel, orc, *rest in rows]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ failure output).  The Monte Carlo tolerances cover sampling error at the
 pinned seed; the property sweeps are exact (zero violations allowed).
 """
 
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -22,6 +23,7 @@ from postselect import (
     student_t_quantile,
     theorem_report,
 )
+from postselect import cli
 from postselect.cli import records_csv_text
 
 from oracles import (
@@ -347,3 +349,30 @@ def test_criterion_7_worker_count_determinism(default_run):
         "records.csv byte-identical across worker counts {1, 4, 8} "
         f"at seed {ACCEPT_SEED} ({len(reference.splitlines()) - 1} records)",
     )
+
+
+# --- pinned records: configurations no other gate pins -----------------------
+
+PINNED_RECORDS = {
+    "bic": (
+        "--criterion bic --seed 42 --reps 1000",
+        "357d361740f13fdbcf4f402c9c8f60a4521c218dfdd12ab2690bdca8a92bae94",
+    ),
+    # AIC selects the empty model in some replications
+    "weak-p3": (
+        "--n 20 --p 3 --beta-star 0.4,0,0 --reps 35 --seed 0",
+        "a7172154504dae74672f4791af8d93e3fe0b96380413fb4cd6de98bcbba2a7ab",
+    ),
+    # selected sizes 0 through 8 in the blocks
+    "weak-p10": (
+        "--seed 7 --beta-star 0.3,0.2,0.1,0,0,0,0,0,0,0 --reps 1000",
+        "4d9190ef4b61f111c52e00f85f685c7680e4554e3ffcb34b1ee5f9878e5de4a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags,digest", PINNED_RECORDS.values(), ids=PINNED_RECORDS.keys())
+def test_records_keep_their_pinned_digest(tmp_path, flags, digest):
+    out = tmp_path / "out"
+    assert cli.main(["simulate", *flags.split(), "--workers", "1", "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == digest

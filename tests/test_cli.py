@@ -677,6 +677,13 @@ EXIT_CODES = {
         "simulate --reps 2 --workers 1 --out-dir {tmp}/taken", 3, "error: cannot write outputs"
     ),
     "top above 2^p": (f"select {{tmp}}/thm.csv --top {10**20}", 0, ""),
+    "c_n whose penalty overflows": (
+        "select {tmp}/thm.csv --criterion custom --cn 1e308", 2, "error: custom criterion needs"
+    ),
+    # one replication asks for 78 PiB, beyond any address space: it fails at once
+    "n too large to allocate": (
+        f"simulate --n {10**15} --reps 1 --out-dir {{tmp}}/huge", 3, "error: out of memory"
+    ),
     "df beyond a float": (
         f"quantile --df {10**400} --prob 0.9", 2, "error: degrees of freedom too large"
     ),

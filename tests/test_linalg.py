@@ -221,26 +221,31 @@ class TestOlsFit:
     @pytest.mark.parametrize("stack", [1, 13])
     def test_stacked_rows_equal_one_dataset_fits(self, rng, stack):
         # each row of a stacked fit, at every subset size from empty to p,
-        # has the bits of the one-dataset QR fit written out below
+        # has the bits of the one-dataset QR fit written out below; the rows
+        # of one call fit one subset, or each its own subset of one size
         datasets = [
             random_centered_dataset(rng, 30, 6, beta=rng.standard_normal(6), rho=0.5)
             for _ in range(stack)
         ]
         X, y = np.array([d.X for d in datasets]), np.array([d.y for d in datasets])
         for k in range(7):
-            s = Subset.of(rng.choice(6, size=k, replace=False) + 1)
-            fit = ols_fit_stack(X, y, s)
-            assert fit.df == 30 - k - 1 and not fit.collinear.any()
-            for data, beta_hat, r_factor, sse in zip(datasets, fit.beta[:, :, 0], fit.r, fit.sse):
-                xs = data.X[:, s.positions]
-                q, r = np.linalg.qr(xs)
-                beta = np.linalg.solve(r, q.T @ data.y)
-                resid = data.y - xs @ beta
-                assert np.array_equal(beta_hat, beta)
-                assert sse == float(resid @ resid)
-                assert np.array_equal(r_factor, r)
-                single = ols_fit(data, s)
-                assert np.array_equal(single.beta_hat, beta) and single.sse == sse
+            one = Subset.of(rng.choice(6, size=k, replace=False) + 1)
+            each = [Subset.of(rng.choice(6, size=k, replace=False) + 1) for _ in datasets]
+            for subsets in ([one] * stack, each):
+                positions = np.array([s.positions for s in subsets]).reshape(stack, k)
+                fit = ols_fit_stack(X, y, positions)
+                assert fit.df == 30 - k - 1 and not fit.collinear.any()
+                rows = zip(datasets, subsets, fit.beta[:, :, 0], fit.r, fit.sse)
+                for data, s, beta_hat, r_factor, sse in rows:
+                    xs = data.X[:, s.positions]
+                    q, r = np.linalg.qr(xs)
+                    beta = np.linalg.solve(r, q.T @ data.y)
+                    resid = data.y - xs @ beta
+                    assert np.array_equal(beta_hat, beta)
+                    assert sse == float(resid @ resid)
+                    assert np.array_equal(r_factor, r)
+                    single = ols_fit(data, s)
+                    assert np.array_equal(single.beta_hat, beta) and single.sse == sse
 
     def test_collinear_dataset_is_reported_not_raised(self, rng):
         # the middle dataset repeats a column: the stack marks it and still
@@ -249,7 +254,7 @@ class TestOlsFit:
         X = np.array([d.X for d in datasets])
         X[1, :, 1] = X[1, :, 0]
         y = np.array([d.y for d in datasets])
-        fit = ols_fit_stack(X, y, Subset((1, 2)))
+        fit = ols_fit_stack(X, y, np.array([[0, 1]] * 3))
         assert fit.collinear.tolist() == [False, True, False]
         assert np.isfinite(fit.sse).all()
         for i in (0, 2):

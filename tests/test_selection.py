@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from postselect import (
 from postselect import selection
 from postselect.distributions import regularized_incomplete_beta
 from postselect.errors import PostselectError
-from postselect.selection import SSE_FLOOR, select_stack
+from postselect.selection import ENUMERATION_LIMIT, SSE_FLOOR, select_stack
 
 from oracles import (
     TIE_RTOL,
@@ -50,8 +51,20 @@ class TestCriterion:
         for c_n in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 Criterion.custom(c_n)
+        # the largest penalty must fit in half the float range
+        limit = sys.float_info.max / 2 / ENUMERATION_LIMIT
+        for c_n in (1e308, math.nextafter(limit, math.inf)):
+            with pytest.raises(ValueError, match=r"needs a c_n in \[0, "):
+                Criterion.custom(c_n)
         with pytest.raises(ValueError, match="sample size"):
             BIC.c_n(0)
+
+    def test_largest_penalty_scores_every_subset(self, rng):
+        # at the largest c_n accepted every score is finite: no overflow
+        # warning, no subset skipped as rank deficient, and the empty model wins
+        crit = Criterion.custom(sys.float_info.max / 2 / ENUMERATION_LIMIT)
+        result = select(random_centered_dataset(rng, 30, 4), crit)
+        assert not result.skipped and result.chosen == Subset()
 
 
 def _orthogonal_dataset(n: int, p: int, sse: float, seed: int = 0) -> Dataset:

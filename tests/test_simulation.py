@@ -436,8 +436,8 @@ class TestRunExperiment:
         bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing_at_9(X, y, s):
-            fit = fit_stack(X, y, s)
+        def fit_stack_failing_at_9(X, y, positions):
+            fit = fit_stack(X, y, positions)
             return fit._replace(collinear=fit.collinear | (y == bad_y).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing_at_9)
@@ -464,14 +464,40 @@ class TestRunExperiment:
         }
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing(X, y, s):
-            fit = fit_stack(X, y, s)
-            bad = bad_y["star" if s == cfg.s_star else "selected"]
+        def fit_stack_failing(X, y, positions):
+            # a call mixes S* and selected fits of one size: each row is told
+            # by its own columns, so a selected S* counts as S*
+            fit = fit_stack(X, y, positions)
+            subsets = [Subset.of(row + 1) for row in positions]
+            bad = np.array([bad_y["star" if s == cfg.s_star else "selected"] for s in subsets])
             return fit._replace(collinear=fit.collinear | (y == bad).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing)
         with pytest.raises(PostselectError, match=message):
             run_experiment(cfg)
+
+    def test_a_block_fits_each_model_size_once(self, monkeypatch):
+        # the reference block's 2b models, its selected subsets and S*, go
+        # through one fit and one interval call per size
+        cfg, calls = small_cfg(seed=42, reps=100), {"fit": [], "interval": []}
+        fit_stack, interval_stack = simulation.ols_fit_stack, simulation.interval_stack
+
+        def counted_fit(X, y, positions):
+            calls["fit"].append(positions.shape[1])
+            return fit_stack(X, y, positions)
+
+        def counted_interval(xs, *args):
+            calls["interval"].append(xs.shape[1])
+            return interval_stack(xs, *args)
+
+        monkeypatch.setattr(simulation, "ols_fit_stack", counted_fit)
+        monkeypatch.setattr(simulation, "interval_stack", counted_interval)
+        size = simulation._BLOCK_FLOATS // (cfg.n * (cfg.p + 1))
+        records = simulation._replication_block(cfg, 0, size)
+        sizes = sorted({r.s_hat.size for r in records} | {cfg.s_star.size})
+        assert len({r.s_hat for r in records}) > len(sizes) > 1
+        assert calls == {"fit": sizes, "interval": sizes}
+        assert records == [run_replication(cfg, i) for i in range(size)]
 
     def test_data_over_the_budget_run_one_replication_per_block(self, monkeypatch):
         cfg = small_cfg(n=7000, p=4, beta_star=(1.0, 2.0, 0.0, 0.0), reps=3)
