@@ -1,8 +1,9 @@
 """Command-line interface: simulate, select, theorem-check, quantile.
 
 Exit codes: 0 on success, 2 on usage or configuration errors (a
-``ValueError``), 3 when the method fails on the data (a ``PostselectError``)
-or memory runs out; :func:`main` is the one place that maps them to codes.
+``ValueError``), 3 when the run fails on the data or cannot write its outputs
+(a ``PostselectError``) or memory runs out; :func:`main` is the one place
+that maps them to codes.
 All file output is written atomically next to a manifest that echoes the full
 configuration; re-running with ``--config manifest.json`` reproduces
 summary.json, records.csv and ratio_hist.csv byte for byte.
@@ -11,6 +12,7 @@ summary.json, records.csv and ratio_hist.csv byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -43,11 +45,6 @@ _record_values = attrgetter(*("s_hat.size" if f == "s_hat" else f for f in _RECO
 
 RATIO_HIST_COLUMNS = ("bin_lo", "bin_hi", "count")
 _HIST_LO, _HIST_HI, _HIST_BINS = 1.0, 1.3, 30
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _fmt(value: float) -> str:
@@ -218,11 +215,8 @@ def ratio_hist_csv_text(records: Sequence[ReplicationRecord]) -> str:
     """
     ratios = np.array([r.ratio for r in records if r.strict_overfit])
     edges = np.linspace(_HIST_LO, _HIST_HI, _HIST_BINS + 1)
-    if ratios.size:
-        clipped = np.clip(ratios, _HIST_LO, np.nextafter(_HIST_HI, _HIST_LO))
-        counts, _ = np.histogram(clipped, bins=edges)
-    else:
-        counts = np.zeros(_HIST_BINS, dtype=int)
+    clipped = np.clip(ratios, _HIST_LO, np.nextafter(_HIST_HI, _HIST_LO))
+    counts, _ = np.histogram(clipped, bins=edges)
     header = ",".join(RATIO_HIST_COLUMNS) + "\n"
     rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
     return "".join([header, *("%.2f,%.2f,%d\n" % row for row in rows)])
@@ -247,36 +241,42 @@ def _summary_json_obj(summary) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _assemble_config(args)
-    out_dir = args.out_dir
+    out_dir = head = args.out_dir
+    new_dirs = []  # the directories makedirs creates, deepest first
+    while head and not os.path.exists(head):
+        new_dirs.append(head)
+        head = os.path.dirname(head)
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail(f"cannot create output directory: {exc}", EXIT_CONFIG)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create output directory: {exc}")
+        summary, records = run_experiment(cfg)
+        names = ("summary.json", "records.csv", "ratio_hist.csv", "manifest.json")
+        paths = {name.split(".")[0]: os.path.join(out_dir, name) for name in names}
+        # everything needed to reproduce this run
+        manifest = {
+            "config": config_as_dict(cfg),
+            "tool_version": __version__,
+            "rng_algorithm": RNG_ALGORITHM,
+            "seed": cfg.seed,
+            "outputs": {k: v for k, v in paths.items() if k != "manifest"},
+        }
+        try:
+            _atomic_write(paths["records"], records_csv_text(records))
+            _atomic_write(paths["ratio_hist"], ratio_hist_csv_text(records))
+            _atomic_write(paths["summary"], json.dumps(_summary_json_obj(summary), indent=2) + "\n")
+            _atomic_write(paths["manifest"], json.dumps(manifest, indent=2) + "\n")
+        except OSError as exc:
+            raise PostselectError(f"cannot write outputs: {exc}")
+    except BaseException:
+        for path in new_dirs:  # rmdir leaves a directory that is not empty
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
-    summary, records = run_experiment(cfg)
-    names = ("summary.json", "records.csv", "ratio_hist.csv", "manifest.json")
-    paths = {name.split(".")[0]: os.path.join(out_dir, name) for name in names}
-    # everything needed to reproduce this run
-    manifest = {
-        "config": config_as_dict(cfg),
-        "tool_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "seed": cfg.seed,
-        "outputs": {k: v for k, v in paths.items() if k != "manifest"},
-    }
-    try:
-        _atomic_write(paths["records"], records_csv_text(records))
-        _atomic_write(paths["ratio_hist"], ratio_hist_csv_text(records))
-        _atomic_write(paths["summary"], json.dumps(_summary_json_obj(summary), indent=2) + "\n")
-        _atomic_write(paths["manifest"], json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        return _fail(f"cannot write outputs: {exc}", EXIT_RUNTIME)
-
-    ratio_text = (
-        _fmt(summary.mean_ratio_overfit)
-        if summary.mean_ratio_overfit is not None
-        else "n/a (no strict overfit)"
-    )
+    ratio = summary.mean_ratio_overfit
+    ratio_text = "n/a (no strict overfit)" if ratio is None else _fmt(ratio)
     print(f"replications:      {summary.reps}")
     print(f"coverage_selected: {_fmt(summary.coverage_selected)}")
     print(f"coverage_oracle:   {_fmt(summary.coverage_oracle)}")
@@ -378,55 +378,42 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem_check(args: argparse.Namespace) -> int:
+    # each mode works out (n, |S*|, |S_hat|); one block then prints the condition
+    report = None
     if args.data is None:
-        missing = [
-            flag
-            for flag, val in (
-                ("--n", args.n),
-                ("--size-star", args.size_star),
-                ("--size-hat", args.size_hat),
-            )
-            if val is None
-        ]
+        sizes = {"--n": args.n, "--size-star": args.size_star, "--size-hat": args.size_hat}
+        missing = [flag for flag, val in sizes.items() if val is None]
         if missing:
             raise ValueError("analytic mode needs " + ", ".join(missing) + " (or use --data)")
         crit = _build_criterion(args.criterion, args.cn)
-        c_n = crit.c_n(args.n)
-        diag = overfit_condition(args.n, args.size_star, args.size_hat, c_n)
-        print(f"criterion: {crit.label()} (c_n = {_fmt(c_n)})")
-        print(f"a_n = {_fmt(diag.a_n)}")
-        print(f"D_n = {_fmt(diag.d_n)}")
-        print(f"1 - exp(-a_n * D_n) = {_fmt(diag.threshold)}")
-        verdict = "HOLDS" if diag.holds else "FAILS"
-        print(
-            f"condition: {verdict} "
-            f"({_fmt(diag.threshold)} {'>' if diag.holds else '<='} {_fmt(diag.d_n)})"
-        )
+        n, size_star, size_hat = sizes.values()
+    else:
+        if args.s_star is None or args.s_hat is None:
+            raise ValueError("data mode needs --s-star and --s-hat")
+        s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
+        s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
+        crit = _build_criterion(args.criterion, args.cn)
+        data, _ = _read_dataset_csv(args.data)
+        report = theorem_report(data, s_star, s_hat, crit)
+        n, size_star, size_hat = data.n, s_star.size, s_hat.size
+        print(f"s_star = {report.s_star}, s_hat = {report.s_hat}")
+    c_n = crit.c_n(n)
+    diag = overfit_condition(n, size_star, size_hat, c_n)
+    print(f"criterion: {crit.label()} (c_n = {_fmt(c_n)})")
+    print(f"a_n = {_fmt(diag.a_n)}")
+    print(f"D_n = {_fmt(diag.d_n)}")
+    print(f"1 - exp(-a_n * D_n) = {_fmt(diag.threshold)}")
+    verdict, sign = ("HOLDS", ">") if diag.holds else ("FAILS", "<=")
+    print(f"condition: {verdict} ({_fmt(diag.threshold)} {sign} {_fmt(diag.d_n)})")
+    if report is None:
         if diag.holds:
             print("overfitting at these sizes forces variance under-estimation")
         return EXIT_OK
-
-    if args.s_star is None or args.s_hat is None:
-        raise ValueError("data mode needs --s-star and --s-hat")
-    s_star = Subset.of(_parse_list(args.s_star, "--s-star", int))
-    s_hat = Subset.of(_parse_list(args.s_hat, "--s-hat", int))
-    crit = _build_criterion(args.criterion, args.cn)
-    data, _ = _read_dataset_csv(args.data)
-    report = theorem_report(data, s_star, s_hat, crit)
-    print(f"s_star = {report.s_star}, s_hat = {report.s_hat}")
-    print(f"criterion: {crit.label()} (c_n = {_fmt(crit.c_n(data.n))})")
-    print(f"a_n = {_fmt(report.a_n)}")
-    print(f"D_n = {_fmt(report.d_n)}")
     print(f"r_n = {_fmt(report.r_n)}")
     print(f"F_n = {_fmt(report.f_n)}")
-    verdict = "HOLDS" if report.condition_holds else "FAILS"
-    print(f"condition: {verdict}")
     print(f"sigma_hat(s_star) = {_fmt(report.sigma_hat_star)}")
     print(f"sigma_hat(s_hat)  = {_fmt(report.sigma_hat_selected)}")
-    print(
-        "variance under-estimated: "
-        + ("yes" if report.underestimates else "no")
-    )
+    print("variance under-estimated: " + ("yes" if report.underestimates else "no"))
     return EXIT_OK
 
 
@@ -510,12 +497,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except PostselectError as exc:
-        return _fail(str(exc), EXIT_RUNTIME)
-    except MemoryError as exc:
-        return _fail(f"out of memory: {exc}", EXIT_RUNTIME)
+    except (ValueError, PostselectError, MemoryError) as exc:
+        prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

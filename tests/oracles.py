@@ -145,39 +145,71 @@ def random_centered_dataset(
     return centered_dataset(y_raw, x_raw)[0]
 
 
-def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecord]:
-    """Replications 0..reps-1 recomputed one model at a time.
+def reference_replication(cfg: ExperimentConfig, i: int) -> tuple[Dataset, np.ndarray, float]:
+    """Replication i's centered data, its centered query point and the true
+    mean response there.
 
-    Replication i draws its normals from numpy's own
+    The normals come from numpy's own
     ``Philox(SeedSequence(entropy=seed, spawn_key=(i,)))``, not through the
     package's key hash.  Only the rest of the data come from the package
     (:func:`ar1_rows`, checked against a dense Cholesky factor, and
-    :func:`centered_dataset`), and the t quantile, which has closed-form
-    checks of its own.  Selection is :func:`brute_force_select`, each fit
-    ``np.linalg.lstsq``, each interval a normal-equations solve, and the
-    condition is written out from the paper's ``1 - exp(-a_n d_n) > d_n``.
+    :func:`centered_dataset`).
     """
-    star, n, p = cfg.s_star, cfg.n, cfg.p
+    n, p = cfg.n, cfg.p
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+    z = np.random.Generator(np.random.Philox(seq)).standard_normal(n * p + n + p)
+    x_raw = ar1_rows(z[: n * p].reshape(n, p), cfg.rho)
+    y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[n * p : -p]
+    data, _, col_means = centered_dataset(y_raw, x_raw)
+    x0 = ar1_rows(z[-p:], cfg.rho) - col_means
+    return data, x0, float(np.dot(x0, cfg.beta_star))
+
+
+class ReferenceInterval(NamedTuple):
+    """A subset's mean-response interval at x0 in parts: ``centre`` and
+    ``sigma_hat`` from ``np.linalg.lstsq``, and ``quad = x0_S' (X_S'X_S)^-1 x0_S``
+    from a normal-equations solve, so the half width is
+    ``t(df) * sigma_hat * sqrt(quad)``."""
+
+    centre: float
+    sigma_hat: float
+    quad: float
+    df: int
+
+
+def reference_interval(data: Dataset, x0: np.ndarray, s: Subset) -> ReferenceInterval:
+    xs, xq, df = data.X[:, s.positions], x0[s.positions], data.n - s.size - 1
+    beta = np.linalg.lstsq(xs, data.y, rcond=None)[0]
+    resid = data.y - xs @ beta
+    quad = float(xq @ np.linalg.solve(xs.T @ xs, xq)) if s.size else 0.0
+    return ReferenceInterval(float(xq @ beta), math.sqrt(float(resid @ resid) / df), quad, df)
+
+
+def covers(centre: float, half: float, truth: float) -> bool:
+    return centre - half <= truth <= centre + half
+
+
+def reference_records(cfg: ExperimentConfig, reps: int) -> list[ReplicationRecord]:
+    """Replications 0..reps-1 recomputed one model at a time.
+
+    The data are :func:`reference_replication`'s, and the t quantile is the
+    package's, which has closed-form checks of its own.  Selection is
+    :func:`brute_force_select`, each interval :func:`reference_interval`,
+    and the condition is written out from the paper's
+    ``1 - exp(-a_n d_n) > d_n``.
+    """
+    star, n = cfg.s_star, cfg.n
     records = []
     for i in range(reps):
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        z = np.random.Generator(np.random.Philox(seq)).standard_normal(n * p + n + p)
-        x_raw = ar1_rows(z[: n * p].reshape(n, p), cfg.rho)
-        y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[n * p : -p]
-        data, _, col_means = centered_dataset(y_raw, x_raw)
-        x0 = ar1_rows(z[-p:], cfg.rho) - col_means
-        truth = float(np.dot(x0, cfg.beta_star))
+        data, x0, truth = reference_replication(cfg, i)
         s_hat, _ = brute_force_select(data, cfg.criterion)
         sigma, width, covered = {}, {}, {}
         for s in (star, s_hat):
-            xs, xq, df = data.X[:, s.positions], x0[s.positions], n - s.size - 1
-            beta = np.linalg.lstsq(xs, data.y, rcond=None)[0]
-            resid = data.y - xs @ beta
-            sigma[s] = math.sqrt(float(resid @ resid) / df)
-            quad = float(xq @ np.linalg.solve(xs.T @ xs, xq)) if s.size else 0.0
-            half = student_t_quantile(df, 1.0 - cfg.alpha / 2.0) * sigma[s] * math.sqrt(quad)
-            center = float(xq @ beta)
-            width[s], covered[s] = 2.0 * half, center - half <= truth <= center + half
+            part = reference_interval(data, x0, s)
+            t = student_t_quantile(part.df, 1.0 - cfg.alpha / 2.0)
+            half = t * part.sigma_hat * math.sqrt(part.quad)
+            sigma[s], width[s] = part.sigma_hat, 2.0 * half
+            covered[s] = covers(part.centre, half, truth)
         strict = star.is_strict_subset(s_hat)
         a_n = cfg.criterion.c_n(n) / n * (n - star.size - 1)
         d_n = (s_hat.size - star.size) / (n - star.size - 1)

@@ -8,6 +8,7 @@ pinned seed; the property sweeps are exact (zero violations allowed).
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -30,10 +31,13 @@ from oracles import (
     assert_records_match,
     brute_force_select,
     cauchy_quantile,
+    covers,
     normal_equations_fit,
     preference_check,
     random_centered_dataset,
+    reference_interval,
     reference_records,
+    reference_replication,
     t2_quantile,
 )
 
@@ -130,6 +134,47 @@ def test_records_match_the_reference_oracle(default_run):
     assert_records_match(records[:64], reference_records(default_run_cfg(), 64))
     narrow = ExperimentConfig(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=ACCEPT_SEED, reps=320)
     assert_records_match(run_once(narrow)[1], reference_records(narrow, narrow.reps))
+
+
+# Over the seed-42 strict overfits: how many there are, and how many
+# intervals at x0 cover the truth -- the selected model's, the oracle's, the
+# selected one with the oracle's sigma_hat, and the selected one with sigma
+# known (sigma = 1 and the normal quantile).
+UNDERCOVERAGE_COUNTS = {
+    "aic": (749, 617, 709, 639, 632),
+    "bic": (367, 273, 352, 292, 285),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDERCOVERAGE_COUNTS))
+def test_undercoverage_comes_mostly_from_the_centre(default_run, kind):
+    # Even with sigma known, the selected interval covers 0.844 (AIC) and
+    # 0.777 (BIC) of the strict overfits; sigma_hat's underestimation is a
+    # small part of the gap to the oracle.  The selection comes from the
+    # records, whose fits the reference oracle checks; everything else is
+    # recomputed by the oracle.
+    cfg = ExperimentConfig(seed=ACCEPT_SEED, criterion=Criterion(kind))
+    records = default_run[1] if kind == "aic" else run_once(cfg)[1]
+    z = NormalDist().inv_cdf(1.0 - cfg.alpha / 2.0)
+    counts = np.zeros(5, dtype=int)
+    for rec in records:
+        if not rec.strict_overfit:
+            continue
+        data, x0, truth = reference_replication(cfg, rec.rep_index)
+        sel, orc = (reference_interval(data, x0, s) for s in (rec.s_hat, cfg.s_star))
+        t_sel, t_orc = (student_t_quantile(part.df, 1.0 - cfg.alpha / 2.0) for part in (sel, orc))
+        covered = (
+            covers(sel.centre, t_sel * sel.sigma_hat * math.sqrt(sel.quad), truth),
+            covers(orc.centre, t_orc * orc.sigma_hat * math.sqrt(orc.quad), truth),
+        )
+        assert covered == (rec.covered_selected, rec.covered_oracle), rec.rep_index
+        counts += (
+            1,
+            *covered,
+            covers(sel.centre, t_sel * orc.sigma_hat * math.sqrt(sel.quad), truth),
+            covers(sel.centre, z * cfg.sigma * math.sqrt(sel.quad), truth),
+        )
+    assert tuple(counts.tolist()) == UNDERCOVERAGE_COUNTS[kind]
 
 
 # --- criterion 3: randomized theorem sweep ---------------------------------

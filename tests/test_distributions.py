@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -234,6 +235,11 @@ class TestIncompleteBeta:
         with pytest.raises(ValueError):
             regularized_incomplete_beta(0.0, 1.0, 0.5)
 
+    def test_fraction_that_does_not_converge_raises(self):
+        # the t quantile no longer reaches a shape this large (df = 10^300)
+        with pytest.raises(PostselectError, match="failed to converge"):
+            regularized_incomplete_beta(5e299, 0.5, 0.9)
+
 
 class TestStudentTCdf:
     def test_center_and_symmetry(self):
@@ -272,6 +278,27 @@ class TestStudentTQuantile:
 
     def test_large_df_approaches_normal(self):
         assert student_t_quantile(10**6, 0.975) == pytest.approx(1.959964, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "df,prob,want",
+        [(10**10, 0.975, 1.959963985), (10**17, 0.9, 1.281551566), (10**300, 0.9, 1.281551566)],
+    )
+    def test_cornish_fisher_at_very_large_df(self, df, prob, want):
+        # the continued fraction gave 1.959964344 and 2.828427125 at the first
+        # two, and did not converge at the third
+        assert student_t_quantile(df, prob) == pytest.approx(want, rel=1e-9)
+        assert student_t_quantile(df, 1.0 - prob) == -student_t_quantile(df, prob)
+
+    @pytest.mark.parametrize("prob", [0.9, 0.975, 1.0 - 1e-6, 1e-10, 1e-300])
+    def test_cornish_fisher_meets_the_solver_at_df_1e7(self, prob):
+        # 10^7 - 1 is solved on the continued fraction, 10^7 expanded; the
+        # two quantiles differ by about 1e-14 relative
+        solved, expanded = (student_t_quantile(df, prob) for df in (10**7 - 1, 10**7))
+        assert expanded == pytest.approx(solved, rel=1e-10)
+
+    def test_cornish_fisher_keeps_a_small_tail(self):
+        z = NormalDist().inv_cdf(1e-300)
+        assert student_t_quantile(10**300, 1e-300) == pytest.approx(z, rel=1e-15)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -347,8 +374,6 @@ class TestStudentTQuantile:
         for df in (math.inf, 10**400):  # no float holds them
             with pytest.raises(ValueError, match="degrees of freedom"):
                 student_t_quantile(df, 0.9)
-        with pytest.raises(PostselectError, match="failed to converge"):
-            student_t_quantile(10**300, 0.9)
         with pytest.raises(ValueError, match="prob"):
             student_t_quantile(3, 0.0)
         with pytest.raises(ValueError, match="prob"):
