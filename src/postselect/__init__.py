@@ -7,6 +7,27 @@ variance estimate, and measures the resulting confidence-interval
 undercoverage by simulation.
 """
 
+import importlib
+import os
+import sys
+
+# OpenBLAS's helper threads start with numpy and spin even when no BLAS call
+# is made, and on the stacks of at most 21 columns fitted here they cost
+# more than they give: `simulate` was no slower on one thread at any n
+# measured (200 to 10^5).  Only `select` on one very tall dataset gains from
+# them (README, "Reproducibility").  The thread count is read only while
+# numpy loads, so when this package loads numpy and the user has chosen no
+# count, it loads with one thread.  The variable is removed again: the
+# environment is what the user had, and pool workers forked later keep the
+# one thread.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .distributions import (
     RNG_ALGORITHM,
     RngStream,

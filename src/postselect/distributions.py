@@ -8,8 +8,9 @@ re-keys one generator to each, and :class:`RngStream` is one such stream.
 which :class:`~postselect.simulation.ExperimentConfig` has validated.
 
 The Student-t CDF and quantile are built on a continued-fraction evaluation
-of the regularized incomplete beta function; from df = 10^7 on, the quantile
-expands about the standard library's normal quantile instead.
+of the regularized incomplete beta function; from df = 10^7 on, both expand
+about the normal distribution instead, through the standard library's normal
+quantile and ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,13 @@ _QUANTILE_TOL = 1e-13
 # series instead.
 _STIRLING_MIN = 100.0
 # From this df on, where the continued fraction starts to lose digits, the
-# quantile is the Cornish-Fisher expansion about the normal quantile.
+# quantile is the Cornish-Fisher expansion about the normal quantile, and the
+# tail the normal tail at that expansion's inverse.
 _CORNISH_FISHER_MIN_DF = 10**7
+# From this t on, P(T > t) is below the smallest float at every df from
+# _CORNISH_FISHER_MIN_DF on (about e^-800 at df = 10^7); far beyond it the
+# expansion diverges.
+_NORMAL_TAIL_MAX_T = 40.0
 
 
 class RngStream:
@@ -222,8 +228,32 @@ def student_t_cdf(df: int, t: float) -> float:
 
 
 def _upper_tail(df: int, t: float) -> float:
-    """P(T > |t|), without the cancellation of ``1 - cdf``."""
+    """P(T > |t|), without the cancellation of ``1 - cdf``.
+
+    From df = 10^7 on, where ``df / (df + t * t)`` rounds away t's digits, it
+    is the normal tail ``erfc(x / sqrt 2) / 2`` at the x whose
+    :func:`_cornish_fisher` quantile is |t|, found by the fixed point
+    ``x <- |t| / factor(x)``: below ``_NORMAL_TAIL_MAX_T`` each step shrinks
+    the error by at least 10^4, so four steps from x = |t| reach the last bit."""
+    if df >= _CORNISH_FISHER_MIN_DF:
+        t, v = abs(t), 1.0 / df
+        if t >= _NORMAL_TAIL_MAX_T:
+            return 0.0
+        x = t
+        for _ in range(4):
+            x = t / _cornish_fisher(x, v)
+        return 0.5 * math.erfc(x / math.sqrt(2.0))
     return 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t), t * t / (df + t * t))
+
+
+def _cornish_fisher(x: float, v: float) -> float:
+    """The factor t / x of A&S 26.7.5 to the 1/df^4 term, with ``v = 1 / df``,
+    for the t-quantile of the normal quantile x (g_k here is A&S's g_k(x) / x)."""
+    u = x * x
+    g1, g2 = (u + 1.0) / 4.0, ((5.0 * u + 16.0) * u + 3.0) / 96.0
+    g3 = (((3.0 * u + 19.0) * u + 17.0) * u - 15.0) / 384.0
+    g4 = ((((79.0 * u + 776.0) * u + 1482.0) * u - 1920.0) * u - 945.0) / 92160.0
+    return 1.0 + v * (g1 + v * (g2 + v * (g3 + v * g4)))
 
 
 def _student_t_pdf(df: int, t: float) -> float:
@@ -241,18 +271,13 @@ def _tail_quantile(df: int, tail: float) -> float:
     """The t > 0 with P(T > t) = tail for tail in (0, 0.5), by safeguarded Newton
     on ``cdf - (1 - tail)``, or below 1e-3, where ``1 - tail`` has rounded away
     the tail's digits, on ``tail - P(T > t)`` to a tolerance relative to tail.
-    From df = 10^7 on it is A&S 26.7.5 to the 1/df^4 term (g_k here is A&S's
-    g_k(x) / x) about the normal quantile x of the tail itself, so a small
-    tail keeps its digits."""
+    From df = 10^7 on it is :func:`_cornish_fisher` about the normal quantile
+    x of the tail itself, so a small tail keeps its digits."""
     if df >= _CORNISH_FISHER_MIN_DF:
         from statistics import NormalDist  # imported here: it costs a millisecond at start-up
 
-        x, v = -NormalDist().inv_cdf(tail), 1.0 / df
-        u = x * x
-        g1, g2 = (u + 1.0) / 4.0, ((5.0 * u + 16.0) * u + 3.0) / 96.0
-        g3 = (((3.0 * u + 19.0) * u + 17.0) * u - 15.0) / 384.0
-        g4 = ((((79.0 * u + 776.0) * u + 1482.0) * u - 1920.0) * u - 945.0) / 92160.0
-        return x * (1.0 + v * (g1 + v * (g2 + v * (g3 + v * g4))))
+        x = -NormalDist().inv_cdf(tail)
+        return x * _cornish_fisher(x, 1.0 / df)
     if tail < 1e-3:
         excess, tol = (lambda t: tail - _upper_tail(df, t)), min(_QUANTILE_TOL, 1e-11 * tail)
     else:
@@ -280,6 +305,14 @@ def _tail_quantile(df: int, tail: float) -> float:
         if t_next == t or hi - lo <= abs(t) * 1e-16:
             break
         t = t_next
+    up = math.nextafter(t, math.inf)
+    if math.isinf(up * up):
+        # past here t * t is inf and P(T > t) reads 0, so the solver stops at
+        # this boundary whatever the true quantile is
+        raise ValueError(
+            f"the t-quantile of tail {tail:g} at df = {df} lies at or beyond "
+            f"{t:.10g}, where t^2 overflows"
+        )
     return t
 
 

@@ -732,6 +732,10 @@ EXIT_CODES = {
     ),
     # the continued fraction did not converge here; the expansion from df = 10^7 on does not need it
     "df near the float limit": (f"quantile --df {10**300} --prob 0.9", 0, ""),
+    # the Cauchy value is -3.18e159; t^2 overflows from 1.34e154 on
+    "quantile where t^2 overflows": (
+        "quantile --df 1 --prob 1e-160", 2, "error: the t-quantile of tail 1e-160 at df = 1"
+    ),
 }
 
 

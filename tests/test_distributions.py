@@ -258,6 +258,38 @@ class TestStudentTCdf:
         with pytest.raises(ValueError, match="degrees of freedom"):
             student_t_cdf(0, 1.0)
 
+    @pytest.mark.parametrize("df", [10**7, 10**10, 10**17, 10**300])
+    @pytest.mark.parametrize("prob", [1e-10, 0.025, 0.9])
+    def test_round_trip_at_very_large_df(self, df, prob):
+        # the continued fraction read df + t * t as df and returned 0.5 at
+        # df = 10^17 and 10^300
+        q = student_t_quantile(df, prob)
+        assert student_t_cdf(df, q) == pytest.approx(prob, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [0.5, 1.28, 1.96, 4.0, 6.36, 10.0])
+    def test_expansion_meets_the_fraction_at_df_1e7(self, t):
+        # 10^7 - 1 is the continued fraction, 10^7 the expansion; their tails
+        # differ by the fraction's own error, at most 2.4e-10 relative here
+        fraction, expansion = (student_t_cdf(df, -t) for df in (10**7 - 1, 10**7))
+        assert expansion == pytest.approx(fraction, rel=1e-9, abs=0)
+        fraction, expansion = (student_t_cdf(df, t) for df in (10**7 - 1, 10**7))
+        assert expansion == pytest.approx(fraction, abs=1e-11)
+
+    # Phi(t) from mpmath's ncdf at 40 digits; at t = -30 the rounding of
+    # t / sqrt(2) alone moves erfc by about t^2 * 2^-53 = 1e-13 relative
+    @pytest.mark.parametrize(
+        "t,phi",
+        [(-30.0, 4.906713927148187e-198), (-8.0, 6.220960574271784e-16),
+         (-1.28, 0.10027256795444209), (0.0, 0.5), (1.28, 0.8997274320455579)],
+    )
+    def test_normal_limit_keeps_the_tail(self, t, phi):
+        # statistics.NormalDist().cdf(-30) and 1 - cdf(30) both read 0.0
+        assert student_t_cdf(10**300, t) == pytest.approx(phi, rel=1e-12, abs=0)
+
+    def test_tail_beyond_40_is_below_the_smallest_float(self):
+        assert student_t_cdf(10**7, -40.0) == 0.0 and student_t_cdf(10**7, 40.0) == 1.0
+        assert 0.0 < student_t_cdf(10**7, -38.0) < 1e-300
+
 
 class TestStudentTQuantile:
     def test_median_is_zero(self):
@@ -348,7 +380,7 @@ class TestStudentTQuantile:
         for k, q_ref in enumerate(LARGE_DF_QUANTILES[df], start=4):
             prob = 1.0 - 10.0**-k
             tail = 1.0 - prob
-            assert student_t_cdf(df, -q_ref) == pytest.approx(tail, rel=2e-11)
+            assert student_t_cdf(df, -q_ref) == pytest.approx(tail, rel=2e-11, abs=0)
             log_pdf = (
                 math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
                 - (df + 1) / 2 * math.log1p(q_ref * q_ref / df)
@@ -378,3 +410,11 @@ class TestStudentTQuantile:
             student_t_quantile(3, 0.0)
         with pytest.raises(ValueError, match="prob"):
             student_t_quantile(3, 1.0)
+
+    def test_quantile_where_t_squared_overflows_is_refused(self):
+        # the solver stopped at the overflow boundary, -1.34e154; the Cauchy
+        # value is -3.18e159
+        with pytest.raises(ValueError, match="overflows"):
+            student_t_quantile(1, 1e-160)
+        cauchy = -1.0 / math.tan(math.pi * 1e-150)
+        assert student_t_quantile(1, 1e-150) == pytest.approx(cauchy, rel=1e-10)

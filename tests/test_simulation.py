@@ -41,6 +41,22 @@ def floored_at_7(**overrides) -> ExperimentConfig:
     return ExperimentConfig(n=3, p=1, beta_star=(1.0,), sigma=8e-15, seed=187, **overrides)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(code: str, *, path: str = "", **env_vars: str) -> str:
+    """``code``'s stdout from a fresh interpreter that imports ``postselect``
+    from ``src/`` (and modules from ``path``) with no BLAS thread count set
+    but those in ``env_vars``."""
+    src = str(pathlib.Path(simulation.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join(filter(None, [src, path])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout
+
+
 # replications per block in the tests that cut a run into blocks of their own
 BLOCK = 32
 
@@ -129,16 +145,11 @@ class TestExperimentConfig:
     def test_validation_leaves_numpy_random_unimported(self):
         # a pool's parent only validates; importing numpy.random there costs it
         # about 5.6 MB of RSS that only the workers need
-        src = pathlib.Path(simulation.__file__).parents[1]
         code = (
             "import sys, postselect; postselect.ExperimentConfig(seed=7); "
             "print('numpy.random' in sys.modules)"
         )
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.strip() == "False"
+        assert run_python(code).strip() == "False"
 
     def test_workers_resolution(self):
         assert ExperimentConfig(workers=3).resolved_workers() == 3
@@ -555,3 +566,69 @@ class TestSummarize:
     def test_no_records_is_a_bad_argument(self):
         with pytest.raises(ValueError, match="at least one record"):
             simulation.summarize([], 0.0, 0)
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy too old for mode="dicts"
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+TASKS = "len(os.listdir('/proc/self/task'))"
+
+needs_openblas = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not _numpy_uses_openblas(),
+    reason="counts OpenBLAS's threads in /proc/self/task",
+)
+
+
+@needs_openblas
+class TestBlasThreads:
+    def test_first_import_loads_one_thread_and_restores_the_environment(self):
+        code = f"import os, postselect; print({TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ)"
+        assert run_python(code).split() == ["1", "False"]
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_users_thread_count_is_kept(self, var):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts no more threads than there are cores")
+        code = f"import os, postselect; print({TASKS}, os.environ[{var!r}])"
+        assert run_python(code, **{var: "2"}).split() == ["2", "2"]
+
+    def test_numpy_imported_first_keeps_its_threads(self):
+        own = run_python(f"import os, numpy; print({TASKS})")
+        code = f"import os, numpy, postselect; print({TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ)"
+        assert run_python(code).split() == [own.strip(), "False"]
+
+    def test_pool_workers_run_one_thread(self, tmp_path):
+        # every block, run in a worker, prints its process's task count
+        (tmp_path / "probe.py").write_text(
+            "import os\n"
+            "from postselect import simulation\n"
+            "block = simulation._replication_block\n"
+            "def counted(*args):\n"
+            f"    print({TASKS}, flush=True)\n"
+            "    return block(*args)\n"
+        )
+        code = (
+            "import postselect, probe\n"
+            "from postselect import simulation\n"
+            "simulation._replication_block = probe.counted\n"
+            "simulation._BLOCK_FLOATS = 5 * 50 * 11\n"
+            "simulation.run_experiment(postselect.ExperimentConfig(reps=40, workers=2))\n"
+        )
+        assert run_python(code, path=str(tmp_path)).split() == ["1"] * 8
+
+
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at the default n = 200; from n = 10001 on OpenBLAS splits long dot
+    # products across its threads, and the last digits follow the count
+    records = []
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / str(len(records))
+        argv = ["simulate", "--reps", "200", "--seed", "3", "--workers", "1", "--out-dir", str(out)]
+        run_python(f"import sys; from postselect.cli import main; sys.exit(main({argv!r}))", **env)
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1]
