@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from array import array
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -288,42 +289,44 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
-    """Parse a CSV with a header, a `y` column, and numeric predictors."""
+    """Parse a CSV with a header, a `y` column, and numeric predictors.
+
+    The cells stream into one float array, row by row, so a large file is
+    never held as strings.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise ValueError(f"{path}: empty file")
-            rows = list(reader)
+            if "y" not in header:
+                raise ValueError(f"{path}: no column named 'y' in header {header}")
+            y_col = header.index("y")
+            predictor_names = [h for i, h in enumerate(header) if i != y_col]
+            if not predictor_names:
+                raise ValueError(f"{path}: no predictor columns besides 'y'")
+            cells = array("d")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    cells.extend([float(cell) for cell in row])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-numeric value in {row!r}")
     except OSError as exc:
         raise ValueError(f"cannot read dataset: {exc}")
-    header = [h.strip() for h in header]
-    if "y" not in header:
-        raise ValueError(f"{path}: no column named 'y' in header {header}")
-    y_col = header.index("y")
-    predictor_names = [h for i, h in enumerate(header) if i != y_col]
-    if not predictor_names:
-        raise ValueError(f"{path}: no predictor columns besides 'y'")
-    y_vals, x_rows = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric value in {row!r}")
-        y_vals.append(values[y_col])
-        x_rows.append([v for i, v in enumerate(values) if i != y_col])
-    if not y_vals:
+    if not cells:
         raise ValueError(f"{path}: no data rows")
+    table = np.frombuffer(cells).reshape(-1, len(header))
+    y, X = np.ascontiguousarray(table[:, y_col]), np.delete(table, y_col, axis=1)
     try:
-        data, _, _ = centered_dataset(np.array(y_vals), np.array(x_rows))
+        data, _, _ = centered_dataset(y, X)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}")
     return data, predictor_names

@@ -185,12 +185,7 @@ def _drop_column(r: np.ndarray, parent: np.ndarray, j: np.ndarray) -> np.ndarray
         h[counts[i] : counts[i + 1], :, i:s] = h[counts[i] : counts[i + 1], :, i + 1 :]
         rows = h[: counts[i + 1], i : i + 2, i:s]
         a, b = rows[:, 0, :1], rows[:, 1, :1]
-        rad = np.hypot(a, b)
-        if rad.all():  # the common case, 4-6 % of select_stack faster than the masked divide
-            cos, sin = a / rad, b / rad
-        else:  # a zero column needs no rotation
-            cos = np.divide(a, rad, out=np.ones_like(rad), where=rad > 0.0)
-            sin = np.divide(b, rad, out=np.zeros_like(rad), where=rad > 0.0)
+        rad, cos, sin = _givens(a, b)
         x, y = rows[:, 0, 1:], rows[:, 1, 1:]
         upper = cos * x + sin * y
         y *= cos
@@ -199,12 +194,32 @@ def _drop_column(r: np.ndarray, parent: np.ndarray, j: np.ndarray) -> np.ndarray
     return h[:, :, :s]
 
 
+def _givens(a: np.ndarray, b: np.ndarray):
+    """``hypot(a, b)``, and cos and sin of the rotation zeroing b (identity where both are 0)."""
+    rad = np.hypot(a, b)
+    if rad.all():  # the common case, 4-6 % of select_stack faster than the masked divide
+        return rad, a / rad, b / rad
+    cos = np.divide(a, rad, out=np.ones_like(rad), where=rad > 0.0)
+    return rad, cos, np.divide(b, rad, out=np.zeros_like(rad), where=rad > 0.0)
+
+
+def _drop_one(r: np.ndarray) -> np.ndarray:
+    """:func:`_drop_column`'s ``[p - 1, p - 1]`` for every child j of every (p + 1)^2 factor
+    in ``r``, (b, p): each child keeps only its row i, rotated against r's row i + 1."""
+    row = r[:, :0, 1:]
+    for i in range(r.shape[1] - 1):  # children j <= i, by j
+        row = np.concatenate([row, r[:, i : i + 1, i + 1 :]], 1)
+        rad, cos, sin = _givens(row[:, :, :1], r[:, i + 1 : i + 2, i + 1 : i + 2])
+        row = r[:, i + 1 : i + 2, i + 2 :] * cos - sin * row[:, :, 1:]
+    return rad[:, :, 0]
+
+
 def _batches(chunks: list, size: int):
     """Yield the nodes of the chunks in slices of at most ``size``, releasing each chunk."""
     while chunks:
-        r, meta = chunks.pop()
-        for first in range(0, len(r), size):
-            yield r[first : first + size], meta[first : first + size]
+        chunk = chunks.pop()
+        for first in range(0, len(chunk[0]), size):
+            yield tuple(x[first : first + size] for x in chunk)
 
 
 def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
@@ -240,13 +255,14 @@ def select_stack(
     subset below (S, k) has a larger SSE and at least k variables, so it
     scores at least ``n log SSE(S) + c_n k``; a subtree is pruned when that
     bound exceeds the top-th best score so far by more than a relative
-    1e-12, so no tie is pruned.  The columns are preordered by full-model
-    |t| (``t_j^2`` is proportional to the SSE gained by dropping column j),
-    and one stacked QR of the permuted ``[X | y]`` scores the p + 1 nested
-    prefixes, which seed the bound.  The search goes one subset size at a
-    time through the live nodes of all datasets in bounded batches, pruning
-    by the scores of the sizes before, so what a dataset visits does not
-    depend on the rest of the stack.
+    1e-12, so no tie is pruned, and no child (S minus j, j) is built that
+    its parent's bound with k = j prunes.  The columns are preordered by
+    full-model |t| (``t_j^2`` is proportional to the SSE gained by dropping
+    column j), and one stacked QR of the permuted ``[X | y]`` scores the
+    p + 1 nested prefixes, which seed the bound.  The search goes one
+    subset size at a time through the live nodes of all datasets in bounded
+    batches, pruning by the scores of the sizes before, so what a dataset
+    visits does not depend on the rest of the stack.
 
     A node is rank deficient when a diagonal entry of its R is at most
     ``RANK_RTOL`` times its column's norm; it scores ``inf`` but keeps its
@@ -267,16 +283,10 @@ def select_stack(
     requested_max = p if size_cap is None else min(p, size_cap)
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
     c_n = crit.c_n(n)
-    everyone = np.arange(b)
 
     r = np.linalg.qr(np.concatenate([X, y[:, :, None]], axis=2), mode="r")
-    drop_one, step = np.empty((b, p)), max(1, _BATCH_FLOATS // (p * (p + 1) ** 2))
-    for first in range(0, b, step):  # the p children of each batch of datasets
-        m = len(part := r[first : first + step])
-        children = _drop_column(part, np.tile(np.arange(m), p), np.repeat(np.arange(p), m))
-        drop_one[first : first + m] = children[:, p - 1, p - 1].reshape(p, m).T
     perm = np.full((b, p + 1), p)
-    perm[:, :p] = np.argsort(-drop_one, axis=1, kind="stable")
+    perm[:, :p] = np.argsort(-_drop_one(r), axis=1, kind="stable")
     r = np.linalg.qr(np.take_along_axis(r, perm[:, None, :], 2), mode="r")
     bits = np.left_shift(1, perm[:, :p])  # each preorder position's bit in a bitmask
     collinear = RANK_RTOL * np.hypot.reduce(r[:, :, :p], axis=1)  # per column
@@ -298,22 +308,26 @@ def select_stack(
     deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
     _, scores, floored = score(exact_fit, resid[:, sizes] ** 2, sizes, deficient[:, sizes])
     prefix = np.concatenate([np.zeros((b, 1), bits.dtype), bits.cumsum(1)], 1)
-    owner = np.repeat(everyone, sizes.size)
+    owner = np.repeat(np.arange(b), sizes.size)
     masks = prefix[:, sizes].ravel()
     records = [(owner, masks, np.tile(sizes, b), scores.ravel(), floored.ravel())]
     cut, kept = _kth_best(owner, scores.ravel(), b, top)
     candidates = (owner[kept], scores.ravel()[kept])
 
-    # a node is the upper triangle of its R factor, row by row, and its
-    # columns' preorder positions, dataset, k and bitmask
+    # a node is the upper triangle of its R factor, row by row, its columns'
+    # preorder positions, dataset, k and bitmask, and its log term
     meta = np.zeros((b, p + 3), np.intp)
-    meta[:, :p], meta[:, p], meta[:, p + 2] = np.arange(p), everyone, prefix[:, p]
-    frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta)]
+    meta[:, :p], meta[:, p], meta[:, p + 2] = np.arange(p), np.arange(b), prefix[:, p]
+    plog = score(exact_fit[:, 0], r[:, p, p] ** 2, p, deficient[:, p])[0]
+    frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta, plog)]
     for s in range(p, 0, -1):
         size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
         level, chunks, frontier = [], frontier, []
-        for packed, meta in _batches(chunks, max(1, _BATCH_FLOATS // (s * s * (s + 1)))):
-            j, parent = np.nonzero(np.arange(s)[:, None] >= meta[:, s + 1])
+        for packed, meta, plog in _batches(chunks, max(1, _BATCH_FLOATS // (s * s * (s + 1)))):
+            j = np.arange(s)[:, None]  # (S - {j}, j) and its subtree score >= plog + c_n j
+            j, parent = np.nonzero((j >= meta[:, s + 1]) & (plog + c_n * j <= limit[meta[:, s]]))
+            if not j.size:
+                continue
             node_r = np.zeros((len(packed), s + 1, s + 1))
             node_r[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed
             h = _drop_column(node_r, parent, j)
@@ -332,7 +346,8 @@ def select_stack(
             live = (j < min(size, max_size + 1)) & (log_term + c_n * j <= limit[owner])
             if live.any():  # packed in one indexing step, not copied whole first
                 live = np.flatnonzero(live)
-                frontier.append((h[live[:, None], _upper(s)[0], _upper(s)[1]], child[live]))
+                packed = h[live[:, None], _upper(s)[0], _upper(s)[1]]
+                frontier.append((packed, child[live], log_term[live]))
             del node_r, h  # before the next batch builds its children
         if level:
             records += level

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from postselect import ExperimentConfig, RngStream, Subset, generate_dataset
+from postselect import ExperimentConfig, RngStream, Subset, centered_dataset, generate_dataset
 from postselect.cli import (
-    RECORDS_COLUMNS, _assemble_config, build_parser, main, ratio_hist_csv_text, records_csv_text,
+    RECORDS_COLUMNS, _assemble_config, _read_dataset_csv, build_parser, main, ratio_hist_csv_text,
+    records_csv_text,
 )
 
 from oracles import brute_force_select
@@ -249,6 +250,46 @@ class TestSelectCommand:
 
         missing = tmp_path / "missing.csv"
         assert run_cli(capsys, "select", str(missing))[0] == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty file"),
+            ("a,b\n1,2\n", "no column named 'y' in header ['a', 'b']"),
+            (" y \n1\n2\n", "no predictor columns besides 'y'"),
+            ("x1,y\n\n , \n", "no data rows"),
+            ("x1,y\n1.0,2.0\n\n1.0\n", ":4: expected 2 fields, got 1"),
+            ("x1,y\n1.0,2.0\nfoo,3.0\n", ":3: non-numeric value in ['foo', '3.0']"),
+        ],
+    )
+    def test_csv_errors_name_file_and_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "select", str(path))
+        assert code == 2 and err == f"error: {path}{'' if message[0] == ':' else ': '}{message}\n"
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (5000, 3)])
+    def test_csv_cells_stream_into_the_dataset(self, tmp_path, n, p):
+        # the reader streams the cells into one float array; its dataset has
+        # the bits of one built from the parsed rows at once, here with y in
+        # the second column, a blank line and cells of very different scales
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((n, p + 1)) * 10.0 ** rng.integers(-6, 9, p + 1)
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "y", *(f"x{j}" for j in range(2, p + 1))])
+            writer.writerow([])
+            writer.writerows([repr(float(v)) for v in row] for row in table)
+        with open(path, newline="") as fh:
+            rows = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:] if row]
+        expected = centered_dataset(
+            np.array([row[1] for row in rows]), np.array([row[:1] + row[2:] for row in rows])
+        )[0]
+        data, names = _read_dataset_csv(str(path))
+        assert names == [f"x{j}" for j in range(1, p + 1)] and data.X.shape == (n, p)
+        assert np.array_equal(data.y.view(np.int64), expected.y.view(np.int64))
+        assert np.array_equal(data.X.view(np.int64), expected.X.view(np.int64))
 
     def test_huge_response_exits_2(self, capsys, tmp_path):
         # squares of values near 1e160 overflow float64: the data is rejected

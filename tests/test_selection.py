@@ -380,9 +380,10 @@ class TestSelect:
         assert all(ties_best(s) for s in result.ties)
 
     def test_batches_of_one_dataset_change_no_bits(self, rng, monkeypatch):
-        # a batch budget of one float runs every pass, the drop-one ordering
-        # pass too, one dataset or node at a time; the last dataset's y = x1
-        # exactly, so some of its subsets hit the SSE floor
+        # a batch budget of one float runs every level of the search one node
+        # at a time (the drop-one ordering pass is not batched: it keeps one
+        # row per child); the last dataset's y = x1 exactly, so some of its
+        # subsets hit the SSE floor
         stack = [random_centered_dataset(rng, 30, 6, beta=np.arange(6.0)) for _ in range(4)]
         stack.append(Dataset(y=stack[0].X[:, 0], X=stack[0].X))
         X, y = np.array([d.X for d in stack]), np.array([d.y for d in stack])
@@ -393,6 +394,57 @@ class TestSelect:
         assert np.array_equal(scores.view(np.int64), default[1].view(np.int64))
         assert np.array_equal(floored, default[3]) and floored[-1] > 0
         assert cap == default[4]
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("column", ["none", "zero", "duplicate"])
+    def test_one_row_drop_one_pass_matches_drop_column(self, p, column):
+        # the ordering pass keeps one row per child, yet gives the bits of
+        # building every child of the full factor whole; a zero column takes
+        # the rotation's rad == 0 branch
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((5, 12, p))
+        if column == "zero":
+            x[:, :, p // 2] = 0.0
+        elif column == "duplicate" and p > 1:
+            x[:, :, -1] = x[:, :, 0]
+        y = x.sum(axis=2) + rng.standard_normal((5, 12))
+        r = np.linalg.qr(np.concatenate([x, y[:, :, None]], axis=2), mode="r")
+        assert (column == "zero") == (r.diagonal(0, 1, 2) == 0.0).any()
+        b = len(r)
+        children = selection._drop_column(r, np.tile(np.arange(b), p), np.repeat(np.arange(p), b))
+        expected = children[:, p - 1, p - 1].reshape(p, b).T
+        assert np.array_equal(selection._drop_one(r).view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra=st.integers(2, 30),
+        rho=st.floats(0.0, 0.95),
+        duplicate=st.booleans(),
+        crit=st.sampled_from([AIC, BIC]),
+        top=st.sampled_from([1, 3, 10]),
+    )
+    def test_pruning_keeps_the_exhaustive_top(self, seed, p, extra, rho, duplicate, crit, top):
+        # the search visits a subset of the exhaustive search's subsets, with
+        # the same scores, and every subset it skips scores above the
+        # exhaustive top-th best, so its chosen, ties and ranking are exact
+        rng = np.random.default_rng(seed)
+        beta = rng.choice([0.0, 0.3, 2.0], size=p)
+        data = random_centered_dataset(rng, p + extra, p, beta=beta, rho=rho)
+        if duplicate and p > 1:
+            x = data.X.copy()
+            x[:, -1] = x[:, 0]
+            data = Dataset(y=data.y, X=x)
+        full, result = _exhaustive(data, crit), select(data, crit, top=top)
+        visited, every = _table(result), _table(full)
+        assert len(visited) == len(result.masks) and visited.keys() <= every.keys()
+        same = np.array([every[m] for m in visited]).view(np.int64)
+        assert np.array_equal(result.scores.view(np.int64), same)
+        assert result.chosen == full.chosen and result.ties == full.ties
+        k = min(top, 2**p)  # an exhaustive search keeps at most 2^p exact
+        assert result.ranked(k) == full.ranked(k)
+        assert all(every[m] > full.scores[k - 1] for m in every.keys() - visited.keys())
 
     def test_size_cap_limits_enumeration(self, rng):
         data = random_centered_dataset(rng, 20, 6)

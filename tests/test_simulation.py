@@ -603,13 +603,15 @@ class TestBlasThreads:
         assert run_python(code).split() == [own.strip(), "False"]
 
     def test_pool_workers_run_one_thread(self, tmp_path):
-        # every block, run in a worker, prints its process's task count
+        # every block, run in a worker, prints its process's task count in one
+        # write, so that the two workers' lines never interleave, not even with
+        # PYTHONUNBUFFERED set
         (tmp_path / "probe.py").write_text(
             "import os\n"
             "from postselect import simulation\n"
             "block = simulation._replication_block\n"
             "def counted(*args):\n"
-            f"    print({TASKS}, flush=True)\n"
+            f"    os.write(1, b'%d\\n' % {TASKS})\n"
             "    return block(*args)\n"
         )
         code = (
