@@ -5,8 +5,8 @@ logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
 ``c_n = log(n)``.  :func:`select_stack` finds the best-scoring subsets for
 a stack of datasets of one shape by an exact branch and bound over the
 column-dropping tree (Furnival & Wilson 1974; Hofmann, Gatu &
-Kontoghiorghes 2007): one stacked QR factorization of ``[X | y]``, then one
-batched Givens pass per tree level for the whole stack.  :func:`select` is
+Kontoghiorghes 2007): one stacked QR factorization of ``[X | y]``, then, level
+by level, Givens passes that each build up to 2^16 floats of children.  :func:`select` is
 a stack of one, and the simulation selects a block of replications at once.
 :func:`theorem_report` computes the
 quantities that link overfitting (choosing a strict superset of the true
@@ -34,8 +34,8 @@ ENUMERATION_LIMIT = 20
 # fit scores a huge but finite negative value instead of -inf.
 SSE_FLOOR = 1e-300
 
-# The search builds the children of about this many floats of R factors at
-# once, so its working memory does not grow with the number of subsets.
+# The search builds at most this many floats of children's R factors at once (or
+# one child), so its working memory does not grow with the number of subsets.
 _BATCH_FLOATS = 1 << 16
 
 # A subtree is pruned only when its bound exceeds the top-th best score by
@@ -166,9 +166,9 @@ def subset_of_mask(mask: int) -> Subset:
 _upper = cache(np.triu_indices)
 
 
-def _drop_column(r: np.ndarray, parent: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """R factors of ``[X_S | y]``, shape ``(s + 1, s + 1)``, with column
-    ``j[c]`` of ``r[parent[c]]`` deleted, for ascending ``j``.
+def _drop_column(h: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """R factors of ``[X_S | y]``, ``h`` (m, s + 1, s + 1), with column
+    ``j[c]`` of ``h[c]`` deleted, for ascending ``j``; ``h`` is overwritten.
 
     The later columns shift left in place, and Givens rotations of rows
     ``i, i + 1`` for ``i >= j`` re-triangularize the Hessenberg remainder,
@@ -178,8 +178,7 @@ def _drop_column(r: np.ndarray, parent: np.ndarray, j: np.ndarray) -> np.ndarray
     and another term, so no child's SSE is below its parent's, in floating
     point too.
     """
-    s = r.shape[1] - 1
-    h = r[parent]
+    s = h.shape[1] - 1
     counts = [0, *np.searchsorted(j, np.arange(s), "right").tolist()]
     for i in range(int(j[0]), s):
         h[counts[i] : counts[i + 1], :, i:s] = h[counts[i] : counts[i + 1], :, i + 1 :]
@@ -214,12 +213,17 @@ def _drop_one(r: np.ndarray) -> np.ndarray:
     return rad[:, :, 0]
 
 
-def _batches(chunks: list, size: int):
-    """Yield the nodes of the chunks in slices of at most ``size``, releasing each chunk."""
+def _batches(chunks: list, s: int, c_n: float, limit: np.ndarray):
+    """Yield each chunk's packed nodes and meta with the ``(j, parent)`` pairs of the
+    children the parent bound keeps, in j-major slices of at most ``_BATCH_FLOATS``
+    floats of (s + 1)^2 factors, releasing each chunk."""
+    size = max(1, _BATCH_FLOATS // (s + 1) ** 2)
     while chunks:
-        chunk = chunks.pop()
-        for first in range(0, len(chunk[0]), size):
-            yield tuple(x[first : first + size] for x in chunk)
+        packed, meta, plog = chunks.pop()
+        j = np.arange(s)[:, None]  # (S - {j}, j) and its subtree score >= plog + c_n j
+        j, parent = np.nonzero((j >= meta[:, s + 1]) & (plog + c_n * j <= limit[meta[:, s]]))
+        for first in range(0, j.size, size):
+            yield packed, meta, j[first : first + size], parent[first : first + size]
 
 
 def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
@@ -260,9 +264,9 @@ def select_stack(
     full-model |t| (``t_j^2`` is proportional to the SSE gained by dropping
     column j), and one stacked QR of the permuted ``[X | y]`` scores the
     p + 1 nested prefixes, which seed the bound.  The search goes one
-    subset size at a time through the live nodes of all datasets in bounded
-    batches, pruning by the scores of the sizes before, so what a dataset
-    visits does not depend on the rest of the stack.
+    subset size at a time, building the children of all datasets' live nodes
+    in batches of at most ``_BATCH_FLOATS`` floats and pruning by the scores
+    of the sizes before, so what a dataset visits does not depend on the rest of the stack.
 
     A node is rank deficient when a diagonal entry of its R is at most
     ``RANK_RTOL`` times its column's norm; it scores ``inf`` but keeps its
@@ -323,14 +327,10 @@ def select_stack(
     for s in range(p, 0, -1):
         size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
         level, chunks, frontier = [], frontier, []
-        for packed, meta, plog in _batches(chunks, max(1, _BATCH_FLOATS // (s * s * (s + 1)))):
-            j = np.arange(s)[:, None]  # (S - {j}, j) and its subtree score >= plog + c_n j
-            j, parent = np.nonzero((j >= meta[:, s + 1]) & (plog + c_n * j <= limit[meta[:, s]]))
-            if not j.size:
-                continue
-            node_r = np.zeros((len(packed), s + 1, s + 1))
-            node_r[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed
-            h = _drop_column(node_r, parent, j)
+        for packed, meta, j, parent in _batches(chunks, s, c_n, limit):
+            h = np.zeros((j.size, s + 1, s + 1))
+            h[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed[parent]
+            h = _drop_column(h, j)
             keep = np.arange(s + 2)
             child = meta[parent[:, None], keep + (keep >= j[:, None])]
             owner, dropped = child[:, size], meta[parent, j]
@@ -348,7 +348,7 @@ def select_stack(
                 live = np.flatnonzero(live)
                 packed = h[live[:, None], _upper(s)[0], _upper(s)[1]]
                 frontier.append((packed, child[live], log_term[live]))
-            del node_r, h  # before the next batch builds its children
+            del h  # before the next batch builds its children
         if level:
             records += level
             owner = np.concatenate([candidates[0], *(rec[0] for rec in level)])

@@ -110,6 +110,14 @@ def _stacked(stack: list[Dataset], crit: Criterion, top: int):
     return [(masks[a:b], scores[a:b], f) for a, b, f in zip(bounds[:-1], bounds[1:], floored)]
 
 
+def _p18_dataset() -> Dataset:
+    """n = 200, p = 18, AR(1) columns with rho = 0.5 and three true variables."""
+    rng = np.random.default_rng(42)
+    beta = np.zeros(18)
+    beta[[2, 9, 15]] = [1.5, 2.0, 2.5]
+    return random_centered_dataset(rng, 200, 18, beta=beta, rho=0.5)
+
+
 def _table(result) -> dict[int, float]:
     """Score of every visited subset, by bitmask."""
     return dict(zip(result.masks.tolist(), result.scores.tolist()))
@@ -380,20 +388,49 @@ class TestSelect:
         assert all(ties_best(s) for s in result.ties)
 
     def test_batches_of_one_dataset_change_no_bits(self, rng, monkeypatch):
-        # a batch budget of one float runs every level of the search one node
-        # at a time (the drop-one ordering pass is not batched: it keeps one
-        # row per child); the last dataset's y = x1 exactly, so some of its
-        # subsets hit the SSE floor
+        # a batch budget of one float builds every child of the search alone,
+        # and one of 2^8 floats builds 5 (at s = 6) to 64 (at s = 1) at once,
+        # its batches ending inside a chunk (the drop-one ordering pass is not
+        # batched: it keeps one row per child); the last dataset's y = x1
+        # exactly, so some of its subsets hit the SSE floor
         stack = [random_centered_dataset(rng, 30, 6, beta=np.arange(6.0)) for _ in range(4)]
         stack.append(Dataset(y=stack[0].X[:, 0], X=stack[0].X))
         X, y = np.array([d.X for d in stack]), np.array([d.y for d in stack])
         default = select_stack(X, y, BIC, top=5)
-        monkeypatch.setattr(selection, "_BATCH_FLOATS", 1)
-        masks, scores, bounds, floored, cap = select_stack(X, y, BIC, top=5)
-        assert np.array_equal(masks, default[0]) and np.array_equal(bounds, default[2])
-        assert np.array_equal(scores.view(np.int64), default[1].view(np.int64))
-        assert np.array_equal(floored, default[3]) and floored[-1] > 0
-        assert cap == default[4]
+        for budget in (1, 1 << 8):
+            monkeypatch.setattr(selection, "_BATCH_FLOATS", budget)
+            masks, scores, bounds, floored, cap = select_stack(X, y, BIC, top=5)
+            assert np.array_equal(masks, default[0]) and np.array_equal(bounds, default[2])
+            assert np.array_equal(scores.view(np.int64), default[1].view(np.int64))
+            assert np.array_equal(floored, default[3]) and floored[-1] > 0
+            assert cap == default[4]
+
+    def test_batch_budget_changes_no_bits_at_p_18(self, monkeypatch):
+        # at 2^10 floats a batch holds 2 children at s = 18 and 20 at s = 6,
+        # so most chunks split into several batches
+        data = _p18_dataset()
+        default = select(data, BIC, top=10)
+        monkeypatch.setattr(selection, "_BATCH_FLOATS", 1 << 10)
+        result = select(data, BIC, top=10)
+        assert np.array_equal(result.masks, default.masks)
+        assert np.array_equal(result.scores.view(np.int64), default.scores.view(np.int64))
+        assert result.truncated_sse_count == default.truncated_sse_count
+
+    def test_batches_are_sized_by_the_children_they_build(self, monkeypatch):
+        # a parent builds about 1.3 children, so batches sized by parents as
+        # if each built s would fill a few percent of the budget: 515 calls
+        # on this dataset, against 98 with batches of children
+        calls = []
+
+        def drop_column(h, j):
+            calls.append((h.shape[1] - 1, len(h)))
+            return drop(h, j)
+
+        drop = selection._drop_column
+        monkeypatch.setattr(selection, "_drop_column", drop_column)
+        select(_p18_dataset(), BIC, top=10)
+        assert all(m <= max(1, selection._BATCH_FLOATS // (s + 1) ** 2) for s, m in calls)
+        assert len(calls) <= 150, len(calls)
 
     @pytest.mark.parametrize("p", range(1, 9))
     @pytest.mark.parametrize("column", ["none", "zero", "duplicate"])
@@ -411,7 +448,7 @@ class TestSelect:
         r = np.linalg.qr(np.concatenate([x, y[:, :, None]], axis=2), mode="r")
         assert (column == "zero") == (r.diagonal(0, 1, 2) == 0.0).any()
         b = len(r)
-        children = selection._drop_column(r, np.tile(np.arange(b), p), np.repeat(np.arange(p), b))
+        children = selection._drop_column(r[np.tile(np.arange(b), p)], np.repeat(np.arange(p), b))
         expected = children[:, p - 1, p - 1].reshape(p, b).T
         assert np.array_equal(selection._drop_one(r).view(np.int64), expected.view(np.int64))
 
@@ -457,10 +494,7 @@ class TestSelect:
     def test_select_memory_is_bounded(self):
         # the search builds children in bounded batches and keeps each level's
         # frontier as packed triangles, so p = 18 (262,144 subsets) stays small
-        rng = np.random.default_rng(42)
-        beta = np.zeros(18)
-        beta[[2, 9, 15]] = [1.5, 2.0, 2.5]
-        data = random_centered_dataset(rng, 200, 18, beta=beta, rho=0.5)
+        data = _p18_dataset()
         select(data, BIC, top=10)
         tracemalloc.start()
         try:
