@@ -4,7 +4,7 @@ Every draw comes from a counter-based stream addressed by ``(seed, substream)``,
 so parallel workers reproduce bit-identical results under any scheduling.
 :func:`stream_keys` keys many streams in one array hash, :func:`stream_generators`
 re-keys one generator to each, and :class:`RngStream` is one such stream.
-:func:`ar1_rows` turns draws into AR(1) design rows; it trusts its correlation,
+:func:`ar1_rows` turns draws into AR(1) design rows in place; it trusts its correlation,
 which :class:`~postselect.simulation.ExperimentConfig` has validated.
 
 The Student-t CDF and quantile are built on a continued-fraction evaluation
@@ -129,17 +129,16 @@ def ar1_rows(z: np.ndarray, rho: float) -> np.ndarray:
     """Draws from N_p(0, Sigma) with ``Sigma_ij = rho ** |i - j|``, one per
     row of iid standard normals ``z`` along its last axis of length p.
 
-    Returns an array of ``z``'s shape.  Sigma is positive definite for
-    ``|rho| < 1``.  Each row uses the exact scalar recursion ``x_1 = z_1``,
-    ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i``, costing O(p) per row
-    instead of a dense factor solve; every row is computed on its own.
+    Overwrites ``z`` with the draws and returns it.  Sigma is positive
+    definite for ``|rho| < 1``.  Each row uses the exact scalar recursion
+    ``x_1 = z_1``, ``x_i = rho * x_{i-1} + sqrt(1 - rho^2) * z_i``, costing
+    O(p) per row instead of a dense factor solve; every row is computed on
+    its own, and ``z_i`` is read before ``x_i`` takes its place.
     """
-    x = np.empty_like(z)
-    x[..., 0] = z[..., 0]
     innov = math.sqrt(1.0 - rho * rho)
     for j in range(1, z.shape[-1]):
-        x[..., j] = rho * x[..., j - 1] + innov * z[..., j]
-    return x
+        z[..., j] = rho * z[..., j - 1] + innov * z[..., j]
+    return z
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -101,7 +101,7 @@ class Dataset:
         if p >= n:
             raise ValueError(f"need p < n, got p={p}, n={n}")
         y_raw, X_raw = (y, X) if raw is None else map(np.asarray, raw)
-        check_data(y[None], X[None], y_raw[None], X_raw[None])
+        check_data(np.column_stack([X, y])[None], y_raw[None], X_raw[None])
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -117,19 +117,20 @@ class Dataset:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum may overflow on rejected data
-def check_data(y, X, y_raw, X_raw, label: Callable[[int], str] = lambda i: "") -> None:
+def check_data(data, y_raw, X_raw, label: Callable[[int], str] = lambda i: "") -> None:
     """``ValueError``, ``label(i)`` and then its first broken rule, for the first
-    dataset i of a stack, ``y`` (b, n) and ``X`` (b, n, p) centered from
-    ``y_raw`` and ``X_raw``, that breaks a rule.  The rules, in order: finite
+    dataset i of a stack ``[X | y]``, ``data`` (b, n, p + 1), centered from ``y_raw``
+    (b, n) and ``X_raw`` (b, n, p), that breaks a rule.  The rules, in order: finite
     values; none above ``sqrt(max float64 / (4 n))``, so that no sum of n
     squares, as in an SSE, overflows; y and X's columns centered, to the
     ``n * eps * max|raw value|`` that removing a mean leaves."""
-    n = y.shape[1]
-    # one abs max per array serves two rules: only NaN or inf makes it nonfinite
-    top = np.maximum(np.abs(y).max(axis=1), np.abs(X).max(axis=(1, 2)))
+    n = data.shape[1]
+    # one abs max serves two rules: only NaN or inf makes it nonfinite
+    top = np.abs(data).max(axis=(1, 2))
     bound = math.sqrt(np.finfo(np.float64).max / (4 * n))
     tol = n * np.finfo(np.float64).eps
-    y_mean, col_means = y.sum(axis=1) / n, np.abs(X.sum(axis=1) / n)  # bits of .mean()
+    means = data.sum(axis=1) / n  # each column's mean, y's last
+    y_mean, col_means = means[:, -1], np.abs(means[:, :-1])
     failed = np.array([
         ~np.isfinite(top),
         top > bound,
@@ -207,7 +208,7 @@ def collinear_error(s: Subset) -> PostselectError:
 def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
     """Fit the sub-model using the columns in ``s``: :func:`ols_fit_stack` on
     one dataset, with a collinear fit raised as a ``PostselectError``."""
-    fit = ols_fit_stack(data.X[None], data.y[None], s.positions[None])
+    fit = ols_fit_stack(data.X[None], data.y[None], np.zeros(1, np.intp), s.positions[None])
     if fit.collinear[0]:
         raise collinear_error(s)
     sse = float(fit.sse[0])
@@ -226,23 +227,26 @@ class FitStack(NamedTuple):
     collinear: np.ndarray
 
 
-def ols_fit_stack(X: np.ndarray, y: np.ndarray, positions: np.ndarray) -> FitStack:
-    """Fit columns ``positions[i]`` of each design ``X[i]`` (b, n, p) to its
-    response ``y[i]`` (b, n) by QR least squares, for 0-based ``positions``
-    (b, k).  One stacked ``np.linalg.qr`` and one stacked ``np.linalg.solve``
-    treat each dataset on its own: a fit has the bits of the fit of a stack
-    of one.  A dataset is collinear when a diagonal entry of its R is at most
-    ``RANK_RTOL`` times the norm of its column; that is reported, not raised.
-    ``ValueError`` if ``n - k - 1 < 1`` or a position is not one of p columns.
+def ols_fit_stack(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, positions: np.ndarray
+) -> FitStack:
+    """Fit columns ``positions[i]`` of design ``X[rows[i]]`` to response ``y[rows[i]]``
+    by QR least squares, for designs ``X`` (b, n, p) and responses ``y`` (b, n), such
+    as views of one ``[X | y]`` array, and 0-based ``positions`` (m, k).  One stacked
+    ``np.linalg.qr`` and one stacked ``np.linalg.solve`` treat each row on its own: a
+    fit has the bits of the fit of a stack of one.  A row is collinear when a diagonal
+    entry of its R is at most ``RANK_RTOL`` times the norm of its column; that is
+    reported, not raised.  ``ValueError`` if ``n - k - 1 < 1`` or a position is not
+    one of p columns.
     """
-    (b, n, p), k = X.shape, positions.shape[1]
+    (_, n, p), k = X.shape, positions.shape[1]
     if (df := n - k - 1) < 1:
         raise ValueError(f"subset of size {k} leaves {df} degrees of freedom at n={n}")
     if (bad := positions[(positions < 0) | (positions >= p)] + 1).size:
         raise ValueError(f"columns {sorted({*bad.tolist()})} lie beyond the {p} available columns")
     # each row's columns are gathered column-major, as data.X[:, S] is, and
-    # the matvec X_S beta rounds by layout
-    Xs, y = X.swapaxes(1, 2)[np.arange(b)[:, None], positions].swapaxes(1, 2), y[:, :, None]
+    # y[rows] is a contiguous copy: the matvec X_S beta and q'y round by layout
+    Xs, y = X.swapaxes(1, 2)[rows[:, None], positions].swapaxes(1, 2), y[rows][:, :, None]
     q, r = np.linalg.qr(Xs)
     collinear = (np.abs(r.diagonal(0, 1, 2)) <= RANK_RTOL * np.hypot.reduce(r, axis=1)).any(1)
     r[collinear] = np.eye(k)  # a collinear R may be singular

@@ -3,9 +3,9 @@
 A sub-model S is scored by ``n * log(SSE(S)) + c_n * |S|`` with natural
 logarithms throughout; AIC and BIC correspond to ``c_n = 2`` and
 ``c_n = log(n)``.  :func:`select_stack` finds the best-scoring subsets for
-a stack of datasets of one shape by an exact branch and bound over the
-column-dropping tree (Furnival & Wilson 1974; Hofmann, Gatu &
-Kontoghiorghes 2007): one stacked QR factorization of ``[X | y]``, then, level
+a stack of datasets of one shape, each one array ``[X | y]``, by an exact branch
+and bound over the column-dropping tree (Furnival & Wilson 1974; Hofmann, Gatu &
+Kontoghiorghes 2007): one stacked QR factorization of the stack, then, level
 by level, Givens passes that each build up to 2^16 floats of children.  :func:`select` is
 a stack of one, and the simulation selects a block of replications at once.
 :func:`theorem_report` computes the
@@ -242,11 +242,11 @@ def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
 
 
 def select_stack(
-    X: np.ndarray, y: np.ndarray, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
+    data: np.ndarray, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Find, for each centered design ``X`` (b, n, p) and response ``y``
-    (b, n), the ``top`` subsets of at most ``size_cap`` variables with the
-    smallest selection scores.  Returns ``(masks, scores, bounds, floored,
+    """Find, for each centered design and response ``[X | y]`` of ``data``
+    (b, n, p + 1), the ``top`` subsets of at most ``size_cap`` variables with
+    the smallest selection scores.  Returns ``(masks, scores, bounds, floored,
     max_size)``: dataset i's :class:`SelectionResult` fields are rows
     ``bounds[i]:bounds[i + 1]`` of ``masks`` and ``scores``, ``floored[i]``
     (its ``truncated_sse_count``) and ``max_size``.
@@ -276,7 +276,7 @@ def select_stack(
     whose SSE is the smallest, does.  ``ValueError`` if ``p`` exceeds
     ``ENUMERATION_LIMIT`` (20), ``size_cap`` is negative or ``top`` is below 1.
     """
-    b, n, p = X.shape
+    b, n, p = data.shape[0], data.shape[1], data.shape[2] - 1
     if p > ENUMERATION_LIMIT:
         raise ValueError(f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}")
     if size_cap is not None and size_cap < 0:
@@ -288,7 +288,7 @@ def select_stack(
     max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
     c_n = crit.c_n(n)
 
-    r = np.linalg.qr(np.concatenate([X, y[:, :, None]], axis=2), mode="r")
+    r = np.linalg.qr(data, mode="r")
     perm = np.full((b, p + 1), p)
     perm[:, :p] = np.argsort(-_drop_one(r), axis=1, kind="stable")
     r = np.linalg.qr(np.take_along_axis(r, perm[:, None, :], 2), mode="r")
@@ -375,7 +375,8 @@ def select(
     data: Dataset, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
 ) -> SelectionResult:
     """:func:`select_stack` on one dataset."""
-    masks, scores, _, floored, cap = select_stack(data.X[None], data.y[None], crit, size_cap, top)
+    stack = np.column_stack([data.X, data.y])[None]
+    masks, scores, _, floored, cap = select_stack(stack, crit, size_cap, top)
     return SelectionResult(subset_of_mask(int(masks[0])), int(floored[0]), masks, scores, cap, top)
 
 

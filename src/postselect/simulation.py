@@ -4,8 +4,8 @@ Each replication draws a fresh dataset, fits the oracle model (the true
 subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
 Replications run in blocks of as many as fit in ``_BLOCK_FLOATS`` floats of
-data, and at least one, computed as stacks: one call of
-:func:`~postselect.selection.select_stack` selects for all of them, and per
+data, and at least one, computed as stacks on one array ``[X | y]`` of their
+data: one :func:`~postselect.selection.select_stack` selects for all, and per
 model size one :func:`~postselect.linalg.ols_fit_stack` fits the selected
 and true subsets of that size and one :func:`~postselect.inference.interval_stack`
 gives their intervals.  Replications are indexed substreams of one master
@@ -32,9 +32,9 @@ from .inference import interval_stack
 from .linalg import Dataset, Subset, check_data, collinear_error, ols_fit_stack
 from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack, subset_of_mask
 
-# A block holds as many replications as fit about this many floats of data,
-# n (p + 1) each, and at least one; its replications share one select_stack.
-_BLOCK_FLOATS = 1 << 15
+# A block holds as many replications as fit about this many floats of data, n (p + 1)
+# each, and at least one; its traced memory peaks at about 3.5 times its data.
+_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class ExperimentConfig:
         return Subset(tuple(i + 1 for i, b in enumerate(self.beta_star) if b != 0.0))
 
     def resolved_workers(self) -> int:
-        if self.workers == "auto":
-            return os.cpu_count() or 1
+        if self.workers == "auto":  # the CPUs this process may run on, where the OS tells
+            affinity = getattr(os, "sched_getaffinity", None)
+            return len(affinity(0)) if affinity else os.cpu_count() or 1
         return int(self.workers)
 
 
@@ -115,36 +116,38 @@ class GeneratedData(NamedTuple):
 
 @np.errstate(over="ignore", invalid="ignore")  # the data rules reject data that overflow
 def _generate(cfg: ExperimentConfig, substreams: Sequence[int], streams):
-    """Each stream's centered design and response, column means, query row and
-    raw response and design, stacked and checked; a stream gives its n design
-    rows, n noise values and query row in one call."""
+    """Each stream's centered design and response in one array ``[X | y]``, column
+    means, query row and raw response and design, checked; a stream gives its n design
+    rows, n noise values and query row in one call, whose draws the raw rows replace."""
     n, p = cfg.n, cfg.p
-    z = np.empty((len(substreams), n * p + n + p))
+    # the block array below the draws, which are freed first: a smaller peak RSS
+    data, z = np.empty((len(substreams), n, p + 1)), np.empty((len(substreams), n * p + n + p))
     for stream, row in zip(streams, z):
         stream.standard_normal(out=row)
     x_raw, query = ar1_rows(z[:, : n * p].reshape(-1, n, p), cfg.rho), ar1_rows(z[:, -p:], cfg.rho)
     y_raw = x_raw @ np.asarray(cfg.beta_star) + cfg.sigma * z[:, n * p : -p]
-    del z  # the draws are not needed to center
     col_means = x_raw.mean(axis=1)
-    X, y = x_raw - col_means[:, None], y_raw - y_raw.mean(axis=1)[:, None]
-    check_data(y, X, y_raw, x_raw, lambda i: f"replication {substreams[i]}: ")
-    return X, y, col_means, query, y_raw, x_raw
+    np.subtract(x_raw, col_means[:, None], out=data[:, :, :p])
+    np.subtract(y_raw, y_raw.mean(axis=1)[:, None], out=data[:, :, p])  # a pairwise mean of y_raw
+    check_data(data, y_raw, x_raw, lambda i: f"replication {substreams[i]}: ")
+    return data, col_means, query, y_raw, x_raw
 
 
 def generate_dataset(cfg: ExperimentConfig, rng: RngStream) -> GeneratedData:
     """One dataset and query point, as :func:`generate_stack` draws a row."""
-    X, y, col_means, query, y_raw, x_raw = _generate(cfg, [rng.substream], [rng])
-    return GeneratedData(Dataset(y[0], X[0], raw=(y_raw[0], x_raw[0])), col_means[0], query[0])
+    data, col_means, query, y_raw, x_raw = _generate(cfg, [rng.substream], [rng])
+    centered = Dataset(data[0, :, -1], data[0, :, :-1], raw=(y_raw[0], x_raw[0]))
+    return GeneratedData(centered, col_means[0], query[0].copy())
 
 
 def generate_stack(cfg: ExperimentConfig, substreams: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """One dataset per stream ``(cfg.seed, r)``, r in ``substreams``, drawn
-    through one re-keyed generator: the centered designs (b, n, p) and
-    responses (b, n), and the query points (b, p) shifted by the column means.
-    A dataset depends only on its stream, whose substream its data error names."""
+    """One dataset per stream ``(cfg.seed, r)``, r in ``substreams``, drawn through one
+    re-keyed generator: the centered designs and responses as one array ``[X | y]``
+    (b, n, p + 1), and the query points (b, p) shifted by the column means.  A dataset
+    depends only on its stream, whose substream its data error names."""
     streams = stream_generators(cfg.seed, substreams)
-    X, y, col_means, query, *_ = _generate(cfg, substreams, streams)
-    return X, y, query - col_means
+    data, col_means, query, *_ = _generate(cfg, substreams, streams)
+    return data, query - col_means
 
 
 @dataclass(frozen=True)
@@ -180,16 +183,17 @@ def _replication_block(
 ) -> list[ReplicationRecord]:
     """Replications ``start..stop-1``, as one pass over stacks.
 
-    One :func:`generate_stack` and one :func:`select_stack` serve the block.
-    Each replication has two models, its chosen bitmask and S*, and all the
-    block's models of one size share one ``ols_fit_stack`` and one
-    ``interval_stack``.  Every step treats each replication on its own, so a
-    record does not depend on the block.  The block fails at its first
-    failing replication, for that replication's first failure: the S* fit,
+    One :func:`generate_stack` and one :func:`select_stack` serve the block, and its
+    fits gather their columns from the same array.  Each replication has two models,
+    its chosen bitmask and S*, and all the block's models of one size share one
+    ``ols_fit_stack`` and one ``interval_stack``.  Every step treats each replication
+    on its own, so a record does not depend on the block.  The block fails at its
+    first failing replication, for that replication's first failure: the S* fit,
     then the SSE floor, then the selected fit.
     """
-    X, y, query = generate_stack(cfg, range(start, stop))
-    masks, _, bounds, floored, _ = select_stack(X, y, cfg.criterion)
+    data, query = generate_stack(cfg, range(start, stop))
+    masks, _, bounds, floored, _ = select_stack(data, cfg.criterion)
+    X, y = data[:, :, :-1], data[:, :, -1]
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
     star = sum(1 << i for i, beta in enumerate(cfg.beta_star) if beta != 0.0)
     chosen, b = masks[bounds[:-1]], len(X)
@@ -202,7 +206,7 @@ def _replication_block(
     for k in sorted(set(sizes.tolist())):
         js = (model := np.flatnonzero(sizes == k)) % b
         positions = np.nonzero(bits[model])[1].reshape(len(js), k)
-        fit = ols_fit_stack(X[js], y[js], positions)
+        fit = ols_fit_stack(X, y, js, positions)
         sigma.flat[model] = sigma_hat = np.sqrt(fit.sse / fit.df)
         xs, t = query[js[:, None], positions], truth[js]
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
@@ -296,10 +300,10 @@ def run_experiment(
     any worker count at a fixed seed.
     """
     t0 = time.perf_counter()
-    workers = min(cfg.resolved_workers(), cfg.reps)
     size = max(1, _BLOCK_FLOATS // (cfg.n * (cfg.p + 1)))
     starts = range(0, cfg.reps, size)
     stops = [min(start + size, cfg.reps) for start in starts]
+    workers = min(cfg.resolved_workers(), len(starts))  # a pool no wider than its blocks
     args = (repeat(cfg), starts, stops)
     if workers <= 1:
         blocks = list(map(_replication_block, *args))

@@ -124,16 +124,16 @@ class TestDataset:
         with pytest.raises(ValueError, match=message) as alone:
             Dataset(y=y[2], X=X[2], raw=(y_raw[2], X_raw[2]))
         with pytest.raises(ValueError) as stacked:
-            check_data(y, X, y_raw, X_raw, lambda i: f"row {i}: ")
+            check_data(np.dstack([X, y]), y_raw, X_raw, lambda i: f"row {i}: ")
         assert str(stacked.value) == f"row 2: {alone.value}"
 
     def test_stacked_check_takes_the_raw_scales(self, rng):
         # removing a mean of 1e8 leaves residual means far above the rounding
         # of the centered values, but within that of the raw ones
         y, X, y_raw, X_raw = _centered_stack(rng, offset=1e8)
-        check_data(y, X, y_raw, X_raw)
+        check_data(np.dstack([X, y]), y_raw, X_raw)
         with pytest.raises(ValueError, match="not centered"):
-            check_data(y, X, y, X)
+            check_data(np.dstack([X, y]), y, X)
 
     def test_stacked_check_names_nonfinite_rows_without_warning(self, rng):
         # +inf and -inf in one column make its sum NaN, which must not warn
@@ -143,7 +143,7 @@ class TestDataset:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^row 1: y and X must be finite$"):
-                check_data(y, X, y_raw, X_raw, lambda i: f"row {i}: ")
+                check_data(np.dstack([X, y]), y_raw, X_raw, lambda i: f"row {i}: ")
 
     def test_arrays_are_frozen(self, hand_dataset):
         with pytest.raises(ValueError):
@@ -227,15 +227,18 @@ class TestOlsFit:
             random_centered_dataset(rng, 30, 6, beta=rng.standard_normal(6), rho=0.5)
             for _ in range(stack)
         ]
-        X, y = np.array([d.X for d in datasets]), np.array([d.y for d in datasets])
+        # the rows gather from views of one [X | y] array, in an order of their own
+        block = np.array([np.column_stack([d.X, d.y]) for d in datasets])
+        order = rng.permutation(stack)
         for k in range(7):
             one = Subset.of(rng.choice(6, size=k, replace=False) + 1)
             each = [Subset.of(rng.choice(6, size=k, replace=False) + 1) for _ in datasets]
             for subsets in ([one] * stack, each):
                 positions = np.array([s.positions for s in subsets]).reshape(stack, k)
-                fit = ols_fit_stack(X, y, positions)
+                fit = ols_fit_stack(block[:, :, :-1], block[:, :, -1], order, positions)
                 assert fit.df == 30 - k - 1 and not fit.collinear.any()
-                rows = zip(datasets, subsets, fit.beta[:, :, 0], fit.r, fit.sse)
+                fitted = [datasets[i] for i in order]
+                rows = zip(fitted, subsets, fit.beta[:, :, 0], fit.r, fit.sse)
                 for data, s, beta_hat, r_factor, sse in rows:
                     xs = data.X[:, s.positions]
                     q, r = np.linalg.qr(xs)
@@ -254,7 +257,7 @@ class TestOlsFit:
         X = np.array([d.X for d in datasets])
         X[1, :, 1] = X[1, :, 0]
         y = np.array([d.y for d in datasets])
-        fit = ols_fit_stack(X, y, np.array([[0, 1]] * 3))
+        fit = ols_fit_stack(X, y, np.arange(3), np.array([[0, 1]] * 3))
         assert fit.collinear.tolist() == [False, True, False]
         assert np.isfinite(fit.sse).all()
         for i in (0, 2):

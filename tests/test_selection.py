@@ -105,8 +105,8 @@ def _exhaustive(data: Dataset, crit: Criterion, **kwargs):
 def _stacked(stack: list[Dataset], crit: Criterion, top: int):
     """``select_stack`` on the datasets, as each one's masks, scores and
     floored count."""
-    X, y = np.array([d.X for d in stack]), np.array([d.y for d in stack])
-    masks, scores, bounds, floored, _ = select_stack(X, y, crit, top=top)
+    data = np.array([np.column_stack([d.X, d.y]) for d in stack])
+    masks, scores, bounds, floored, _ = select_stack(data, crit, top=top)
     return [(masks[a:b], scores[a:b], f) for a, b, f in zip(bounds[:-1], bounds[1:], floored)]
 
 
@@ -395,11 +395,11 @@ class TestSelect:
         # exactly, so some of its subsets hit the SSE floor
         stack = [random_centered_dataset(rng, 30, 6, beta=np.arange(6.0)) for _ in range(4)]
         stack.append(Dataset(y=stack[0].X[:, 0], X=stack[0].X))
-        X, y = np.array([d.X for d in stack]), np.array([d.y for d in stack])
-        default = select_stack(X, y, BIC, top=5)
+        data = np.array([np.column_stack([d.X, d.y]) for d in stack])
+        default = select_stack(data, BIC, top=5)
         for budget in (1, 1 << 8):
             monkeypatch.setattr(selection, "_BATCH_FLOATS", budget)
-            masks, scores, bounds, floored, cap = select_stack(X, y, BIC, top=5)
+            masks, scores, bounds, floored, cap = select_stack(data, BIC, top=5)
             assert np.array_equal(masks, default[0]) and np.array_equal(bounds, default[2])
             assert np.array_equal(scores.view(np.int64), default[1].view(np.int64))
             assert np.array_equal(floored, default[3]) and floored[-1] > 0

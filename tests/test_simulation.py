@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,7 +154,10 @@ class TestExperimentConfig:
 
     def test_workers_resolution(self):
         assert ExperimentConfig(workers=3).resolved_workers() == 3
-        assert ExperimentConfig(workers="auto").resolved_workers() >= 1
+        auto = ExperimentConfig(workers="auto").resolved_workers()
+        assert auto >= 1
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            assert auto == len(os.sched_getaffinity(0))
 
 
 class TestGenerateDataset:
@@ -222,8 +226,9 @@ class TestGenerateStack:
     )
     def test_stack_rows_equal_one_stream_datasets(self, cfg, block):
         start = 5
-        X, y, query = generate_stack(cfg, range(start, start + block))
-        assert X.shape == (block, cfg.n, cfg.p) and y.shape == (block, cfg.n)
+        data, query = generate_stack(cfg, range(start, start + block))
+        assert data.shape == (block, cfg.n, cfg.p + 1) and query.shape == (block, cfg.p)
+        X, y = data[:, :, :-1], data[:, :, -1]
         for b in range(block):
             single = generate_dataset(cfg, RngStream(cfg.seed, start + b))
             data, col_means, query_raw = three_call_dataset(cfg, RngStream(cfg.seed, start + b))
@@ -238,9 +243,9 @@ class TestGenerateStack:
         # raw ones (replication 17 here), so a centering check at the centered
         # scale would reject valid data
         cfg = ExperimentConfig(n=3, p=1, beta_star=(1.0,), seed=2)
-        X, y, _ = generate_stack(cfg, range(32))
+        data, _ = generate_stack(cfg, range(32))
         single = generate_dataset(cfg, RngStream(cfg.seed, 17)).data
-        assert np.array_equal(X[17], single.X) and np.array_equal(y[17], single.y)
+        assert np.array_equal(data[17], np.column_stack([single.X, single.y]))
 
     def test_out_of_range_data_names_its_replication(self):
         cfg = ExperimentConfig(sigma=1e200)
@@ -366,7 +371,8 @@ class TestRunExperiment:
         _, records_b = run_experiment(small_cfg())
         assert records_a == records_b
 
-    def test_worker_count_does_not_change_records(self):
+    def test_worker_count_does_not_change_records(self, monkeypatch):
+        blocks_of(monkeypatch, small_cfg(), 8)  # five blocks, so that a pool of four runs
         _, serial = run_experiment(small_cfg(workers=1))
         _, parallel = run_experiment(small_cfg(workers=4))
         assert serial == parallel
@@ -378,9 +384,9 @@ class TestRunExperiment:
             for overrides, block, picks in [
                 (dict(reps=2 * BLOCK + 3), BLOCK, 0),
                 # the benchmark's p = 4 run in blocks of the default budget,
-                # 131 replications; its full-model picks show an interval's
+                # 262 replications; its full-model picks show an interval's
                 # dot product taken at a stride
-                (dict(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=42, reps=160), None, 9),
+                (dict(p=4, beta_star=(1.0, 2.0, 0.0, 0.0), seed=42, reps=300), None, 13),
             ]
             for workers in (1, 2)
         ],
@@ -447,9 +453,9 @@ class TestRunExperiment:
         bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing_at_9(X, y, positions):
-            fit = fit_stack(X, y, positions)
-            return fit._replace(collinear=fit.collinear | (y == bad_y).all(axis=1))
+        def fit_stack_failing_at_9(X, y, rows, positions):
+            fit = fit_stack(X, y, rows, positions)
+            return fit._replace(collinear=fit.collinear | (y[rows] == bad_y).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing_at_9)
         with pytest.raises(DegenerateReplication, match="^replication 7: 1 subsets hit the SSE floor"):
@@ -475,13 +481,13 @@ class TestRunExperiment:
         }
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing(X, y, positions):
+        def fit_stack_failing(X, y, rows, positions):
             # a call mixes S* and selected fits of one size: each row is told
             # by its own columns, so a selected S* counts as S*
-            fit = fit_stack(X, y, positions)
+            fit = fit_stack(X, y, rows, positions)
             subsets = [Subset.of(row + 1) for row in positions]
             bad = np.array([bad_y["star" if s == cfg.s_star else "selected"] for s in subsets])
-            return fit._replace(collinear=fit.collinear | (y == bad).all(axis=1))
+            return fit._replace(collinear=fit.collinear | (y[rows] == bad).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing)
         with pytest.raises(PostselectError, match=message):
@@ -493,9 +499,9 @@ class TestRunExperiment:
         cfg, calls = small_cfg(seed=42, reps=100), {"fit": [], "interval": []}
         fit_stack, interval_stack = simulation.ols_fit_stack, simulation.interval_stack
 
-        def counted_fit(X, y, positions):
+        def counted_fit(X, y, rows, positions):
             calls["fit"].append(positions.shape[1])
-            return fit_stack(X, y, positions)
+            return fit_stack(X, y, rows, positions)
 
         def counted_interval(xs, *args):
             calls["interval"].append(xs.shape[1])
@@ -511,7 +517,7 @@ class TestRunExperiment:
         assert records == [run_replication(cfg, i) for i in range(size)]
 
     def test_data_over_the_budget_run_one_replication_per_block(self, monkeypatch):
-        cfg = small_cfg(n=7000, p=4, beta_star=(1.0, 2.0, 0.0, 0.0), reps=3)
+        cfg = small_cfg(n=14_000, p=4, beta_star=(1.0, 2.0, 0.0, 0.0), reps=3)
         assert cfg.n * (cfg.p + 1) > simulation._BLOCK_FLOATS
         block, sizes = simulation._replication_block, []
 
@@ -535,6 +541,39 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(p=4, beta_star=(1.0, 2.0, 0.0, 0.0))], ids=["ref", "narrow"]
+    )
+    def test_block_working_memory_is_at_most_four_times_its_data(self, overrides):
+        # a default-budget block keeps one copy of its data, [X | y], so that
+        # the draws, the search and the fits never hold three more
+        cfg = small_cfg(seed=42, **overrides)
+        size = simulation._BLOCK_FLOATS // (cfg.n * (cfg.p + 1))
+        simulation._replication_block(cfg, 0, 1)  # the lazy imports and caches are not the block's
+        tracemalloc.start()
+        try:
+            simulation._replication_block(cfg, 0, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size * cfg.n * (cfg.p + 1) * 8, peak
+
+    def test_a_pool_is_never_wider_than_its_blocks(self, monkeypatch):
+        # one block runs in process, and a pool starts no worker without a block
+        widths = []
+
+        class Spy(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Spy)
+        _, one_block = run_experiment(small_cfg(workers=8))
+        assert widths == []
+        blocks_of(monkeypatch, small_cfg(), 16)
+        _, three_blocks = run_experiment(small_cfg(workers=8))
+        assert widths == [3] and three_blocks == one_block
 
     def test_different_seeds_differ(self):
         _, a = run_experiment(small_cfg(seed=1, reps=5))
