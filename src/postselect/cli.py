@@ -109,7 +109,7 @@ def _coerce_config_value(key: str, value):
 
 
 def _load_config_file(path: str) -> dict:
-    """Read a manifest JSON or a flat key = value file."""
+    """Read a run's manifest.json (its ``config`` object) or a flat key = value file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -122,15 +122,10 @@ def _load_config_file(path: str) -> dict:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}")
-        if "config" not in obj and "coverage_selected" in obj:
-            raise ValueError(
-                f"{path} is a summary.json, which holds results and no "
-                "configuration; pass the run's manifest.json instead"
-            )
-        obj = obj.get("config", obj)
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: JSON config must be an object")
-        raw_items = obj.items()
+        config = obj.get("config")  # text that starts with "{" parses to a dict
+        if not isinstance(config, dict):
+            raise ValueError(f"{path}: no \"config\" object; pass a run's manifest.json")
+        raw_items = config.items()
     else:
         raw_items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -303,6 +298,8 @@ def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
                 raise ValueError(f"{path}: empty file")
             if "y" not in header:
                 raise ValueError(f"{path}: no column named 'y' in header {header}")
+            if header.count("y") > 1:
+                raise ValueError(f"{path}: column 'y' repeated in header {header}")
             y_col = header.index("y")
             predictor_names = [h for i, h in enumerate(header) if i != y_col]
             if not predictor_names:
@@ -335,7 +332,7 @@ def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
 def cmd_select(args: argparse.Namespace) -> int:
     crit = _build_criterion(args.criterion, args.cn)
     data, names = _read_dataset_csv(args.dataset)
-    result = select(data, crit, size_cap=args.size_cap, top=args.top)
+    result = select(data, crit, top=args.top)
     chosen_fit = ols_fit(data, result.chosen)
     top = result.ranked(args.top)
     warnings = []
@@ -470,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--criterion", help=_CRITERION_HELP)
     sel.add_argument("--cn", type=float, help="penalty value for --criterion custom")
     sel.add_argument("--top", type=int, default=10, help="rows in the score table")
-    sel.add_argument("--size-cap", type=int, help="largest subset size to enumerate")
     sel.add_argument("--json", action="store_true", help="machine-readable output")
     sel.set_defaults(func=cmd_select)
 

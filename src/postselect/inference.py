@@ -19,7 +19,7 @@ from .distributions import student_t_quantile
 from .linalg import Dataset, Subset, SubsetFit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array: compares and hashes by identity
 class QueryPoint:
     """A new explanatory-variable setting, full dimension p.
 

@@ -65,7 +65,7 @@ class Subset:
         return "{" + ",".join(map(str, self.indices)) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compares and hashes by identity
 class Dataset:
     """A centered response vector and column-centered design matrix.
 
@@ -190,7 +190,7 @@ class SubsetFit:
     """
 
     subset: Subset
-    beta_hat: np.ndarray = field(repr=False)
+    beta_hat: np.ndarray = field(repr=False, compare=False)
     sse: float
     df: int
     sigma_hat_sq: float

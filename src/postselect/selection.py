@@ -104,9 +104,9 @@ class SelectionResult:
     finite score (``Dataset`` bounds the data), so one exists.
     ``truncated_sse_count`` counts the visited subsets whose SSE fell below
     the log floor.  ``masks`` and ``scores`` (read-only) hold every visited
-    subset within the size cap and its score, ``inf`` if rank deficient or
-    larger than ``max_size`` (the cap lowered to ``n - 2``, so that every fit
-    keeps a residual degree of freedom), best first, ties broken as for
+    subset and its score, ``inf`` if rank deficient or larger than
+    ``max_size``, the degrees-of-freedom cap ``min(p, n - 2)`` that leaves
+    every fit a residual degree of freedom, best first, ties broken as for
     ``chosen``.  The search visits every subset among the
     ``top`` best and every one that ties with the top-th, so ``ranked(k)`` is
     exact for ``k <= top``; it may prune the others unseen.
@@ -242,14 +242,15 @@ def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
 
 
 def select_stack(
-    data: np.ndarray, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
+    data: np.ndarray, crit: Criterion, *, top: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Find, for each centered design and response ``[X | y]`` of ``data``
-    (b, n, p + 1), the ``top`` subsets of at most ``size_cap`` variables with
-    the smallest selection scores.  Returns ``(masks, scores, bounds, floored,
-    max_size)``: dataset i's :class:`SelectionResult` fields are rows
+    (b, n, p + 1), the ``top`` (keyword-only) subsets with the smallest
+    selection scores.  Returns ``(masks, scores, bounds, floored, max_size)``:
+    dataset i's :class:`SelectionResult` fields are rows
     ``bounds[i]:bounds[i + 1]`` of ``masks`` and ``scores``, ``floored[i]``
-    (its ``truncated_sse_count``) and ``max_size``.
+    (its ``truncated_sse_count``) and ``max_size``, the degrees-of-freedom
+    cap ``min(p, n - 2)``.
 
     An exact branch and bound over the column-dropping tree.  A node (S, k)
     holds the R factor of ``[X_S | y]``, whose last diagonal entry squared is
@@ -274,18 +275,15 @@ def select_stack(
     freedom.  An SSE at most ``(n eps)^2 ||y||^2`` is rounding error, an
     exact fit scored at the floor; no subset has one unless the full model,
     whose SSE is the smallest, does.  ``ValueError`` if ``p`` exceeds
-    ``ENUMERATION_LIMIT`` (20), ``size_cap`` is negative or ``top`` is below 1.
+    ``ENUMERATION_LIMIT`` (20) or ``top`` is below 1.
     """
     b, n, p = data.shape[0], data.shape[1], data.shape[2] - 1
     if p > ENUMERATION_LIMIT:
         raise ValueError(f"p={p} exceeds the exhaustive enumeration limit of {ENUMERATION_LIMIT}")
-    if size_cap is not None and size_cap < 0:
-        raise ValueError(f"size_cap must be nonnegative, got {size_cap}")
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     top = min(top, 1 << p)  # no dataset has more subsets
-    requested_max = p if size_cap is None else min(p, size_cap)
-    max_size = min(requested_max, n - 2)  # keep df = n - |S| - 1 >= 1
+    max_size = min(p, n - 2)  # keep df = n - |S| - 1 >= 1
     c_n = crit.c_n(n)
 
     r = np.linalg.qr(data, mode="r")
@@ -307,14 +305,13 @@ def select_stack(
         return log_term, np.where(scored, log_term + c_n * size, np.inf), floored
 
     # the seeds; a visited subset is (dataset, bitmask, size, score, floored)
-    sizes = np.arange(requested_max + 1)
+    sizes = np.arange(p + 1)
     deficient = np.zeros((b, p + 1), bool)
     deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
-    _, scores, floored = score(exact_fit, resid[:, sizes] ** 2, sizes, deficient[:, sizes])
+    _, scores, floored = score(exact_fit, resid**2, sizes, deficient)
     prefix = np.concatenate([np.zeros((b, 1), bits.dtype), bits.cumsum(1)], 1)
-    owner = np.repeat(np.arange(b), sizes.size)
-    masks = prefix[:, sizes].ravel()
-    records = [(owner, masks, np.tile(sizes, b), scores.ravel(), floored.ravel())]
+    owner = np.repeat(np.arange(b), p + 1)
+    records = [(owner, prefix.ravel(), np.tile(sizes, b), scores.ravel(), floored.ravel())]
     cut, kept = _kth_best(owner, scores.ravel(), b, top)
     candidates = (owner[kept], scores.ravel()[kept])
 
@@ -339,10 +336,10 @@ def select_stack(
             d = np.abs(h.diagonal(0, 1, 2))
             deficient = (d[:, :size] <= collinear[owner[:, None], child[:, :size]]).any(1)
             log_term, scores, floored = score(exact_fit[owner, 0], d[:, size] ** 2, size, deficient)
-            if size <= requested_max:  # a prefix, with last position size - 1, was a seed
-                new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
-                rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
-                level.append(tuple(x[new] for x in rec))
+            # a prefix, with last position size - 1, was a seed
+            new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
+            rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
+            level.append(tuple(x[new] for x in rec))
             live = (j < min(size, max_size + 1)) & (log_term + c_n * j <= limit[owner])
             if live.any():  # packed in one indexing step, not copied whole first
                 live = np.flatnonzero(live)
@@ -371,12 +368,10 @@ def select_stack(
     return masks, scores, bounds, np.bincount(owner[floored[ranking]], minlength=b), max_size
 
 
-def select(
-    data: Dataset, crit: Criterion, size_cap: Optional[int] = None, top: int = 1
-) -> SelectionResult:
-    """:func:`select_stack` on one dataset."""
+def select(data: Dataset, crit: Criterion, *, top: int = 1) -> SelectionResult:
+    """:func:`select_stack` on one dataset, over all 2^p subsets; ``top`` is keyword-only."""
     stack = np.column_stack([data.X, data.y])[None]
-    masks, scores, _, floored, cap = select_stack(stack, crit, size_cap, top)
+    masks, scores, _, floored, cap = select_stack(stack, crit, top=top)
     return SelectionResult(subset_of_mask(int(masks[0])), int(floored[0]), masks, scores, cap, top)
 
 

@@ -253,7 +253,7 @@ class ExperimentSummary:
     exact_rate: float
     strict_overfit_rate: float
     condition_rate: float
-    standard_errors: dict[str, float]
+    standard_errors: dict[str, float] = field(hash=False)
     runtime_seconds: float
     rng_algorithm: str
     seed: int

@@ -51,14 +51,11 @@ def score(sse: float, size: int, n: int, crit: Criterion) -> float:
     return n * math.log(max(sse, SSE_FLOOR)) + crit.c_n(n) * size
 
 
-def brute_force_select(
-    data: Dataset, crit: Criterion, size_cap: int | None = None
-) -> tuple[Subset, dict[Subset, float]]:
+def brute_force_select(data: Dataset, crit: Criterion) -> tuple[Subset, dict[Subset, float]]:
     """Exhaustive search with normal-equations SSEs and the direct score formula."""
     n, p = data.n, data.p
-    max_size = min(p if size_cap is None else size_cap, n - 2)
     table: dict[Subset, float] = {}
-    for k in range(0, max_size + 1):
+    for k in range(0, min(p, n - 2) + 1):
         for combo in itertools.combinations(range(1, p + 1), k):
             s = Subset(combo)
             if k and np.linalg.matrix_rank(data.X[:, s.positions]) < k:

@@ -256,6 +256,7 @@ class TestSelectCommand:
         [
             ("", "empty file"),
             ("a,b\n1,2\n", "no column named 'y' in header ['a', 'b']"),
+            ("y,x1,y\n1,2,3\n", "column 'y' repeated in header ['y', 'x1', 'y']"),
             (" y \n1\n2\n", "no predictor columns besides 'y'"),
             ("x1,y\n\n , \n", "no data rows"),
             ("x1,y\n1.0,2.0\n\n1.0\n", ":4: expected 2 fields, got 1"),
@@ -448,12 +449,15 @@ class TestSimulateCommand:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        code, _, err = run_cli(
-            capsys, "simulate", "--config", str(out_dir / "summary.json"),
-            "--out-dir", str(tmp_path / "again"),
-        )
-        assert code == 2
-        assert "summary.json" in err and "manifest.json" in err
+        # a JSON config is a manifest: a summary.json and a bare object have no "config"
+        bare = tmp_path / "bare.json"
+        bare.write_text('{"reps": 3}\n')
+        for path in (out_dir / "summary.json", bare):
+            code, _, err = run_cli(
+                capsys, "simulate", "--config", str(path), "--out-dir", str(tmp_path / "again"),
+            )
+            assert code == 2
+            assert err == f"error: {path}: no \"config\" object; pass a run's manifest.json\n"
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from postselect import (
     Criterion,
     Dataset,
+    ExperimentConfig,
+    QueryPoint,
     Subset,
     centered_dataset,
     ols_fit,
+    run_experiment,
     select,
+    summarize,
     theorem_report,
 )
 from postselect.errors import PostselectError
@@ -365,3 +369,21 @@ class TestSseDecomposition:
         data = Dataset(y=[0.0, 0.0, 0.0], X=np.array([[1.0], [0.0], [-1.0]]))
         with pytest.raises(PostselectError, match="is zero"):
             theorem_report(data, Subset(), Subset((1,)), AIC)
+
+
+def test_public_results_compare_and_hash():
+    # arrays are the whole value of a Dataset and a QueryPoint, so they compare
+    # by identity; a fit compares by its subset, SSE and df
+    rng = np.random.default_rng(0)
+    y, x = rng.standard_normal(10), rng.standard_normal((10, 3))
+    d1, d2 = centered_dataset(y, x)[0], centered_dataset(y, x)[0]
+    assert d1 == d1 and d1 != d2 and len({d1, d2}) == 2
+    q1, q2 = QueryPoint(np.ones(3), True), QueryPoint(np.ones(3), True)
+    assert q1 == q1 and q1 != q2 and len({q1, q2}) == 2
+    for s in (Subset(), Subset((1,)), Subset((1, 3))):
+        f1, f2 = ols_fit(d1, s), ols_fit(d2, s)
+        assert f1 == f2 and hash(f1) == hash(f2)
+        assert f1 != ols_fit(d1, Subset((2,)))
+    _, records = run_experiment(ExperimentConfig(reps=2, workers=1))
+    s1, s2 = summarize(records, 0.0, 42), summarize(records, 0.0, 42)
+    assert s1 == s2 and hash(s1) == hash(s2)

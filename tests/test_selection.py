@@ -21,6 +21,7 @@ from postselect import (
 from postselect import selection
 from postselect.distributions import regularized_incomplete_beta
 from postselect.errors import PostselectError
+from postselect.linalg import RANK_RTOL
 from postselect.selection import ENUMERATION_LIMIT, SSE_FLOOR, select_stack
 
 from oracles import (
@@ -97,9 +98,9 @@ def _extreme_dataset(
     return centered_dataset(data.y, x * 10.0 ** np.array(log_scales[:p]))[0], unscaled
 
 
-def _exhaustive(data: Dataset, crit: Criterion, **kwargs):
+def _exhaustive(data: Dataset, crit: Criterion):
     """``select`` asked for every subset, so that it prunes nothing."""
-    return select(data, crit, top=2**data.p, **kwargs)
+    return select(data, crit, top=2**data.p)
 
 
 def _stacked(stack: list[Dataset], crit: Criterion, top: int):
@@ -241,6 +242,8 @@ class TestSelect:
             result.ranked(4)
         with pytest.raises(ValueError, match="top"):
             select(data, AIC, top=0)
+        with pytest.raises(TypeError):  # top is keyword-only
+            select(data, AIC, 3)
 
     def test_top_above_the_subset_count_searches_them_all(self, rng):
         data = random_centered_dataset(rng, 12, 4)
@@ -437,7 +440,8 @@ class TestSelect:
     def test_one_row_drop_one_pass_matches_drop_column(self, p, column):
         # the ordering pass keeps one row per child, yet gives the bits of
         # building every child of the full factor whole; a zero column takes
-        # the rotation's rad == 0 branch
+        # the rotation's rad == 0 branch, and a duplicated column's pivot is
+        # rounding noise, which some BLAS kernels round to exactly 0
         rng = np.random.default_rng(p)
         x = rng.standard_normal((5, 12, p))
         if column == "zero":
@@ -446,7 +450,11 @@ class TestSelect:
             x[:, :, -1] = x[:, :, 0]
         y = x.sum(axis=2) + rng.standard_normal((5, 12))
         r = np.linalg.qr(np.concatenate([x, y[:, :, None]], axis=2), mode="r")
-        assert (column == "zero") == (r.diagonal(0, 1, 2) == 0.0).any()
+        if column == "duplicate" and p > 1:
+            pivot, norm = np.abs(r[:, p - 1, p - 1]), np.hypot.reduce(r[:, :, p - 1], axis=1)
+            assert (pivot <= RANK_RTOL * norm).all()
+        else:
+            assert (column == "zero") == (r.diagonal(0, 1, 2) == 0.0).any()
         b = len(r)
         children = selection._drop_column(r[np.tile(np.arange(b), p)], np.repeat(np.arange(p), b))
         expected = children[:, p - 1, p - 1].reshape(p, b).T
@@ -482,14 +490,6 @@ class TestSelect:
         k = min(top, 2**p)  # an exhaustive search keeps at most 2^p exact
         assert result.ranked(k) == full.ranked(k)
         assert all(every[m] > full.scores[k - 1] for m in every.keys() - visited.keys())
-
-    def test_size_cap_limits_enumeration(self, rng):
-        data = random_centered_dataset(rng, 20, 6)
-        result = _exhaustive(data, AIC, size_cap=2)
-        assert max(s.size for s in result.gamma_values) == 2
-        assert len(result.gamma_values) == 1 + 6 + 15
-        bf_chosen, _ = brute_force_select(data, AIC, size_cap=2)
-        assert result.chosen == select(data, AIC, size_cap=2).chosen == bf_chosen
 
     def test_select_memory_is_bounded(self):
         # the search builds children in bounded batches and keeps each level's
