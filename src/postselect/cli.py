@@ -322,6 +322,7 @@ def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
         raise ValueError(f"{path}: no data rows")
     table = np.frombuffer(cells).reshape(-1, len(header))
     y, X = np.ascontiguousarray(table[:, y_col]), np.delete(table, y_col, axis=1)
+    del table, cells  # y and X are copies: free the text's floats before centering
     try:
         data, _, _ = centered_dataset(y, X)
     except ValueError as exc:

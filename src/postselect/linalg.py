@@ -79,18 +79,20 @@ class Dataset:
     raw : (y_raw, X_raw), optional
         The data the arrays were centered from; by default ``y`` and ``X``.
 
-    The data must keep the rules of :func:`check_data`.  Both arrays are
-    copied, cast to float64, and frozen; a Dataset is safe to share across
-    worker processes or threads.
+    The data must keep the rules of :func:`check_data`.  They are copied once, as
+    float64, into ``xy`` = ``[X | y]`` (n, p + 1), which stacked calls read as ``xy[None]``
+    and of which ``X`` is a view; ``y`` is a contiguous copy, as ``q'y`` rounds by layout.
+    All three are frozen; a Dataset is safe to share across worker processes or threads.
     """
 
     y: np.ndarray
     X: np.ndarray
     raw: InitVar[Optional[tuple[np.ndarray, np.ndarray]]] = None
+    xy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, raw) -> None:
         y = np.array(self.y, dtype=np.float64).reshape(-1)
-        X = np.array(self.X, dtype=np.float64)
+        X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
         n, p = X.shape
@@ -101,11 +103,11 @@ class Dataset:
         if p >= n:
             raise ValueError(f"need p < n, got p={p}, n={n}")
         y_raw, X_raw = (y, X) if raw is None else map(np.asarray, raw)
-        check_data(np.column_stack([X, y])[None], y_raw[None], X_raw[None])
-        y.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
+        xy = np.column_stack([X, y])
+        check_data(xy[None], y_raw[None], X_raw[None])
+        for name, value in ("y", y), ("X", xy[:, :p]), ("xy", xy):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -208,7 +210,7 @@ def collinear_error(s: Subset) -> PostselectError:
 def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
     """Fit the sub-model using the columns in ``s``: :func:`ols_fit_stack` on
     one dataset, with a collinear fit raised as a ``PostselectError``."""
-    fit = ols_fit_stack(data.X[None], data.y[None], np.zeros(1, np.intp), s.positions[None])
+    fit = ols_fit_stack(data.xy[None], np.zeros(1, np.intp), s.positions[None])
     if fit.collinear[0]:
         raise collinear_error(s)
     sse = float(fit.sse[0])
@@ -227,26 +229,24 @@ class FitStack(NamedTuple):
     collinear: np.ndarray
 
 
-def ols_fit_stack(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, positions: np.ndarray
-) -> FitStack:
-    """Fit columns ``positions[i]`` of design ``X[rows[i]]`` to response ``y[rows[i]]``
-    by QR least squares, for designs ``X`` (b, n, p) and responses ``y`` (b, n), such
-    as views of one ``[X | y]`` array, and 0-based ``positions`` (m, k).  One stacked
+def ols_fit_stack(data: np.ndarray, rows: np.ndarray, positions: np.ndarray) -> FitStack:
+    """Fit columns ``positions[i]`` of the design of ``data[rows[i]]`` to its response,
+    by QR least squares, for a stack of centered designs and responses ``[X | y]``,
+    ``data`` (b, n, p + 1), and 0-based ``positions`` (m, k).  One stacked
     ``np.linalg.qr`` and one stacked ``np.linalg.solve`` treat each row on its own: a
     fit has the bits of the fit of a stack of one.  A row is collinear when a diagonal
     entry of its R is at most ``RANK_RTOL`` times the norm of its column; that is
     reported, not raised.  ``ValueError`` if ``n - k - 1 < 1`` or a position is not
     one of p columns.
     """
-    (_, n, p), k = X.shape, positions.shape[1]
+    n, p, k = data.shape[1], data.shape[2] - 1, positions.shape[1]
     if (df := n - k - 1) < 1:
         raise ValueError(f"subset of size {k} leaves {df} degrees of freedom at n={n}")
     if (bad := positions[(positions < 0) | (positions >= p)] + 1).size:
         raise ValueError(f"columns {sorted({*bad.tolist()})} lie beyond the {p} available columns")
-    # each row's columns are gathered column-major, as data.X[:, S] is, and
-    # y[rows] is a contiguous copy: the matvec X_S beta and q'y round by layout
-    Xs, y = X.swapaxes(1, 2)[rows[:, None], positions].swapaxes(1, 2), y[rows][:, :, None]
+    # each row's columns are gathered column-major, as data.X[:, S] is, and y is
+    # gathered as a contiguous copy: the matvec X_S beta and q'y round by layout
+    Xs, y = data.swapaxes(1, 2)[rows[:, None], positions].swapaxes(1, 2), data[rows, :, p, None]
     q, r = np.linalg.qr(Xs)
     collinear = (np.abs(r.diagonal(0, 1, 2)) <= RANK_RTOL * np.hypot.reduce(r, axis=1)).any(1)
     r[collinear] = np.eye(k)  # a collinear R may be singular

@@ -369,9 +369,8 @@ def select_stack(
 
 
 def select(data: Dataset, crit: Criterion, *, top: int = 1) -> SelectionResult:
-    """:func:`select_stack` on one dataset, over all 2^p subsets; ``top`` is keyword-only."""
-    stack = np.column_stack([data.X, data.y])[None]
-    masks, scores, _, floored, cap = select_stack(stack, crit, top=top)
+    """:func:`select_stack` on ``data.xy``, over all 2^p subsets; ``top`` is keyword-only."""
+    masks, scores, _, floored, cap = select_stack(data.xy[None], crit, top=top)
     return SelectionResult(subset_of_mask(int(masks[0])), int(floored[0]), masks, scores, cap, top)
 
 

@@ -5,12 +5,12 @@ subset), runs criterion-based selection, and builds the mean-response
 confidence interval at an independently drawn query point under both models.
 Replications run in blocks of as many as fit in ``_BLOCK_FLOATS`` floats of
 data, and at least one, computed as stacks on one array ``[X | y]`` of their
-data: one :func:`~postselect.selection.select_stack` selects for all, and per
-model size one :func:`~postselect.linalg.ols_fit_stack` fits the selected
-and true subsets of that size and one :func:`~postselect.inference.interval_stack`
-gives their intervals.  Replications are indexed substreams of one master
-seed, and every stacked step computes each dataset on its own, so results
-are bit-identical for any block size and worker count.
+data: one :func:`~postselect.selection.select_stack` selects for all, and per model
+size one :func:`~postselect.linalg.ols_fit_stack` fits the selected and true subsets
+of that size from the same array, and one :func:`~postselect.inference.interval_stack`
+gives their intervals.  Replications are indexed substreams of one master seed, and
+every stacked step computes each dataset on its own, so results are bit-identical
+for any block size and worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,7 +108,8 @@ class ExperimentConfig:
         return int(self.workers)
 
 
-class GeneratedData(NamedTuple):
+@dataclass(frozen=True, eq=False)  # arrays: compares and hashes by identity
+class GeneratedData:
     data: Dataset
     raw_column_means: np.ndarray
     query_x_raw: np.ndarray
@@ -193,10 +194,9 @@ def _replication_block(
     """
     data, query = generate_stack(cfg, range(start, stop))
     masks, _, bounds, floored, _ = select_stack(data, cfg.criterion)
-    X, y = data[:, :, :-1], data[:, :, -1]
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
     star = sum(1 << i for i, beta in enumerate(cfg.beta_star) if beta != 0.0)
-    chosen, b = masks[bounds[:-1]], len(X)
+    chosen, b = masks[bounds[:-1]], len(data)
     # the 2b models, as the (2, b) arrays below hold them flat: each
     # replication's selected subset in row 0, S* in row 1
     bits = np.concatenate([chosen, np.full_like(chosen, star)])[:, None] >> np.arange(cfg.p) & 1
@@ -206,7 +206,7 @@ def _replication_block(
     for k in sorted(set(sizes.tolist())):
         js = (model := np.flatnonzero(sizes == k)) % b
         positions = np.nonzero(bits[model])[1].reshape(len(js), k)
-        fit = ols_fit_stack(X, y, js, positions)
+        fit = ols_fit_stack(data, js, positions)
         sigma.flat[model] = sigma_hat = np.sqrt(fit.sse / fit.df)
         xs, t = query[js[:, None], positions], truth[js]
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,10 @@ from postselect import (
     Dataset,
     ExperimentConfig,
     QueryPoint,
+    RngStream,
     Subset,
     centered_dataset,
+    generate_dataset,
     ols_fit,
     run_experiment,
     select,
@@ -20,6 +23,7 @@ from postselect import (
 )
 from postselect.errors import PostselectError
 from postselect.linalg import check_data, ols_fit_stack
+from postselect.simulation import GeneratedData
 
 from oracles import normal_equations_fit, random_centered_dataset
 
@@ -153,6 +157,32 @@ class TestDataset:
         with pytest.raises(ValueError):
             hand_dataset.y[0] = 5.0
 
+    def test_one_frozen_copy_of_the_callers_arrays(self, rng):
+        # X is a view of the one array [X | y]; y is a contiguous copy of its own
+        y, X = rng.standard_normal(20), rng.standard_normal((20, 3))
+        y, X = y - y.mean(), X - X.mean(axis=0)
+        data = Dataset(y=y, X=X)
+        kept = np.column_stack([X, y])
+        y[:], X[:] = 1.0, 1.0
+        assert np.array_equal(data.xy, kept) and np.array_equal(data.X, kept[:, :-1])
+        assert np.array_equal(data.y, kept[:, -1]) and data.y.flags.c_contiguous
+        assert data.X.base is data.xy
+        for frozen in (data.y, data.X, data.xy):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 5.0
+
+    def test_a_tall_dataset_is_held_once(self, rng):
+        # centering makes the centered design, the one [X | y] copy and the
+        # check's one temporary of it; select reads that copy in place
+        n, p = 50_000, 10
+        X_raw = rng.standard_normal((n, p)) + 100.0
+        y_raw = X_raw[:, :3].sum(axis=1) + rng.standard_normal(n) + 100.0
+        select(centered_dataset(y_raw[:50], X_raw[:50])[0], AIC)  # lazy imports and caches
+        data, peak = _traced_peak(lambda: centered_dataset(y_raw, X_raw)[0])
+        assert peak <= 3.5 * n * (p + 1) * 8, peak
+        _, peak = _traced_peak(lambda: select(data, AIC))
+        assert peak <= 1.25 * n * (p + 1) * 8, peak
+
     def test_centered_dataset_records_means(self, rng):
         x_raw = rng.standard_normal((20, 3)) + 7.0
         y_raw = rng.standard_normal(20) - 2.0
@@ -161,6 +191,15 @@ class TestDataset:
         assert col_means == pytest.approx(x_raw.mean(axis=0))
         assert abs(data.y.mean()) < 1e-10
         assert np.abs(data.X.mean(axis=0)).max() < 1e-10
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _centered_stack(rng, offset=0.0):
@@ -231,15 +270,15 @@ class TestOlsFit:
             random_centered_dataset(rng, 30, 6, beta=rng.standard_normal(6), rho=0.5)
             for _ in range(stack)
         ]
-        # the rows gather from views of one [X | y] array, in an order of their own
-        block = np.array([np.column_stack([d.X, d.y]) for d in datasets])
+        # the rows gather from one [X | y] array, in an order of their own
+        block = np.array([d.xy for d in datasets])
         order = rng.permutation(stack)
         for k in range(7):
             one = Subset.of(rng.choice(6, size=k, replace=False) + 1)
             each = [Subset.of(rng.choice(6, size=k, replace=False) + 1) for _ in datasets]
             for subsets in ([one] * stack, each):
                 positions = np.array([s.positions for s in subsets]).reshape(stack, k)
-                fit = ols_fit_stack(block[:, :, :-1], block[:, :, -1], order, positions)
+                fit = ols_fit_stack(block, order, positions)
                 assert fit.df == 30 - k - 1 and not fit.collinear.any()
                 fitted = [datasets[i] for i in order]
                 rows = zip(fitted, subsets, fit.beta[:, :, 0], fit.r, fit.sse)
@@ -258,10 +297,9 @@ class TestOlsFit:
         # the middle dataset repeats a column: the stack marks it and still
         # fits its neighbours bit for bit, while the one-dataset fit raises
         datasets = [random_centered_dataset(rng, 10, 3) for _ in range(3)]
-        X = np.array([d.X for d in datasets])
-        X[1, :, 1] = X[1, :, 0]
-        y = np.array([d.y for d in datasets])
-        fit = ols_fit_stack(X, y, np.arange(3), np.array([[0, 1]] * 3))
+        block = np.array([d.xy for d in datasets])
+        block[1, :, 1] = block[1, :, 0]
+        fit = ols_fit_stack(block, np.arange(3), np.array([[0, 1]] * 3))
         assert fit.collinear.tolist() == [False, True, False]
         assert np.isfinite(fit.sse).all()
         for i in (0, 2):
@@ -269,7 +307,7 @@ class TestOlsFit:
             assert np.array_equal(fit.beta[i, :, 0], single.beta_hat) and fit.sse[i] == single.sse
         message = r"^columns of subset \{1,2\} are numerically collinear$"
         with pytest.raises(PostselectError, match=message):
-            ols_fit(Dataset(y=y[1], X=X[1]), Subset((1, 2)))
+            ols_fit(Dataset(y=block[1, :, -1], X=block[1, :, :-1]), Subset((1, 2)))
 
     def test_out_of_range_index(self, hand_dataset):
         with pytest.raises(ValueError, match="beyond"):
@@ -372,14 +410,17 @@ class TestSseDecomposition:
 
 
 def test_public_results_compare_and_hash():
-    # arrays are the whole value of a Dataset and a QueryPoint, so they compare
-    # by identity; a fit compares by its subset, SSE and df
+    # arrays are the whole value of a Dataset, a QueryPoint and a GeneratedData,
+    # so they compare by identity; a fit compares by its subset, SSE and df
     rng = np.random.default_rng(0)
     y, x = rng.standard_normal(10), rng.standard_normal((10, 3))
     d1, d2 = centered_dataset(y, x)[0], centered_dataset(y, x)[0]
     assert d1 == d1 and d1 != d2 and len({d1, d2}) == 2
     q1, q2 = QueryPoint(np.ones(3), True), QueryPoint(np.ones(3), True)
     assert q1 == q1 and q1 != q2 and len({q1, q2}) == 2
+    g1 = generate_dataset(ExperimentConfig(), RngStream(1, 0))
+    g2 = GeneratedData(g1.data, g1.raw_column_means, g1.query_x_raw.copy())
+    assert g1 == g1 and g1 != g2 and len({g1, g2}) == 2
     for s in (Subset(), Subset((1,)), Subset((1, 3))):
         f1, f2 = ols_fit(d1, s), ols_fit(d2, s)
         assert f1 == f2 and hash(f1) == hash(f2)

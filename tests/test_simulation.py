@@ -453,9 +453,9 @@ class TestRunExperiment:
         bad_y = generate_dataset(cfg, RngStream(cfg.seed, 9)).data.y
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing_at_9(X, y, rows, positions):
-            fit = fit_stack(X, y, rows, positions)
-            return fit._replace(collinear=fit.collinear | (y[rows] == bad_y).all(axis=1))
+        def fit_stack_failing_at_9(data, rows, positions):
+            fit = fit_stack(data, rows, positions)
+            return fit._replace(collinear=fit.collinear | (data[rows, :, -1] == bad_y).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing_at_9)
         with pytest.raises(DegenerateReplication, match="^replication 7: 1 subsets hit the SSE floor"):
@@ -481,13 +481,13 @@ class TestRunExperiment:
         }
         fit_stack = simulation.ols_fit_stack
 
-        def fit_stack_failing(X, y, rows, positions):
+        def fit_stack_failing(data, rows, positions):
             # a call mixes S* and selected fits of one size: each row is told
             # by its own columns, so a selected S* counts as S*
-            fit = fit_stack(X, y, rows, positions)
+            fit = fit_stack(data, rows, positions)
             subsets = [Subset.of(row + 1) for row in positions]
             bad = np.array([bad_y["star" if s == cfg.s_star else "selected"] for s in subsets])
-            return fit._replace(collinear=fit.collinear | (y[rows] == bad).all(axis=1))
+            return fit._replace(collinear=fit.collinear | (data[rows, :, -1] == bad).all(axis=1))
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing)
         with pytest.raises(PostselectError, match=message):
@@ -499,9 +499,9 @@ class TestRunExperiment:
         cfg, calls = small_cfg(seed=42, reps=100), {"fit": [], "interval": []}
         fit_stack, interval_stack = simulation.ols_fit_stack, simulation.interval_stack
 
-        def counted_fit(X, y, rows, positions):
+        def counted_fit(data, rows, positions):
             calls["fit"].append(positions.shape[1])
-            return fit_stack(X, y, rows, positions)
+            return fit_stack(data, rows, positions)
 
         def counted_interval(xs, *args):
             calls["interval"].append(xs.shape[1])
