@@ -56,11 +56,11 @@ def _fmt(value: float) -> str:
 # configuration assembly
 # ---------------------------------------------------------------------------
 
-# Configuration keys are the ExperimentConfig fields plus c_n, which a file or
-# the --cn flag gives next to the criterion.  Flag text and config-file values
+# Configuration keys are the ExperimentConfig fields plus c_n, which a manifest
+# or the --cn flag gives next to the criterion.  Flag text and manifest values
 # both pass through _coerce_config_value, which only converts text: a JSON
 # value is first written back as its JSON text, so 2.9 or true for an integer
-# field fails exactly as the line "reps = 2.9" does.  beta_star is a list,
+# field fails exactly as "--reps 2.9" does.  beta_star is a list,
 # criterion is a name, workers is an int when it reads as one, and every
 # other field is a number of its default's type.  Whether a value is
 # valid is decided by Criterion and ExperimentConfig alone.
@@ -79,7 +79,7 @@ def _parse_list(value: str, field: str, number: type) -> tuple:
 
 
 def _json_text(value) -> str:
-    """A JSON value as the text of a ``key = value`` line."""
+    """A JSON value as the text of its flag."""
     if isinstance(value, str):
         return value
     if isinstance(value, list):
@@ -109,38 +109,18 @@ def _coerce_config_value(key: str, value):
 
 
 def _load_config_file(path: str) -> dict:
-    """Read a run's manifest.json (its ``config`` object) or a flat key = value file."""
+    """The values of a run's manifest.json, its ``config`` object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            obj = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")
-    stripped = text.lstrip()
-    values: dict = {}
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}")
-        config = obj.get("config")  # text that starts with "{" parses to a dict
-        if not isinstance(config, dict):
-            raise ValueError(f"{path}: no \"config\" object; pass a run's manifest.json")
-        raw_items = config.items()
-    else:
-        raw_items = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            raw_items.append((key.strip(), value.strip()))
-    for key, value in raw_items:
-        if value is None:
-            continue
-        values[key] = _coerce_config_value(key, value)
-    return values
+    except ValueError as exc:  # also text that is not UTF-8
+        raise ValueError(f"{path}: not a manifest.json: {exc}")
+    config = obj.get("config") if isinstance(obj, dict) else None
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: no \"config\" object; pass a run's manifest.json")
+    return {key: _coerce_config_value(key, v) for key, v in config.items() if v is not None}
 
 
 def _build_criterion(kind: Optional[str], c_n: Optional[float]) -> Criterion:
@@ -447,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser(
         "simulate", help="run the Monte Carlo coverage experiment"
     )
-    sim.add_argument("--config", help="key=value file or a previous manifest.json")
-    # config flags carry no type: their text is converted with config-file text
+    sim.add_argument("--config", help="a previous run's manifest.json; flags override it")
+    # config flags carry no type: their text is converted as manifest values are
     sim.add_argument("--n", help="observations per replication")
     sim.add_argument("--p", help="number of predictors")
     sim.add_argument("--sigma", help="noise standard deviation")

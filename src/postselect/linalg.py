@@ -105,7 +105,12 @@ class Dataset:
         y_raw, X_raw = (y, X) if raw is None else map(np.asarray, raw)
         xy = np.column_stack([X, y])
         check_data(xy[None], y_raw[None], X_raw[None])
-        for name, value in ("y", y), ("X", xy[:, :p]), ("xy", xy):
+        self.__setstate__({"y": y, "xy": xy})
+
+    def __setstate__(self, state: dict) -> None:
+        # also a copy by pickle or copy.deepcopy: frozen, with X a view of xy
+        y, xy = state["y"], state["xy"]
+        for name, value in ("y", y), ("X", xy[:, :-1]), ("xy", xy):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 

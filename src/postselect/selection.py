@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import PostselectError
-from .linalg import RANK_RTOL, Dataset, Subset, ols_fit
+from .linalg import RANK_RTOL, Dataset, Subset, collinear_error
 
 # 2^20 subsets is the most the exhaustive search will attempt.
 ENUMERATION_LIMIT = 20
@@ -340,7 +340,7 @@ def select_stack(
             new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
             rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
             level.append(tuple(x[new] for x in rec))
-            live = (j < min(size, max_size + 1)) & (log_term + c_n * j <= limit[owner])
+            live = (j < size) & (log_term + c_n * j <= limit[owner])
             if live.any():  # packed in one indexing step, not copied whole first
                 live = np.flatnonzero(live)
                 packed = h[live[:, None], _upper(s)[0], _upper(s)[1]]
@@ -449,29 +449,43 @@ def theorem_report(
     Raises
     ------
     ValueError
-        Before any fit, unless ``s_hat`` strictly contains ``s_star`` and
-        leaves a residual degree of freedom.
+        Before any fit, unless ``s_hat`` strictly contains ``s_star``, lies
+        within the data's p columns and leaves a residual degree of freedom.
     PostselectError
-        If ``SSE(s_star)`` is zero (the relative reduction is undefined).
+        If ``s_star``'s columns, then ``s_hat``'s, are collinear, or if
+        ``SSE(s_star)`` is zero (the relative reduction is undefined).
     """
     if not s_star.is_strict_subset(s_hat):
         raise ValueError(f"s_hat {s_hat} must strictly contain s_star {s_star}")
-    diag = overfit_condition(data.n, s_star.size, s_hat.size, crit.c_n(data.n))
-    fit_star, fit_hat = ols_fit(data, s_star), ols_fit(data, s_hat)
-    if fit_star.sse == 0.0:
+    n, k, m = data.n, s_star.size, s_hat.size
+    diag = overfit_condition(n, k, m, crit.c_n(n))
+    if s_hat.indices[-1] > data.p:
+        raise ValueError(f"subset {s_hat} reaches beyond the {data.p} available columns")
+    # one R factor of [X_S* | X_(S_hat minus S*) | y]: SSE(S_hat) is its last diagonal
+    # entry squared, and the drop, a sum of squares, the rest of its last column's
+    cols = [*s_star.indices, *(i for i in s_hat.indices if i not in s_star.indices)]
+    r = np.linalg.qr(data.xy[:, [i - 1 for i in cols] + [data.p]], mode="r")
+    collinear = np.abs(r.diagonal()[:m]) <= RANK_RTOL * np.hypot.reduce(r[:, :m], axis=0)
+    for s in s_star, s_hat:
+        if collinear[: s.size].any():
+            raise collinear_error(s)
+    sse_hat, drop = float(r[m, m] ** 2), float(r[k:m, m] @ r[k:m, m])
+    sse_star = sse_hat + drop
+    if sse_star == 0.0:
         raise PostselectError(f"SSE({s_star}) is zero; theorem quantities undefined")
-    gain = (fit_star.sse - fit_hat.sse) / (s_hat.size - s_star.size)
+    sigma_sq_hat = sse_hat / (n - m - 1)
+    sigma_star, sigma_hat = math.sqrt(sse_star / (n - k - 1)), math.sqrt(sigma_sq_hat)
     return TheoremReport(
         s_star=s_star,
         s_hat=s_hat,
         a_n=diag.a_n,
         d_n=diag.d_n,
-        r_n=1.0 - fit_hat.sse / fit_star.sse,
-        f_n=gain / fit_hat.sigma_hat_sq if fit_hat.sse else math.inf,
+        r_n=drop / sse_star,
+        f_n=drop / (m - k) / sigma_sq_hat if sse_hat else math.inf,
         condition_holds=diag.holds,
-        sigma_hat_star=fit_star.sigma_hat,
-        sigma_hat_selected=fit_hat.sigma_hat,
-        underestimates=fit_hat.sigma_hat < fit_star.sigma_hat,
-        sse_star=fit_star.sse,
-        sse_hat=fit_hat.sse,
+        sigma_hat_star=sigma_star,
+        sigma_hat_selected=sigma_hat,
+        underestimates=sigma_hat < sigma_star,
+        sse_star=sse_star,
+        sse_hat=sse_hat,
     )

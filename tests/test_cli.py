@@ -449,25 +449,31 @@ class TestSimulateCommand:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        # a JSON config is a manifest: a summary.json and a bare object have no "config"
-        bare = tmp_path / "bare.json"
-        bare.write_text('{"reps": 3}\n')
-        for path in (out_dir / "summary.json", bare):
+        # a config is a manifest: a summary.json, a bare object, a list and a number
+        # have no "config", and flat "key = value" text is not JSON
+        paths = [out_dir / "summary.json"]
+        for name, text in ("bare", '{"reps": 3}'), ("list", "[1, 2]"), ("number", "3"):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(text + "\n")
+        for path in paths:
             code, _, err = run_cli(
                 capsys, "simulate", "--config", str(path), "--out-dir", str(tmp_path / "again"),
             )
             assert code == 2
             assert err == f"error: {path}: no \"config\" object; pass a run's manifest.json\n"
+        flat = tmp_path / "flat.cfg"
+        flat.write_text("reps = 3\n")
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(flat), "--out-dir", str(tmp_path / "again"),
+        )
+        assert_one_error_line(code, err)
+        assert err.startswith(f"error: {flat}: not a manifest.json: ")
+        assert not (tmp_path / "again").exists()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(
-            "# reference study, fewer reps\n"
-            "reps = 10\n"
-            "seed = 4\n"
-            "criterion = bic\n"
-            "workers = 1\n"
-        )
+        cfg_file = tmp_path / "exp.json"
+        config = {"reps": 10, "seed": 4, "criterion": "bic", "workers": 1}
+        cfg_file.write_text(json.dumps({"config": config}))
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(
             capsys,
@@ -489,8 +495,8 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "c_n" in err
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("nope = 1\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"config": {"nope": 1}}))
         assert run_cli(capsys, "simulate", "--config", str(bad))[0] == 2
 
     def test_out_of_range_replication_data_exits_2(self, capsys, tmp_path):
@@ -617,37 +623,37 @@ class TestCsvSchemas:
         assert lows[1:] == highs[:-1]
 
 
-# Each invalid configuration, once as simulate flags and once as config-file
-# lines with the same values.
+# Each invalid configuration, once as simulate flags and once as the values
+# of a manifest's "config" object.
 INVALID_CONFIGS = {
-    "negative c_n": (["--criterion", "custom", "--cn", "-1"], "criterion = custom\nc_n = -1"),
-    "unknown criterion": (["--criterion", "aicc"], "criterion = aicc"),
-    "c_n with aic": (["--criterion", "aic", "--cn", "2"], "criterion = aic\nc_n = 2"),
-    "n not a number": (["--n", "x"], "n = x"),
-    "zero workers": (["--workers", "0"], "workers = 0"),
-    "workers not a number": (["--workers", "abc"], "workers = abc"),
-    "infinite c_n": (["--cn", "inf"], "c_n = inf"),
-    "non-finite sigma": (["--sigma", "nan"], "sigma = nan"),
-    "zero sigma": (["--sigma", "0"], "sigma = 0"),
-    "alpha below the rounding of 1 - alpha/2": (["--alpha", "1e-17"], "alpha = 1e-17"),
+    "negative c_n": (["--criterion", "custom", "--cn", "-1"], {"criterion": "custom", "c_n": -1}),
+    "unknown criterion": (["--criterion", "aicc"], {"criterion": "aicc"}),
+    "c_n with aic": (["--criterion", "aic", "--cn", "2"], {"criterion": "aic", "c_n": 2}),
+    "n not a number": (["--n", "x"], {"n": "x"}),
+    "zero workers": (["--workers", "0"], {"workers": 0}),
+    "workers not a number": (["--workers", "abc"], {"workers": "abc"}),
+    "infinite c_n": (["--cn", "inf"], {"c_n": "inf"}),
+    "non-finite sigma": (["--sigma", "nan"], {"sigma": "nan"}),
+    "zero sigma": (["--sigma", "0"], {"sigma": 0}),
+    "alpha below the rounding of 1 - alpha/2": (["--alpha", "1e-17"], {"alpha": 1e-17}),
     "p beyond the enumeration limit": (
         ["--p", "21", "--beta-star", "1" + ",0" * 20],
-        "p = 21\nbeta_star = 1" + ",0" * 20,
+        {"p": 21, "beta_star": [1] + [0] * 20},
     ),
-    "seed above 64 bits": (["--seed", str(2**64)], f"seed = {2**64}"),
-    "reps beyond the 2**32 substreams": (["--reps", str(2**32 + 1)], f"reps = {2**32 + 1}"),
+    "seed above 64 bits": (["--seed", str(2**64)], {"seed": 2**64}),
+    "reps beyond the 2**32 substreams": (["--reps", str(2**32 + 1)], {"reps": 2**32 + 1}),
     "s_star leaves the oracle no df": (
         ["--n", "11", "--beta-star", ",".join(["1"] * 10)],
-        "n = 11\nbeta_star = " + ",".join(["1"] * 10),
+        {"n": 11, "beta_star": [1] * 10},
     ),
 }
 
 # Manifest JSON values that a plain int() would truncate, each with the
-# config-file line that must fail the same way.
+# flags that must fail the same way.
 TRUNCATED_JSON_VALUES = {
-    "fractional reps": ({"reps": 2.9}, "reps = 2.9"),
-    "boolean reps": ({"reps": True}, "reps = true"),
-    "boolean workers": ({"workers": True}, "workers = true"),
+    "fractional reps": ({"reps": 2.9}, ["--reps", "2.9"]),
+    "boolean reps": ({"reps": True}, ["--reps", "true"]),
+    "boolean workers": ({"workers": True}, ["--workers", "true"]),
 }
 
 
@@ -659,16 +665,16 @@ def assert_one_error_line(code, err):
 
 class TestOneConversionPath:
     @pytest.mark.parametrize(
-        "flags,lines", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys()
+        "flags,config", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys()
     )
     def test_invalid_value_exits_2_as_flag_and_file_line(
-        self, capsys, tmp_path, flags, lines
+        self, capsys, tmp_path, flags, config
     ):
         flag_dir, file_dir = tmp_path / "flag", tmp_path / "file"
         code, _, flag_err = run_cli(capsys, "simulate", *flags, "--out-dir", str(flag_dir))
         assert_one_error_line(code, flag_err)
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(lines + "\n")
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"config": config}))
         code, _, file_err = run_cli(
             capsys, "simulate", "--config", str(cfg_file), "--out-dir", str(file_dir)
         )
@@ -677,18 +683,15 @@ class TestOneConversionPath:
         assert not flag_dir.exists() and not file_dir.exists()
 
     @pytest.mark.parametrize(
-        "config,line", TRUNCATED_JSON_VALUES.values(), ids=TRUNCATED_JSON_VALUES.keys()
+        "config,flags", TRUNCATED_JSON_VALUES.values(), ids=TRUNCATED_JSON_VALUES.keys()
     )
-    def test_json_number_is_not_truncated(self, capsys, tmp_path, config, line):
-        json_file, text_file = tmp_path / "bad.json", tmp_path / "bad.cfg"
+    def test_json_number_is_not_truncated(self, capsys, tmp_path, config, flags):
+        json_file = tmp_path / "bad.json"
         json_file.write_text(json.dumps({"config": config}))
-        text_file.write_text(line + "\n")
         errors = []
-        for path in (json_file, text_file):
-            out_dir = tmp_path / path.suffix[1:]
-            code, _, err = run_cli(
-                capsys, "simulate", "--config", str(path), "--out-dir", str(out_dir)
-            )
+        for name, args in ("json", ["--config", str(json_file)]), ("flag", flags):
+            out_dir = tmp_path / name
+            code, _, err = run_cli(capsys, "simulate", *args, "--out-dir", str(out_dir))
             assert_one_error_line(code, err)
             assert not out_dir.exists()
             errors.append(err)
@@ -713,8 +716,8 @@ class TestOneConversionPath:
         flag_dir, file_dir = tmp_path / "flag", tmp_path / "file"
         code, _, _ = run_cli(capsys, *common, "--criterion", "AIC", "--out-dir", str(flag_dir))
         assert code == 0
-        cfg_file = tmp_path / "upper.cfg"
-        cfg_file.write_text("criterion = AIC\n")
+        cfg_file = tmp_path / "upper.json"
+        cfg_file.write_text(json.dumps({"config": {"criterion": "AIC"}}))
         code, _, _ = run_cli(
             capsys, *common, "--config", str(cfg_file), "--out-dir", str(file_dir)
         )
@@ -741,6 +744,21 @@ EXIT_CODES = {
     ),
     "data mode without --s-hat": (
         "theorem-check --data {tmp}/thm.csv --s-star 1,2", 2, "error: data mode needs --s-star"
+    ),
+    "data mode with a non-integer index": (
+        "theorem-check --data {tmp}/thm.csv --s-star 1,x --s-hat 1,2,3",
+        2,
+        "error: --s-star: expected comma-separated integers, got '1,x'",
+    ),
+    "beta_star with a non-number": (
+        "simulate --beta-star 1,x --out-dir {tmp}/beta",
+        2,
+        "error: beta_star: expected comma-separated numbers, got '1,x'",
+    ),
+    "config file that cannot be read": (
+        "simulate --config {tmp}/missing.json --out-dir {tmp}/missing",
+        2,
+        "error: cannot read config file: [Errno 2] No such file or directory",
     ),
     "duplicated column": (
         "theorem-check --data {tmp}/dup.csv --s-star 1,2 --s-hat 1,2,3",

@@ -258,6 +258,9 @@ class TestStudentTCdf:
         with pytest.raises(ValueError, match="degrees of freedom"):
             student_t_cdf(0, 1.0)
 
+    def test_nan_gives_nan(self):
+        assert math.isnan(student_t_cdf(5, math.nan))
+
     @pytest.mark.parametrize("df", [10**7, 10**10, 10**17, 10**300])
     @pytest.mark.parametrize("prob", [1e-10, 0.025, 0.9])
     def test_round_trip_at_very_large_df(self, df, prob):

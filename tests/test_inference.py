@@ -69,6 +69,16 @@ class TestMeanResponseCi:
                 hand_dataset, fit, QueryPoint(x=[1.0], centered=False), 0.05
             )
 
+    def test_fit_of_other_dimensions_is_refused(self, hand_dataset, rng):
+        fit = ols_fit(random_centered_dataset(rng, 6, 1), Subset((1,)))
+        with pytest.raises(ValueError, match="dimensions"):
+            mean_response_ci(hand_dataset, fit, QueryPoint(x=[1.0], centered=True), 0.05)
+
+    def test_width_spans_both_half_widths(self, hand_dataset):
+        fit = ols_fit(hand_dataset, Subset((1,)))
+        ci = mean_response_ci(hand_dataset, fit, QueryPoint(x=[1.0], centered=True), 0.05)
+        assert ci.width == ci.hi - ci.lo == pytest.approx(2.0 * ci.half_width, rel=1e-15)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_quadratic_form_matches_explicit_inverse(self, seed):

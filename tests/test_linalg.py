@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 import warnings
 
@@ -69,6 +71,23 @@ class TestDataset:
     def test_rejects_p_not_less_than_n(self):
         with pytest.raises(ValueError, match="p < n"):
             Dataset(y=[1.0, -1.0], X=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+    def test_rejects_a_design_that_is_not_a_matrix_with_columns(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            Dataset(y=[1.0, 0.0, -1.0], X=np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(ValueError, match="at least one column"):
+            Dataset(y=[1.0, 0.0, -1.0], X=np.zeros((3, 0)))
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_a_copy_stays_frozen_with_x_a_view_of_xy(self, rng, copy_of):
+        data = random_centered_dataset(rng, 12, 3)
+        twin = copy_of(data)
+        for name in ("y", "X", "xy"):
+            assert not getattr(twin, name).flags.writeable, name
+            np.testing.assert_array_equal(getattr(twin, name), getattr(data, name))
+        assert np.shares_memory(twin.X, twin.xy) and twin.y.flags.c_contiguous
 
     def test_rejects_length_mismatch_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -646,16 +646,43 @@ class TestTheoremReport:
             theorem_report(_signal_dataset(2), Subset((1, 2, 3)), Subset((1, 2, 4)), AIC)
 
     def test_pair_is_checked_before_any_fit(self, monkeypatch):
-        def no_fit(*_):
+        def no_fit(*_, **__):
             raise AssertionError("fitted before the pair was checked")
 
-        monkeypatch.setattr(selection, "ols_fit", no_fit)
         data = _signal_dataset(3)
+        monkeypatch.setattr(selection.np.linalg, "qr", no_fit)
         for s_hat in (Subset((1, 2)), Subset((1, 2, 4)), Subset((1, 2, 3))):
             with pytest.raises(ValueError, match="strictly contain"):
                 theorem_report(data, Subset((1, 2, 3)), s_hat, AIC)
         with pytest.raises(ValueError, match="degrees of freedom"):
             theorem_report(data, Subset((1,)), Subset(tuple(range(1, 50))), AIC)
+        with pytest.raises(ValueError, match="beyond the 10 available columns"):
+            theorem_report(data, Subset((1,)), Subset((1, 11)), AIC)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_no_drop_is_not_negative_at_any_signal(self, scale):
+        # column 3 is orthogonal to S* = {1, 2} and to y, so the SSE drops by
+        # exactly nothing; the difference of two fitted SSEs read -1e-10 at 1e6
+        n = 30
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((n, 3))
+            x -= x.mean(axis=0)
+            y = scale * (x[:, 0] + 2.0 * x[:, 1]) + rng.standard_normal(n)
+            y -= y.mean()
+            basis = np.linalg.qr(np.column_stack([np.ones(n), x[:, :2], y]))[0]
+            x[:, 2] -= basis @ (basis.T @ x[:, 2])
+            report = theorem_report(Dataset(y=y, X=x), Subset((1, 2)), Subset((1, 2, 3)), AIC)
+            assert 0.0 <= report.r_n <= 1e-14 and report.f_n >= 0.0, seed
+
+    def test_collinear_s_star_is_named_before_s_hat(self, rng):
+        x = rng.standard_normal((12, 4))
+        x[:, 1] = x[:, 0]
+        data = centered_dataset(rng.standard_normal(12), x)[0]
+        with pytest.raises(PostselectError, match=r"subset \{1,2\} are numerically collinear"):
+            theorem_report(data, Subset((1, 2)), Subset((1, 2, 3)), AIC)
+        with pytest.raises(PostselectError, match=r"subset \{1,2,4\} are numerically collinear"):
+            theorem_report(data, Subset((1, 4)), Subset((1, 2, 4)), AIC)
 
     def test_zero_sse_star_raises(self, rng):
         x = rng.standard_normal((10, 3))
