@@ -81,8 +81,8 @@ class Dataset:
 
     The data must keep the rules of :func:`check_data`.  They are copied once, as
     float64, into ``xy`` = ``[X | y]`` (n, p + 1), which stacked calls read as ``xy[None]``
-    and of which ``X`` is a view; ``y`` is a contiguous copy, as ``q'y`` rounds by layout.
-    All three are frozen; a Dataset is safe to share across worker processes or threads.
+    and of which ``X`` and ``y`` are views; a pickle or copy holds ``xy`` alone.  All
+    three are frozen; a Dataset is safe to share across worker processes or threads.
     """
 
     y: np.ndarray
@@ -91,7 +91,7 @@ class Dataset:
     xy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, raw) -> None:
-        y = np.array(self.y, dtype=np.float64).reshape(-1)
+        y = np.asarray(self.y, dtype=np.float64).reshape(-1)
         X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
@@ -105,13 +105,16 @@ class Dataset:
         y_raw, X_raw = (y, X) if raw is None else map(np.asarray, raw)
         xy = np.column_stack([X, y])
         check_data(xy[None], y_raw[None], X_raw[None])
-        self.__setstate__({"y": y, "xy": xy})
+        self.__setstate__({"xy": xy})
+
+    def __getstate__(self) -> dict:
+        return {"xy": self.xy}
 
     def __setstate__(self, state: dict) -> None:
-        # also a copy by pickle or copy.deepcopy: frozen, with X a view of xy
-        y, xy = state["y"], state["xy"]
-        for name, value in ("y", y), ("X", xy[:, :-1]), ("xy", xy):
-            value.setflags(write=False)
+        # also a copy by pickle or copy.deepcopy: frozen, with y and X views of xy
+        xy = state["xy"]
+        xy.setflags(write=False)
+        for name, value in ("y", xy[:, -1]), ("X", xy[:, :-1]), ("xy", xy):
             object.__setattr__(self, name, value)
 
     @property
@@ -189,8 +192,6 @@ class SubsetFit:
         Error sum of squares, ``||y - X_S beta_hat||^2``.
     df : int
         Residual degrees of freedom, ``n - |S| - 1``.
-    sigma_hat_sq : float
-        Variance estimate ``sse / df``.
     r_factor : ndarray, shape (|S|, |S|)
         Upper-triangular factor of the thin QR ``X_S = Q R`` the fit was
         solved with; shape (0, 0) for the empty subset.
@@ -200,12 +201,11 @@ class SubsetFit:
     beta_hat: np.ndarray = field(repr=False, compare=False)
     sse: float
     df: int
-    sigma_hat_sq: float
     r_factor: np.ndarray = field(repr=False, compare=False)
 
     @property
     def sigma_hat(self) -> float:
-        return float(np.sqrt(self.sigma_hat_sq))
+        return float(np.sqrt(self.sse / self.df))
 
 
 def collinear_error(s: Subset) -> PostselectError:
@@ -219,7 +219,7 @@ def ols_fit(data: Dataset, s: Subset) -> SubsetFit:
     if fit.collinear[0]:
         raise collinear_error(s)
     sse = float(fit.sse[0])
-    return SubsetFit(s, fit.beta[0, :, 0], sse, fit.df, sse / fit.df, fit.r[0])
+    return SubsetFit(s, fit.beta[0, :, 0], sse, fit.df, fit.r[0])
 
 
 class FitStack(NamedTuple):

@@ -5,8 +5,15 @@ failure output).  The Monte Carlo tolerances cover sampling error at the
 pinned seed; the property sweeps are exact (zero violations allowed).
 """
 
+import csv
 import hashlib
+import io
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from statistics import NormalDist
 
@@ -421,3 +428,46 @@ def test_records_keep_their_pinned_digest(tmp_path, flags, digest):
     out = tmp_path / "out"
     assert cli.main(["simulate", *flags.split(), "--workers", "1", "--out-dir", str(out)]) == 0
     assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == digest
+
+
+# --- what the bits depend on: OpenBLAS's kernel -------------------------------
+
+# digests of the seed-42 reference run's summary.json and ratio_hist.csv; its
+# records.csv differs by kernel in the last bits of its float columns only
+KERNEL_FREE_OUTPUTS = {
+    "summary.json": "114ac1107410beb4f3e39f6dde4b2617186be332fdd227bab60dfbc86720dfbb",
+    "ratio_hist.csv": "17decaa6e3bd972865b70276f599bf881c488af3c31a412faa59c6630ac5a1c6",
+}
+FLOAT_COLUMNS = (
+    "sigma_hat_selected", "sigma_hat_oracle", "ratio", "ci_width_selected", "ci_width_oracle",
+)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 OpenBLAS kernels"
+)
+def test_records_agree_under_every_blas_kernel(tmp_path, default_run):
+    # OPENBLAS_CORETYPE gives one process the kernel another x86-64 CPU would get
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    rows = {"default": list(csv.DictReader(io.StringIO(records_csv_text(default_run[1]))))}
+    for kernel in ("Haswell", "Prescott", "Sandybridge"):
+        out = tmp_path / kernel
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "postselect.cli", "simulate", "--seed", "42",
+             "--reps", "1000", "--workers", "1", "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        for name, digest in KERNEL_FREE_OUTPUTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (kernel, name)
+        with open(out / "records.csv", newline="") as f:
+            rows[kernel] = list(csv.DictReader(f))
+    first, *others = rows.values()
+    for other in others:
+        assert len(other) == len(first) == 1000
+        for a, b in zip(first, other):
+            for column in a:
+                if column in FLOAT_COLUMNS:
+                    assert float(a[column]) == pytest.approx(float(b[column]), rel=1e-14, abs=0)
+                else:
+                    assert a[column] == b[column], column

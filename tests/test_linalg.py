@@ -82,12 +82,15 @@ class TestDataset:
         "copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy], ids=["pickle", "deepcopy"]
     )
     def test_a_copy_stays_frozen_with_x_a_view_of_xy(self, rng, copy_of):
-        data = random_centered_dataset(rng, 12, 3)
+        # y and X are views of one read-only xy, also in a copy, and a pickle
+        # carries xy alone: n (p + 1) floats and at most 1 KiB besides
+        data = random_centered_dataset(rng, 10_000, 10)
+        assert len(pickle.dumps(data)) <= data.xy.nbytes + 1024
         twin = copy_of(data)
         for name in ("y", "X", "xy"):
             assert not getattr(twin, name).flags.writeable, name
             np.testing.assert_array_equal(getattr(twin, name), getattr(data, name))
-        assert np.shares_memory(twin.X, twin.xy) and twin.y.flags.c_contiguous
+        assert np.shares_memory(twin.X, twin.xy) and np.shares_memory(twin.y, twin.xy)
 
     def test_rejects_length_mismatch_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -177,14 +180,14 @@ class TestDataset:
             hand_dataset.y[0] = 5.0
 
     def test_one_frozen_copy_of_the_callers_arrays(self, rng):
-        # X is a view of the one array [X | y]; y is a contiguous copy of its own
+        # y and X are views of the one array [X | y]
         y, X = rng.standard_normal(20), rng.standard_normal((20, 3))
         y, X = y - y.mean(), X - X.mean(axis=0)
         data = Dataset(y=y, X=X)
         kept = np.column_stack([X, y])
         y[:], X[:] = 1.0, 1.0
         assert np.array_equal(data.xy, kept) and np.array_equal(data.X, kept[:, :-1])
-        assert np.array_equal(data.y, kept[:, -1]) and data.y.flags.c_contiguous
+        assert np.array_equal(data.y, kept[:, -1]) and np.shares_memory(data.y, data.xy)
         assert data.X.base is data.xy
         for frozen in (data.y, data.X, data.xy):
             with pytest.raises(ValueError, match="read-only"):
@@ -248,7 +251,7 @@ class TestOlsFit:
         assert fit.beta_hat == pytest.approx([1.5], abs=1e-12)
         assert fit.sse == pytest.approx(1.5, abs=1e-12)
         assert fit.df == 1
-        assert fit.sigma_hat_sq == pytest.approx(1.5, abs=1e-12)
+        assert fit.sse / fit.df == pytest.approx(1.5, abs=1e-12)
 
     def test_empty_subset_sse_is_squared_norm(self, hand_dataset):
         fit = ols_fit(hand_dataset, Subset())
@@ -302,10 +305,11 @@ class TestOlsFit:
                 fitted = [datasets[i] for i in order]
                 rows = zip(fitted, subsets, fit.beta[:, :, 0], fit.r, fit.sse)
                 for data, s, beta_hat, r_factor, sse in rows:
-                    xs = data.X[:, s.positions]
+                    # y as a contiguous copy, as ols_fit_stack gathers it
+                    xs, y = data.X[:, s.positions], data.y.copy()
                     q, r = np.linalg.qr(xs)
-                    beta = np.linalg.solve(r, q.T @ data.y)
-                    resid = data.y - xs @ beta
+                    beta = np.linalg.solve(r, q.T @ y)
+                    resid = y - xs @ beta
                     assert np.array_equal(beta_hat, beta)
                     assert sse == float(resid @ resid)
                     assert np.array_equal(r_factor, r)
@@ -365,7 +369,7 @@ class TestOlsFit:
         k = int(rng.integers(0, 7))
         s = Subset.of(rng.choice(8, size=k, replace=False) + 1)
         fit = ols_fit(data, s)
-        assert fit.sigma_hat_sq * fit.df == pytest.approx(fit.sse, rel=1e-12)
+        assert fit.sigma_hat**2 * fit.df == pytest.approx(fit.sse, rel=1e-12)
         assert fit.sse <= float(data.y @ data.y) * (1 + 1e-12)
 
 

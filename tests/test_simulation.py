@@ -182,7 +182,8 @@ class TestGenerateDataset:
         values = []
         for rep in range(1000):
             gen = generate_dataset(cfg, RngStream(cfg.seed, rep))
-            values.append(ols_fit(gen.data, cfg.s_star).sigma_hat_sq)
+            fit = ols_fit(gen.data, cfg.s_star)
+            values.append(fit.sse / fit.df)
         assert 0.94 <= np.mean(values) <= 1.06
 
     def test_stream_order_is_reproducible(self):
