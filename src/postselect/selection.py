@@ -30,10 +30,6 @@ from .linalg import RANK_RTOL, Dataset, Subset, collinear_error
 # 2^20 subsets is the most the exhaustive search will attempt.
 ENUMERATION_LIMIT = 20
 
-# SSE values below this floor are clamped before taking logs, so a perfect
-# fit scores a huge but finite negative value instead of -inf.
-SSE_FLOOR = 1e-300
-
 # The search builds at most this many floats of children's R factors at once (or
 # one child), so its working memory does not grow with the number of subsets.
 _BATCH_FLOATS = 1 << 16
@@ -102,14 +98,14 @@ class SelectionResult:
     ``chosen`` minimizes the score, ties broken by smaller size and then
     lexicographically smaller index list; the empty subset always has a
     finite score (``Dataset`` bounds the data), so one exists.
-    ``truncated_sse_count`` counts the visited subsets whose SSE fell below
-    the log floor.  ``masks`` and ``scores`` (read-only) hold every visited
-    subset and its score, ``inf`` if rank deficient or larger than
-    ``max_size``, the degrees-of-freedom cap ``min(p, n - 2)`` that leaves
-    every fit a residual degree of freedom, best first, ties broken as for
-    ``chosen``.  The search visits every subset among the
-    ``top`` best and every one that ties with the top-th, so ``ranked(k)`` is
-    exact for ``k <= top``; it may prune the others unseen.
+    ``truncated_sse_count`` counts the visited exact fits (see :func:`select_stack`).
+    ``masks`` and ``scores`` (read-only) hold every visited subset and its
+    score, ``inf`` if rank deficient or larger than ``max_size``, the
+    degrees-of-freedom cap ``min(p, n - 2)`` that leaves every fit a residual
+    degree of freedom, best first, ties broken as for ``chosen``.  The search
+    visits every subset among the ``top`` best and every one that ties with
+    the top-th, so ``ranked(k)`` is exact for ``k <= top``; it may prune the
+    others unseen.
     """
 
     chosen: Subset
@@ -241,6 +237,13 @@ def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
     return cut, order[scores <= np.minimum(cut[owner], np.finfo(np.float64).max)]
 
 
+def _exact_fit_bound(n: int, y_norm: np.ndarray):
+    """The largest SSE that is rounding error, an exact fit: ``(n eps)^2 ||y||^2``,
+    but at least the smallest subnormal, so a zero y scores finitely."""
+    f64 = np.finfo(np.float64)
+    return np.maximum((n * f64.eps) ** 2 * y_norm**2, f64.smallest_subnormal)
+
+
 def select_stack(
     data: np.ndarray, crit: Criterion, *, top: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -273,9 +276,9 @@ def select_stack(
     ``RANK_RTOL`` times its column's norm; it scores ``inf`` but keeps its
     children.  So does a subset that would leave no residual degree of
     freedom.  An SSE at most ``(n eps)^2 ||y||^2`` is rounding error, an
-    exact fit scored at the floor; no subset has one unless the full model,
-    whose SSE is the smallest, does.  ``ValueError`` if ``p`` exceeds
-    ``ENUMERATION_LIMIT`` (20) or ``top`` is below 1.
+    exact fit, scored as if it were that bound; no subset has one unless the
+    full model, whose SSE is the smallest, does.  ``ValueError`` if ``p``
+    exceeds ``ENUMERATION_LIMIT`` (20) or ``top`` is below 1.
     """
     b, n, p = data.shape[0], data.shape[1], data.shape[2] - 1
     if p > ENUMERATION_LIMIT:
@@ -294,21 +297,20 @@ def select_stack(
     collinear = RANK_RTOL * np.hypot.reduce(r[:, :, :p], axis=1)  # per column
     # the first m columns of the preorder leave the residual of rows m..p of y
     resid = np.hypot.accumulate(np.abs(r[:, ::-1, p]), axis=1)[:, ::-1]
-    exact_fit = (n * np.finfo(np.float64).eps) ** 2 * resid[:, :1] ** 2
+    exact_fit = _exact_fit_bound(n, resid[:, :1])
 
     def score(exact_fit, sse, size, deficient):
-        """Log term, score and whether the SSE is at the floor."""
+        """Log term, score and whether the SSE is an exact fit, scored as the bound."""
         scored = ~deficient & (size <= max_size)
-        sse = np.where(sse > exact_fit, sse, 0.0)
-        floored = scored & (sse < SSE_FLOOR)
-        log_term = n * np.log(np.maximum(sse, SSE_FLOOR))
+        log_term = n * np.log(np.maximum(sse, exact_fit))
+        floored = scored & (sse <= exact_fit)
         return log_term, np.where(scored, log_term + c_n * size, np.inf), floored
 
     # the seeds; a visited subset is (dataset, bitmask, size, score, floored)
     sizes = np.arange(p + 1)
     deficient = np.zeros((b, p + 1), bool)
     deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
-    _, scores, floored = score(exact_fit, resid**2, sizes, deficient)
+    log_term, scores, floored = score(exact_fit, resid**2, sizes, deficient)
     prefix = np.concatenate([np.zeros((b, 1), bits.dtype), bits.cumsum(1)], 1)
     owner = np.repeat(np.arange(b), p + 1)
     records = [(owner, prefix.ravel(), np.tile(sizes, b), scores.ravel(), floored.ravel())]
@@ -319,8 +321,8 @@ def select_stack(
     # preorder positions, dataset, k and bitmask, and its log term
     meta = np.zeros((b, p + 3), np.intp)
     meta[:, :p], meta[:, p], meta[:, p + 2] = np.arange(p), np.arange(b), prefix[:, p]
-    plog = score(exact_fit[:, 0], r[:, p, p] ** 2, p, deficient[:, p])[0]
-    frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta, plog)]
+    # resid[:, p] is |r[:, p, p]|, so the full model's log term is a seed's
+    frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta, log_term[:, p])]
     for s in range(p, 0, -1):
         size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
         level, chunks, frontier = [], frontier, []
@@ -422,7 +424,7 @@ class TheoremReport:
     ``r_n = 1 - sse_hat / sse_star`` is the relative SSE drop, so
     ``sse_hat = (1 - r_n) * sse_star``.  ``f_n`` is
     ``((sse_star - sse_hat) / (|s_hat| - |s_star|)) / (sse_hat / (n - |s_hat| - 1))``
-    (infinite when ``sse_hat`` is zero): its denominator is the selected
+    (infinite when ``sse_hat`` is an exact fit): its denominator is the selected
     fit's variance estimate, whose degrees of freedom also count the
     intercept removed by centering.
     """
@@ -453,7 +455,7 @@ def theorem_report(
         within the data's p columns and leaves a residual degree of freedom.
     PostselectError
         If ``s_star``'s columns, then ``s_hat``'s, are collinear, or if
-        ``SSE(s_star)`` is zero (the relative reduction is undefined).
+        ``SSE(s_star)`` is an exact fit (the relative reduction is undefined).
     """
     if not s_star.is_strict_subset(s_hat):
         raise ValueError(f"s_hat {s_hat} must strictly contain s_star {s_star}")
@@ -470,9 +472,9 @@ def theorem_report(
         if collinear[: s.size].any():
             raise collinear_error(s)
     sse_hat, drop = float(r[m, m] ** 2), float(r[k:m, m] @ r[k:m, m])
-    sse_star = sse_hat + drop
-    if sse_star == 0.0:
-        raise PostselectError(f"SSE({s_star}) is zero; theorem quantities undefined")
+    sse_star, exact_fit = sse_hat + drop, _exact_fit_bound(n, np.linalg.norm(r[:, m]))
+    if sse_star <= exact_fit:
+        raise PostselectError(f"SSE({s_star}) is zero up to rounding; theorem quantities undefined")
     sigma_sq_hat = sse_hat / (n - m - 1)
     sigma_star, sigma_hat = math.sqrt(sse_star / (n - k - 1)), math.sqrt(sigma_sq_hat)
     return TheoremReport(
@@ -481,7 +483,7 @@ def theorem_report(
         a_n=diag.a_n,
         d_n=diag.d_n,
         r_n=drop / sse_star,
-        f_n=drop / (m - k) / sigma_sq_hat if sse_hat else math.inf,
+        f_n=drop / (m - k) / sigma_sq_hat if sse_hat > exact_fit else math.inf,
         condition_holds=diag.holds,
         sigma_hat_star=sigma_star,
         sigma_hat_selected=sigma_hat,

@@ -203,6 +203,17 @@ class TestSelectCommand:
         assert "chosen subset: {1}" in out
         assert "floor" in err
 
+    def test_ties_at_the_minimum_are_noted(self, capsys, tmp_path):
+        # a constant y makes every subset an exact fit; with no penalty all 2^3 tie
+        rng = np.random.default_rng(6)
+        path = tmp_path / "flat.csv"
+        table = np.column_stack([rng.standard_normal((20, 3)), np.full(20, 4.0)])
+        np.savetxt(path, table, delimiter=",", header="x1,x2,x3,y", comments="")
+        code, out, _ = run_cli(capsys, "select", str(path), "--criterion", "custom", "--cn", "0")
+        assert code == 0
+        assert "chosen subset: {} [(none)]" in out
+        assert "note: 8 subsets tie at the minimum score" in out
+
     def test_zero_column_skipped_with_warning(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
         path = tmp_path / "degenerate.csv"
@@ -765,6 +776,11 @@ EXIT_CODES = {
         3,
         "error: columns of subset {1,2,3} are numerically collinear",
     ),
+    "SSE(S*) an exact fit": (
+        "theorem-check --data {tmp}/exact.csv --s-star 1 --s-hat 1,2",
+        3,
+        "error: SSE({1}) is zero up to rounding; theorem quantities undefined",
+    ),
     "SSE floor": (
         "simulate --n 3 --p 1 --beta-star 1 --sigma 8e-15 --seed 187 --reps 70 --workers 1"
         " --out-dir {tmp}/floor",
@@ -805,8 +821,8 @@ EXIT_CODES = {
 @pytest.fixture
 def cli_inputs(tmp_path):
     """A 30 x 4 CSV with signal on columns 1 and 2, the same CSV with column
-    3 a copy of column 1, a regular file, and an out-dir whose records.csv
-    is a directory."""
+    3 a copy of column 1, a 30 x 3 CSV whose y is 2 x1 + 7 exactly, a
+    regular file, and an out-dir whose records.csv is a directory."""
     rng = np.random.default_rng(3)
     x = rng.standard_normal((30, 4))
     y = 5.0 + x[:, 0] + 2.0 * x[:, 1] + rng.standard_normal(30)
@@ -814,6 +830,9 @@ def cli_inputs(tmp_path):
     np.savetxt(tmp_path / "thm.csv", np.column_stack([x, y]), delimiter=",", header=header, comments="")
     x[:, 2] = x[:, 0]
     np.savetxt(tmp_path / "dup.csv", np.column_stack([x, y]), delimiter=",", header=header, comments="")
+    x = np.random.default_rng(5).standard_normal((30, 3)) + 100.0
+    table = np.column_stack([x, 2.0 * x[:, 0] + 7.0])
+    np.savetxt(tmp_path / "exact.csv", table, delimiter=",", header="x1,x2,x3,y", comments="")
     (tmp_path / "file").write_text("")
     (tmp_path / "taken" / "records.csv").mkdir(parents=True)
     return tmp_path

@@ -54,6 +54,9 @@ class TestRngStream:
         b = RngStream(seed=99, substream=3).standard_normal(1000)
         assert np.array_equal(a, b)
 
+    def test_repr_names_the_pair(self):
+        assert repr(RngStream(seed=99, substream=3)) == "RngStream(seed=99, substream=3)"
+
     def test_substreams_differ(self):
         a = RngStream(seed=99, substream=0).standard_normal(100)
         b = RngStream(seed=99, substream=1).standard_normal(100)

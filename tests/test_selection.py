@@ -22,7 +22,7 @@ from postselect import selection
 from postselect.distributions import regularized_incomplete_beta
 from postselect.errors import PostselectError
 from postselect.linalg import RANK_RTOL
-from postselect.selection import ENUMERATION_LIMIT, SSE_FLOOR, select_stack
+from postselect.selection import ENUMERATION_LIMIT, select_stack
 
 from oracles import (
     TIE_RTOL,
@@ -125,7 +125,8 @@ def _table(result) -> dict[int, float]:
 
 
 class TestGamma:
-    """The score ``n log(max(SSE, floor)) + c_n |S|`` of every subset."""
+    """The score ``n log SSE + c_n |S|`` of every subset, where an exact fit,
+    an SSE at most ``(n eps)^2 ||y||^2``, reads as that bound."""
 
     def test_unit_sse_counts_only_penalty(self):
         table = _table(_exhaustive(_orthogonal_dataset(50, 3, 1.0), AIC))
@@ -142,26 +143,29 @@ class TestGamma:
         assert table[0b111] == pytest.approx(3 * math.log(50), abs=1e-10)
 
     def test_nonpositive_sse(self, rng):
-        # y = x1 exactly: every subset holding column 1 has a zero SSE, which
-        # scores at the floor instead of as log(0) = -inf
+        # y = x1 exactly: every subset holding column 1 is an exact fit, which
+        # scores as the bound instead of as log(0) = -inf
         x = rng.standard_normal((30, 3))
         x -= x.mean(axis=0)
         result = _exhaustive(Dataset(y=x[:, 0], X=x), AIC)
         assert result.truncated_sse_count == 4
         table = _table(result)
+        bound = (30 * np.finfo(np.float64).eps) ** 2 * (x[:, 0] @ x[:, 0])
         for mask in (0b001, 0b011, 0b101, 0b111):
-            expected = 30 * math.log(SSE_FLOOR) + 2.0 * bin(mask).count("1")
+            expected = 30 * math.log(bound) + 2.0 * bin(mask).count("1")
             assert table[mask] == pytest.approx(expected, rel=1e-15)
         assert len(table) == 8 and np.all(np.isfinite(result.scores))
 
-    def test_tiny_sse_clamped_to_floor(self):
-        # SSE = 1e-310 > 0 below the floor scores exactly as a zero SSE does
-        data = _orthogonal_dataset(50, 3, 1e-310)
-        tiny = _exhaustive(data, AIC)
-        floor = _exhaustive(Dataset(y=np.zeros(50), X=data.X), AIC)
-        assert tiny.truncated_sse_count == floor.truncated_sse_count == 8
-        assert np.array_equal(tiny.masks, floor.masks)
-        assert np.array_equal(tiny.scores, floor.scores)
+    def test_tiny_sse_is_not_an_exact_fit(self):
+        # the bound is relative to ||y||: an SSE of 1e-310 that is all of
+        # ||y||^2 is no exact fit, and scores by its own log
+        result = _exhaustive(_orthogonal_dataset(50, 3, 1e-310), AIC)
+        assert result.truncated_sse_count == 0
+        table = _table(result)
+        assert sorted(table) == list(range(8))
+        for mask, g in table.items():
+            expected = 50 * math.log(1e-310) + 2.0 * bin(mask).count("1")
+            assert g == pytest.approx(expected, rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -208,7 +212,7 @@ class TestSelect:
         assert _exhaustive(data, AIC).truncated_sse_count == 2**4
 
     def test_all_gammas_tie_under_zero_penalty_and_zero_response(self, rng):
-        # every subset hits the SSE floor and the penalty is zero, so the
+        # every subset is an exact fit and the penalty is zero, so the
         # tie-break must order all 2^p subsets by size then index list
         x = rng.standard_normal((12, 3))
         data = Dataset(y=np.zeros(12), X=x - x.mean(axis=0))
@@ -216,6 +220,21 @@ class TestSelect:
         assert result.chosen == Subset()
         assert len(result.ties) == 8
         assert result.ties[:4] == (Subset(), Subset((1,)), Subset((2,)), Subset((3,)))
+
+    @pytest.mark.parametrize("crit", [AIC, BIC], ids=["aic", "bic"])
+    def test_ranking_does_not_depend_on_the_data_scale(self, crit):
+        # the exact-fit bound is relative to ||y||, so data scaled down until
+        # their SSEs are subnormal (about 1e-310 at 1e-155) rank as at scale 1
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((30, 4))
+        y = 5.0 + x[:, 0] + 2.0 * x[:, 1] + rng.standard_normal(30)
+        runs = []
+        for scale in (1.0, 1e-100, 1e-150, 1e-155):
+            result = select(centered_dataset(scale * y, scale * x)[0], crit, top=10)
+            assert result.truncated_sse_count == 0, scale
+            runs.append((result.chosen, result.ties, [s for s, _ in result.ranked(10)]))
+        assert runs[0][0] == Subset((1, 2))
+        assert runs[1:] == runs[:1] * 3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -688,6 +707,16 @@ class TestTheoremReport:
         x = rng.standard_normal((10, 3))
         data = Dataset(y=np.zeros(10), X=x - x.mean(axis=0))
         with pytest.raises(PostselectError, match="is zero"):
+            theorem_report(data, Subset((1,)), Subset((1, 2)), AIC)
+
+    def test_sse_star_of_rounding_error_raises(self):
+        # y = 2 x1 + 7 exactly: SSE({1}) is about 1e-30, rounding error next to
+        # ||y||^2, so r_n and F_n would measure noise; select flags it too
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 3)) + 100.0
+        data = centered_dataset(2.0 * x[:, 0] + 7.0, x)[0]
+        assert select(data, AIC).truncated_sse_count > 0
+        with pytest.raises(PostselectError, match=r"^SSE\(\{1\}\) is zero up to rounding"):
             theorem_report(data, Subset((1,)), Subset((1, 2)), AIC)
 
     @pytest.mark.parametrize("seed", range(4))

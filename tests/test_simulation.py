@@ -319,7 +319,7 @@ class TestRunReplication:
 
     def test_high_snr_replication_returns_a_record(self):
         # at sigma=1e-7 the SSEs of the true supersets are about 5e-13; they
-        # must stay above the log floor instead of degenerating the run
+        # must not count as exact fits, which would degenerate the run
         beta = tuple(10.0 * b for b in (1.0, 2.0, 3.0)) + (0.0,) * 7
         cfg = ExperimentConfig(beta_star=beta, sigma=1e-7, seed=42)
         for rep in range(5):
@@ -371,6 +371,20 @@ class TestRunExperiment:
         _, records_a = run_experiment(small_cfg())
         _, records_b = run_experiment(small_cfg())
         assert records_a == records_b
+
+    def test_records_do_not_depend_on_the_data_scale(self):
+        # at sigma = 1e-155 the SSEs are subnormal, about 1e-310, but small
+        # only next to 1, not next to ||y||: no subset is an exact fit
+        tiny = (1e-155, 2e-155, 3e-155) + (0.0,) * 7
+        _, base = run_experiment(ExperimentConfig(seed=42, reps=50, workers=1))
+        _, scaled = run_experiment(
+            ExperimentConfig(seed=42, reps=50, workers=1, sigma=1e-155, beta_star=tiny)
+        )
+        integer = ("rep_index", "s_hat", "contains_star", "strict_overfit", "exact",
+                   "covered_selected", "covered_oracle", "condition_holds")
+        for a, b in zip(base, scaled, strict=True):
+            assert [getattr(a, f) for f in integer] == [getattr(b, f) for f in integer]
+            assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
     def test_worker_count_does_not_change_records(self, monkeypatch):
         blocks_of(monkeypatch, small_cfg(), 8)  # five blocks, so that a pool of four runs
