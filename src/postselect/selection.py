@@ -105,7 +105,7 @@ class SelectionResult:
     degree of freedom, best first, ties broken as for ``chosen``.  The search
     visits every subset among the ``top`` best and every one that ties with
     the top-th, so ``ranked(k)`` is exact for ``k <= top``; it may prune the
-    others unseen.
+    others unseen.  For ``top > 1``, "visited" means by its second pass.
     """
 
     chosen: Subset
@@ -271,6 +271,9 @@ def select_stack(
     subset size at a time, building the children of all datasets' live nodes
     in batches of at most ``_BATCH_FLOATS`` floats and pruning by the scores
     of the sizes before, so what a dataset visits does not depend on the rest of the stack.
+    For ``top > 1`` a top-1 search from the same factor and seeds goes first, and the
+    top-th best of the distinct subsets it visits caps the cut of the second, top-k
+    search; the second one alone gives the visited subsets, their scores and ``floored``.
 
     A node is rank deficient when a diagonal entry of its R is at most
     ``RANK_RTOL`` times its column's norm; it scores ``inf`` but keeps its
@@ -297,7 +300,7 @@ def select_stack(
     collinear = RANK_RTOL * np.hypot.reduce(r[:, :, :p], axis=1)  # per column
     # the first m columns of the preorder leave the residual of rows m..p of y
     resid = np.hypot.accumulate(np.abs(r[:, ::-1, p]), axis=1)[:, ::-1]
-    exact_fit = _exact_fit_bound(n, resid[:, :1])
+    exact_fit = _exact_fit_bound(n, resid[:, 0])
 
     def score(exact_fit, sse, size, deficient):
         """Log term, score and whether the SSE is an exact fit, scored as the bound."""
@@ -310,54 +313,65 @@ def select_stack(
     sizes = np.arange(p + 1)
     deficient = np.zeros((b, p + 1), bool)
     deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
-    log_term, scores, floored = score(exact_fit, resid**2, sizes, deficient)
+    log_term, scores, floored = score(exact_fit[:, None], resid**2, sizes, deficient)
     prefix = np.concatenate([np.zeros((b, 1), bits.dtype), bits.cumsum(1)], 1)
     owner = np.repeat(np.arange(b), p + 1)
-    records = [(owner, prefix.ravel(), np.tile(sizes, b), scores.ravel(), floored.ravel())]
-    cut, kept = _kth_best(owner, scores.ravel(), b, top)
-    candidates = (owner[kept], scores.ravel()[kept])
+    seeds = (owner, prefix.ravel(), np.tile(sizes, b), scores.ravel(), floored.ravel())
 
     # a node is the upper triangle of its R factor, row by row, its columns'
     # preorder positions, dataset, k and bitmask, and its log term
     meta = np.zeros((b, p + 3), np.intp)
     meta[:, :p], meta[:, p], meta[:, p + 2] = np.arange(p), np.arange(b), prefix[:, p]
     # resid[:, p] is |r[:, p, p]|, so the full model's log term is a seed's
-    frontier = [(r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta, log_term[:, p])]
-    for s in range(p, 0, -1):
-        size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
-        level, chunks, frontier = [], frontier, []
-        for packed, meta, j, parent in _batches(chunks, s, c_n, limit):
-            h = np.zeros((j.size, s + 1, s + 1))
-            h[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed[parent]
-            h = _drop_column(h, j)
-            keep = np.arange(s + 2)
-            child = meta[parent[:, None], keep + (keep >= j[:, None])]
-            owner, dropped = child[:, size], meta[parent, j]
-            child[:, s] = j
-            child[:, s + 1] ^= bits[owner, dropped]
-            d = np.abs(h.diagonal(0, 1, 2))
-            deficient = (d[:, :size] <= collinear[owner[:, None], child[:, :size]]).any(1)
-            log_term, scores, floored = score(exact_fit[owner, 0], d[:, size] ** 2, size, deficient)
-            # a prefix, with last position size - 1, was a seed
-            new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
-            rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
-            level.append(tuple(x[new] for x in rec))
-            live = (j < size) & (log_term + c_n * j <= limit[owner])
-            if live.any():  # packed in one indexing step, not copied whole first
-                live = np.flatnonzero(live)
-                packed = h[live[:, None], _upper(s)[0], _upper(s)[1]]
-                frontier.append((packed, child[live], log_term[live]))
-            del h  # before the next batch builds its children
-        if level:
-            records += level
-            owner = np.concatenate([candidates[0], *(rec[0] for rec in level)])
-            scores = np.concatenate([candidates[1], *(rec[3] for rec in level)])
-            cut, kept = _kth_best(owner, scores, b, top)
-            candidates = (owner[kept], scores[kept])
-        if not frontier:
-            break
+    root = (r[:, _upper(p + 1)[0], _upper(p + 1)[1]], meta, log_term[:, p])
 
-    owner, masks, sizes, scores, floored = map(np.concatenate, zip(*records))
+    def search(top, cut0):
+        """The seeds and the subsets a search for the top visits, its cut at most cut0."""
+        records, frontier = [seeds], [root]
+        cut, kept = _kth_best(seeds[0], seeds[3], b, top)
+        cut, candidates = np.minimum(cut, cut0), (seeds[0][kept], seeds[3][kept])
+        for s in range(p, 0, -1):
+            size, limit = s - 1, cut + _PRUNE_RTOL * np.abs(cut)
+            level, chunks, frontier = [], frontier, []
+            for packed, meta, j, parent in _batches(chunks, s, c_n, limit):
+                h = np.zeros((j.size, s + 1, s + 1))
+                h[:, _upper(s + 1)[0], _upper(s + 1)[1]] = packed[parent]
+                h = _drop_column(h, j)
+                keep = np.arange(s + 2)
+                child = meta[parent[:, None], keep + (keep >= j[:, None])]
+                owner, dropped = child[:, size], meta[parent, j]
+                child[:, s] = j
+                child[:, s + 1] ^= bits[owner, dropped]
+                d = np.abs(h.diagonal(0, 1, 2))
+                deficient = (d[:, :size] <= collinear[owner[:, None], child[:, :size]]).any(1)
+                log_term, scores, floored = score(exact_fit[owner], d[:, size] ** 2, size, deficient)
+                # a prefix, with last position size - 1, was a seed
+                new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
+                rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
+                level.append(tuple(x[new] for x in rec))
+                live = (j < size) & (log_term + c_n * j <= limit[owner])
+                if live.any():  # packed in one indexing step, not copied whole first
+                    live = np.flatnonzero(live)
+                    packed = h[live[:, None], _upper(s)[0], _upper(s)[1]]
+                    frontier.append((packed, child[live], log_term[live]))
+                del h  # before the next batch builds its children
+            if level:
+                records += level
+                owner = np.concatenate([candidates[0], *(rec[0] for rec in level)])
+                scores = np.concatenate([candidates[1], *(rec[3] for rec in level)])
+                cut, kept = _kth_best(owner, scores, b, top)
+                cut, candidates = np.minimum(cut, cut0), (owner[kept], scores[kept])
+            if not frontier:
+                break
+        return records
+
+    # a top-1 pass is cheap, and the top-th best of the subsets it visits, all
+    # distinct, is at least the true top-th best: it starts the top-k search's cut
+    cut0 = np.full(b, np.inf)
+    if top > 1:
+        owner, _, _, scores, _ = map(np.concatenate, zip(*search(1, cut0)))
+        cut0 = _kth_best(owner, scores, b, top)[0]
+    owner, masks, sizes, scores, floored = map(np.concatenate, zip(*search(top, cut0)))
     # a smaller index list comes first: a larger p-bit reversal of the mask
     flipped = np.zeros_like(masks)
     for i in range(p):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from postselect import ExperimentConfig, RngStream, Subset, centered_dataset, generate_dataset
+from postselect import (
+    Criterion, ExperimentConfig, RngStream, Subset, centered_dataset, generate_dataset, select,
+)
 from postselect.cli import (
     RECORDS_COLUMNS, _assemble_config, _read_dataset_csv, build_parser, main, ratio_hist_csv_text,
     records_csv_text,
@@ -227,6 +229,29 @@ class TestSelectCommand:
         assert code == 0
         assert "skipped" in err and "rank deficient" in err
         assert "chosen subset: {1}" in out
+
+    @pytest.mark.parametrize("crit", ["aic", "bic"])
+    def test_pruned_top_at_p_18_equals_an_exhaustive_search(self, capsys, tmp_path, crit):
+        # the pruned search for the top 10 against one that prunes nothing (2^18
+        # subsets); AIC prunes the least, so its levels are the widest
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((200, 18))
+        for j in range(1, 18):
+            x[:, j] = 0.5 * x[:, j - 1] + np.sqrt(0.75) * x[:, j]
+        y = 1.5 * x[:, 2] + 2.0 * x[:, 9] + 2.5 * x[:, 15] + rng.standard_normal(200)
+        path = tmp_path / "p18.csv"
+        header = ",".join(f"x{j}" for j in range(1, 19)) + ",y"
+        np.savetxt(path, np.column_stack([x, y]), delimiter=",", header=header, comments="")
+        argv = ["select", str(path), "--criterion", crit, "--top", "10", "--json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        pruned = json.loads(out)
+        full = select(_read_dataset_csv(str(path))[0], Criterion(crit), top=2**18)
+        assert pruned["chosen"] == list(full.chosen.indices)
+        assert pruned["ties"] == [list(s.indices) for s in full.ties]
+        assert pruned["gamma_table"] == [
+            {"subset": list(s.indices), "gamma": g} for s, g in full.ranked(10)
+        ]
 
     def test_large_offset_csv_is_centered(self, capsys, tmp_path):
         # columns near 1e9 (years, prices) lose ~1e-7 of their mean to

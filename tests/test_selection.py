@@ -440,8 +440,8 @@ class TestSelect:
 
     def test_batches_are_sized_by_the_children_they_build(self, monkeypatch):
         # a parent builds about 1.3 children, so batches sized by parents as
-        # if each built s would fill a few percent of the budget: 515 calls
-        # on this dataset, against 98 with batches of children
+        # if each built s would fill a few percent of the budget: 157 calls
+        # on this dataset, against 44 with batches of children
         calls = []
 
         def drop_column(h, j):
@@ -521,7 +521,27 @@ class TestSelect:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2**20, peak
+        assert peak <= 3 * 2**20, peak
+
+    @pytest.mark.parametrize("crit, most", [(BIC, 9_000), (AIC, 5_000)], ids=["bic", "aic"])
+    def test_top_k_search_starts_from_a_top_1_cut(self, crit, most):
+        # the top-1 pass's 10th best visited subset starts the cut; from the
+        # p + 1 nested prefixes alone, the search visits 22,569 (BIC) and 9,280 (AIC)
+        assert len(select(_p18_dataset(), crit, top=10).masks) <= most
+
+    @pytest.mark.parametrize("top", [1, 10])
+    def test_one_qr_of_the_data(self, top, monkeypatch):
+        # both passes of a top-k search read the one factor of the n rows
+        data, calls = _p18_dataset(), []
+
+        def qr(a, mode="reduced"):
+            calls.append(a.shape[-2])
+            return linalg_qr(a, mode)
+
+        linalg_qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        select(data, BIC, top=top)
+        assert calls.count(data.n) == 1, calls
 
     def test_too_many_predictors(self, rng):
         x = rng.standard_normal((23, 21))
