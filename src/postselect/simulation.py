@@ -195,7 +195,7 @@ def _replication_block(
     data, query = generate_stack(cfg, range(start, stop))
     masks, _, bounds, floored, _ = select_stack(data, cfg.criterion)
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
-    star = sum(1 << i for i, beta in enumerate(cfg.beta_star) if beta != 0.0)
+    star = sum(1 << (i - 1) for i in cfg.s_star.indices)
     chosen, b = masks[bounds[:-1]], len(data)
     # the 2b models, as the (2, b) arrays below hold them flat: each
     # replication's selected subset in row 0, S* in row 1

@@ -8,6 +8,7 @@ import pytest
 from postselect import (
     Criterion, ExperimentConfig, RngStream, Subset, centered_dataset, generate_dataset, select,
 )
+from postselect import simulation
 from postselect.cli import (
     RECORDS_COLUMNS, _assemble_config, _read_dataset_csv, build_parser, main, ratio_hist_csv_text,
     records_csv_text,
@@ -20,6 +21,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+OUTPUTS = ("summary.json", "records.csv", "ratio_hist.csv")
+
+
+def simulate_outputs(capsys, out_dir, *argv):
+    """The bytes of the three files that ``simulate *argv`` writes to ``out_dir``."""
+    code, _, err = run_cli(capsys, "simulate", *argv, "--out-dir", str(out_dir))
+    assert code == 0 and not err, err
+    return [(out_dir / name).read_bytes() for name in OUTPUTS]
 
 
 def write_fixture_csv(path, seed=7, n=50, p=10):
@@ -399,6 +410,20 @@ class TestSelectCommand:
             assert row["gamma"] == pytest.approx(bf[s], rel=1e-10)
 
 
+# runs of two blocks or more, each at --workers 1 and 2
+MULTI_BLOCK_RUNS = {
+    # the benchmark's p = 4 study, the search's smallest tree, in 20 blocks
+    "narrow": "--seed 42 --p 4 --beta-star 1,2,0,0 --reps 5000",
+    "bic": "--seed 42 --reps 1000 --criterion bic",
+    # a weak signal at p = 10: selected sizes 0 to 8, the most size groups per block
+    "weak-p10": "--seed 7 --beta-star 0.3,0.2,0.1,0,0,0,0,0,0,0 --reps 1000",
+    # the largest seed, two entropy words, over three blocks of 262, the last partial
+    "seed-2^64-1": "--seed 18446744073709551615 --p 4 --beta-star 1,2,0,0 --reps 600",
+    # n (p + 1) is over the block budget: one replication per block
+    "n-14000": "--n 14000 --p 4 --beta-star 1,2,0,0 --reps 5",
+}
+
+
 class TestSimulateCommand:
     def test_small_run_writes_all_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
@@ -460,22 +485,30 @@ class TestSimulateCommand:
         assert rates["bic"] > rates["aic"]
 
     def test_manifest_rerun_reproduces_records_bytes(self, capsys, tmp_path):
-        first = tmp_path / "first"
-        code, _, _ = run_cli(
-            capsys,
-            "simulate", "--reps", "30", "--seed", "11", "--workers", "2",
-            "--out-dir", str(first),
+        first = simulate_outputs(
+            capsys, tmp_path / "first", "--reps", "1000", "--seed", "42", "--workers", "2"
         )
-        assert code == 0
-        second = tmp_path / "second"
-        code, _, _ = run_cli(
-            capsys,
-            "simulate", "--config", str(first / "manifest.json"),
-            "--workers", "1", "--out-dir", str(second),
+        manifest = str(tmp_path / "first" / "manifest.json")
+        assert simulate_outputs(capsys, tmp_path / "second", "--config", manifest) == first
+
+    def test_hand_written_manifest_runs_as_its_flags_do(self, capsys, tmp_path):
+        config = {"n": 20, "p": 3, "beta_star": [0.4, 0, 0], "reps": 35, "seed": 0, "workers": 1}
+        (tmp_path / "weak.json").write_text(json.dumps({"config": config}))
+        flags = "--n 20 --p 3 --beta-star 0.4,0,0 --reps 35 --seed 0 --workers 1".split()
+        assert simulate_outputs(capsys, tmp_path / "flags", *flags) == simulate_outputs(
+            capsys, tmp_path / "config", "--config", str(tmp_path / "weak.json")
         )
-        assert code == 0
-        for name in ("summary.json", "records.csv", "ratio_hist.csv"):
-            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flags", MULTI_BLOCK_RUNS.values(), ids=MULTI_BLOCK_RUNS.keys())
+    def test_worker_count_does_not_change_the_outputs(self, capsys, tmp_path, flags):
+        cfg = _assemble_config(build_parser().parse_args(["simulate", *flags.split()]))
+        block = max(1, simulation._BLOCK_FLOATS // (cfg.n * (cfg.p + 1)))
+        assert cfg.reps > block  # so that two workers run blocks of their own
+        one, two = (
+            simulate_outputs(capsys, tmp_path / w, *flags.split(), "--workers", w)
+            for w in ("1", "2")
+        )
+        assert one == two
 
     def test_summary_json_is_not_a_config(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

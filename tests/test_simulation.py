@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -48,10 +49,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 def run_python(code: str, *, path: str = "", **env_vars: str) -> str:
     """``code``'s stdout from a fresh interpreter that imports ``postselect``
     from ``src/`` (and modules from ``path``) with no BLAS thread count set
-    but those in ``env_vars``."""
+    but those in ``env_vars``, and warnings as errors, as in process."""
     src = str(pathlib.Path(simulation.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(env_vars, PYTHONPATH=os.pathsep.join(filter(None, [src, path])))
+    env.update(
+        env_vars, PYTHONPATH=os.pathsep.join(filter(None, [src, path])), PYTHONWARNINGS="error"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
@@ -373,18 +376,25 @@ class TestRunExperiment:
         assert records_a == records_b
 
     def test_records_do_not_depend_on_the_data_scale(self):
-        # at sigma = 1e-155 the SSEs are subnormal, about 1e-310, but small
-        # only next to 1, not next to ||y||: no subset is an exact fit
+        # the reference study at sigma = 1e-155: its SSEs are subnormal, about
+        # 1e-310, but small only next to 1, not next to ||y||: no subset is an exact fit
         tiny = (1e-155, 2e-155, 3e-155) + (0.0,) * 7
-        _, base = run_experiment(ExperimentConfig(seed=42, reps=50, workers=1))
-        _, scaled = run_experiment(
-            ExperimentConfig(seed=42, reps=50, workers=1, sigma=1e-155, beta_star=tiny)
+        (base, base_records), (scaled, scaled_records) = (
+            run_experiment(ExperimentConfig(seed=42, workers=1, **scale))
+            for scale in ({}, dict(sigma=1e-155, beta_star=tiny))
         )
         integer = ("rep_index", "s_hat", "contains_star", "strict_overfit", "exact",
                    "covered_selected", "covered_oracle", "condition_holds")
-        for a, b in zip(base, scaled, strict=True):
+        for a, b in zip(base_records, scaled_records, strict=True):
             assert [getattr(a, f) for f in integer] == [getattr(b, f) for f in integer]
             assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
+        # summary.json's keys: all equal but the mean ratio, which agrees within 1e-12
+        rest = [
+            dataclasses.replace(s, runtime_seconds=0.0, mean_ratio_overfit=None)
+            for s in (base, scaled)
+        ]
+        assert rest[0] == rest[1]
+        assert scaled.mean_ratio_overfit == pytest.approx(base.mean_ratio_overfit, rel=1e-12)
 
     def test_worker_count_does_not_change_records(self, monkeypatch):
         blocks_of(monkeypatch, small_cfg(), 8)  # five blocks, so that a pool of four runs
@@ -679,12 +689,13 @@ class TestBlasThreads:
 
 
 def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # at the default n = 200; from n = 10001 on OpenBLAS splits long dot
+    # the reference run, n = 50; from n = 10001 on OpenBLAS splits long dot
     # products across its threads, and the last digits follow the count
-    records = []
+    outputs = []
     for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
-        out = tmp_path / str(len(records))
-        argv = ["simulate", "--reps", "200", "--seed", "3", "--workers", "1", "--out-dir", str(out)]
+        out = tmp_path / str(len(outputs))
+        argv = ["simulate", "--seed", "42", "--reps", "1000", "--workers", "1", "--out-dir", str(out)]
         run_python(f"import sys; from postselect.cli import main; sys.exit(main({argv!r}))", **env)
-        records.append((out / "records.csv").read_bytes())
-    assert records[0] == records[1]
+        names = ("summary.json", "records.csv", "ratio_hist.csv")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
