@@ -96,6 +96,8 @@ def check_streams(seed: int, substreams: Sequence[int]) -> tuple[int, np.ndarray
     """The seed as an int and the substreams as uint64 words, refused as :func:`stream_keys`
     states; it imports no numpy.random, so a config check keeps it out of a pool's parent."""
     seed = int(_unsigned(seed, 64, "seed must be a 64-bit unsigned integer, got {}"))
+    if isinstance(r := substreams, range) and r.step == 1 and 0 <= r.start <= r.stop <= 2**32:
+        return seed, np.arange(r.start, r.stop, dtype=np.uint64)  # a run of ints: its ends suffice
     return seed, _unsigned(substreams, 32, "substream must lie in [0, 2**32), got {}")
 
 

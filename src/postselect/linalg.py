@@ -135,8 +135,8 @@ def check_data(data, y_raw, X_raw, label: Callable[[int], str] = lambda i: "") -
     squares, as in an SSE, overflows; y and X's columns centered, to the
     ``n * eps * max|raw value|`` that removing a mean leaves."""
     n = data.shape[1]
-    # one abs max serves two rules: only NaN or inf makes it nonfinite
-    top = np.abs(data).max(axis=(1, 2))
+    # one abs max, without a |data| temporary, serves two rules: only NaN or inf makes it nonfinite
+    top = np.maximum(data.max(axis=(1, 2)), -data.min(axis=(1, 2)))
     bound = math.sqrt(np.finfo(np.float64).max / (4 * n))
     tol = n * np.finfo(np.float64).eps
     means = data.sum(axis=1) / n  # each column's mean, y's last
@@ -145,7 +145,8 @@ def check_data(data, y_raw, X_raw, label: Callable[[int], str] = lambda i: "") -
         ~np.isfinite(top),
         top > bound,
         np.abs(y_mean) > tol * np.abs(y_raw).max(axis=1),
-        (col_means > tol * np.abs(X_raw).max(axis=1)).any(axis=1),
+        # each column's abs max as a contiguous row: a reduction over axis 1 runs p-long loops
+        (col_means > tol * np.abs(xt := X_raw.swapaxes(1, 2).copy(), out=xt).max(axis=2)).any(1),
     ])
     if failed.any():
         j = int(failed.any(axis=0).argmax())

@@ -197,14 +197,15 @@ def _replication_block(
     truth = (query[:, None, :] @ np.asarray(cfg.beta_star)[:, None])[:, 0, 0]
     star = sum(1 << (i - 1) for i in cfg.s_star.indices)
     chosen, b = masks[bounds[:-1]], len(data)
+    contains, exact = chosen & star == star, chosen == star
     # the 2b models, as the (2, b) arrays below hold them flat: each
     # replication's selected subset in row 0, S* in row 1
     bits = np.concatenate([chosen, np.full_like(chosen, star)])[:, None] >> np.arange(cfg.p) & 1
-    sizes = bits.sum(axis=1)
+    sizes, fitted = bits.sum(axis=1), np.concatenate([~exact, np.ones(b, bool)])
     (sigma, width), (collinear, covered) = np.empty((2, 2, b)), np.empty((2, 2, b), bool)
     # sizes as a set, not np.unique: its hash table keeps about 1 MB once used
-    for k in sorted(set(sizes.tolist())):
-        js = (model := np.flatnonzero(sizes == k)) % b
+    for k in sorted(set(sizes[fitted].tolist())):
+        js = (model := np.flatnonzero((sizes == k) & fitted)) % b
         positions = np.nonzero(bits[model])[1].reshape(len(js), k)
         fit = ols_fit_stack(data, js, positions)
         sigma.flat[model] = sigma_hat = np.sqrt(fit.sse / fit.df)
@@ -212,6 +213,8 @@ def _replication_block(
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
         collinear.flat[model], width.flat[model] = fit.collinear, hi - lo
         covered.flat[model] = (lo <= t) & (t <= hi)
+    for outcome in sigma, width, collinear, covered:  # an exact selection's fit is S*'s
+        outcome[0, exact] = outcome[1, exact]
     failed = collinear[1] | (floored > 0) | collinear[0]
     if failed.any():
         j = int(failed.argmax())
@@ -222,7 +225,6 @@ def _replication_block(
             )
         s = subset_of_mask(star if collinear[1, j] else int(chosen[j]))
         raise PostselectError(f"replication {start + j}: {collinear_error(s)}")
-    contains, exact = chosen & star == star, chosen == star
     strict = contains & ~exact
     holds = np.zeros(cfg.p + 1, bool)  # the overfit condition, by the selected size
     for k in set(sizes[:b][strict].tolist()):
@@ -291,6 +293,14 @@ def summarize(
     )
 
 
+def _place_worker(indices) -> None:
+    """Pool worker i (i from ``indices``) moves to the i-th CPU it may use, mod their count, and
+    may then use all again: a forked worker starts on its parent's CPU, and may stay there."""
+    cpus = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpus[indices.get() % len(cpus)]})
+    os.sched_setaffinity(0, cpus)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
 ) -> tuple[ExperimentSummary, list[ReplicationRecord]]:
@@ -308,7 +318,14 @@ def run_experiment(
     if workers <= 1:
         blocks = list(map(_replication_block, *args))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        placement = {}
+        if hasattr(os, "sched_setaffinity"):  # else a pool of workers that stay where they start
+            from multiprocessing import SimpleQueue
+
+            placement = {"initializer": _place_worker, "initargs": (indices := SimpleQueue(),)}
+            for i in range(workers):
+                indices.put(i)
+        with ProcessPoolExecutor(max_workers=workers, **placement) as pool:
             blocks = list(pool.map(_replication_block, *args))
     records = [rec for blk in blocks for rec in blk]
     runtime = time.perf_counter() - t0

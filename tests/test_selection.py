@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postselect import (
@@ -489,6 +489,9 @@ class TestSelect:
         crit=st.sampled_from([AIC, BIC]),
         top=st.sampled_from([1, 3, 10]),
     )
+    # a y whose mean, 1.1e-16, is above 4 eps max|y| of the centered y: the
+    # centering tolerance must come from the data it was centered from
+    @example(seed=3594, p=2, extra=2, rho=0.0, duplicate=True, crit=AIC, top=1)
     def test_pruning_keeps_the_exhaustive_top(self, seed, p, extra, rho, duplicate, crit, top):
         # the search visits a subset of the exhaustive search's subsets, with
         # the same scores, and every subset it skips scores above the
@@ -499,7 +502,7 @@ class TestSelect:
         if duplicate and p > 1:
             x = data.X.copy()
             x[:, -1] = x[:, 0]
-            data = Dataset(y=data.y, X=x)
+            data = centered_dataset(data.y, x)[0]  # these are its raw data
         full, result = _exhaustive(data, crit), select(data, crit, top=top)
         visited, every = _table(result), _table(full)
         assert len(visited) == len(result.masks) and visited.keys() <= every.keys()

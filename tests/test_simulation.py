@@ -589,9 +589,9 @@ class TestRunExperiment:
         widths = []
 
         class Spy(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **placement):
                 widths.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **placement)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", Spy)
         _, one_block = run_experiment(small_cfg(workers=8))
@@ -599,6 +599,48 @@ class TestRunExperiment:
         blocks_of(monkeypatch, small_cfg(), 16)
         _, three_blocks = run_experiment(small_cfg(workers=8))
         assert widths == [3] and three_blocks == one_block
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_each_pool_worker_starts_on_its_own_cpu(self, monkeypatch):
+        # worker i moves to the i-th allowed CPU, mod their count, and then may
+        # run on all of them again; the initializers run here, in process
+        calls = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer, initargs):
+                for _ in range(max_workers):
+                    initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus)))
+        _, one_block = run_experiment(small_cfg())
+        blocks_of(monkeypatch, small_cfg(), 16)
+        _, three_blocks = run_experiment(small_cfg(workers=8))
+        assert calls == [{2}, {2, 5}, {5}, {2, 5}, {2}, {2, 5}]
+        assert three_blocks == one_block
+
+    def test_a_pool_starts_bare_where_the_os_cannot_place_workers(self, monkeypatch):
+        placements = []
+
+        class Spy(ProcessPoolExecutor):
+            def __init__(self, max_workers, **placement):
+                placements.append(placement)
+                super().__init__(max_workers, **placement)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Spy)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        blocks_of(monkeypatch, small_cfg(), 16)
+        _, records = run_experiment(small_cfg(workers=2))
+        assert placements == [{}] and records == run_experiment(small_cfg())[1]
 
     def test_different_seeds_differ(self):
         _, a = run_experiment(small_cfg(seed=1, reps=5))
