@@ -267,10 +267,11 @@ def _read_dataset_csv(path: str) -> tuple[Dataset, list[str]]:
     """Parse a CSV with a header, a `y` column, and numeric predictors.
 
     The cells stream into one float array, row by row, so a large file is
-    never held as strings.
+    never held as strings.  A UTF-8 byte-order mark, as Excel writes one, is
+    dropped.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]

@@ -118,7 +118,8 @@ def stream_keys(seed: int, substreams: Sequence[int]) -> np.ndarray:
 def stream_generators(seed: int, substreams: Sequence[int]) -> Iterator[np.random.Generator]:
     """One Generator, re-keyed to each stream ``(seed, r)`` in turn and
     yielded: :func:`stream_keys`'s key, counter 0 and an empty buffer, as a
-    fresh Philox seeded by that ``SeedSequence`` starts."""
+    fresh Philox seeded by that ``SeedSequence`` starts, without building a
+    SeedSequence, a Philox and a Generator per stream."""
     bitgen = np.random.Philox(key=0)
     gen, state = np.random.Generator(bitgen), bitgen.state  # counter 0, buffer_pos 4
     for key in stream_keys(seed, substreams):
@@ -235,7 +236,8 @@ def _upper_tail(df: int, t: float) -> float:
     is the normal tail ``erfc(x / sqrt 2) / 2`` at the x whose
     :func:`_cornish_fisher` quantile is |t|, found by the fixed point
     ``x <- |t| / factor(x)``: below ``_NORMAL_TAIL_MAX_T`` each step shrinks
-    the error by at least 10^4, so four steps from x = |t| reach the last bit."""
+    the error by at least 10^4, so four steps from x = |t| reach the last bit,
+    and ``cdf(quantile(p))`` returns p to 1e-12 relative, a small tail too."""
     if df >= _CORNISH_FISHER_MIN_DF:
         t, v = abs(t), 1.0 / df
         if t >= _NORMAL_TAIL_MAX_T:
@@ -271,9 +273,12 @@ def _student_t_pdf(df: int, t: float) -> float:
 def _tail_quantile(df: int, tail: float) -> float:
     """The t > 0 with P(T > t) = tail for tail in (0, 0.5), by safeguarded Newton
     on ``cdf - (1 - tail)``, or below 1e-3, where ``1 - tail`` has rounded away
-    the tail's digits, on ``tail - P(T > t)`` to a tolerance relative to tail.
+    the tail's digits, on ``tail - P(T > t)`` to 1e-11 relative to tail.
+    The continued fraction's digits fade as df grows: the 0.975 quantile's
+    relative error reaches 5.3e-11 near df = 10^7, and would be 1.8e-7 at 10^10.
     From df = 10^7 on it is :func:`_cornish_fisher` about the normal quantile
-    x of the tail itself, so a small tail keeps its digits."""
+    x of the tail itself, whose truncation error is far below a float's
+    rounding there, so a small tail keeps its digits."""
     if df >= _CORNISH_FISHER_MIN_DF:
         from statistics import NormalDist  # imported here: it costs a millisecond at start-up
 

@@ -258,8 +258,10 @@ def select_stack(
     An exact branch and bound over the column-dropping tree.  A node (S, k)
     holds the R factor of ``[X_S | y]``, whose last diagonal entry squared is
     SSE(S), read from a residual, so it keeps its digits at a high
-    signal-to-noise ratio.  Its children drop the column at one position
-    ``j >= k`` of S and become (S minus it, j) (:func:`_drop_column`).  Every
+    signal-to-noise ratio: against ``lstsq`` its relative error stays within
+    ``8 eps sqrt(n) ||y|| / sqrt(SSE)``.  Its children drop the column at one
+    position ``j >= k`` of S and become (S minus it, j) (:func:`_drop_column`),
+    so every subset is exactly one node.  Every
     subset below (S, k) has a larger SSE and at least k variables, so it
     scores at least ``n log SSE(S) + c_n k``; a subtree is pruned when that
     bound exceeds the top-th best score so far by more than a relative
@@ -271,6 +273,8 @@ def select_stack(
     subset size at a time, building the children of all datasets' live nodes
     in batches of at most ``_BATCH_FLOATS`` floats and pruning by the scores
     of the sizes before, so what a dataset visits does not depend on the rest of the stack.
+    A child is unpacked from its parent's packed upper triangle, and a level's live
+    nodes are kept packed, so working memory does not grow with 2^p.
     For ``top > 1`` a top-1 search from the same factor and seeds goes first, and the
     top-th best of the distinct subsets it visits caps the cut of the second, top-k
     search; the second one alone gives the visited subsets, their scores and ``floored``.
@@ -280,7 +284,8 @@ def select_stack(
     children.  So does a subset that would leave no residual degree of
     freedom.  An SSE at most ``(n eps)^2 ||y||^2`` is rounding error, an
     exact fit, scored as if it were that bound; no subset has one unless the
-    full model, whose SSE is the smallest, does.  ``ValueError`` if ``p``
+    full model, whose SSE is the smallest, does.  There is no other clamp, so
+    the ranking does not depend on the data's scale.  ``ValueError`` if ``p``
     exceeds ``ENUMERATION_LIMIT`` (20) or ``top`` is below 1.
     """
     b, n, p = data.shape[0], data.shape[1], data.shape[2] - 1

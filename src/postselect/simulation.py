@@ -10,7 +10,8 @@ size one :func:`~postselect.linalg.ols_fit_stack` fits the selected and true sub
 of that size from the same array, and one :func:`~postselect.inference.interval_stack`
 gives their intervals.  Replications are indexed substreams of one master seed, and
 every stacked step computes each dataset on its own, so results are bit-identical
-for any block size and worker count.
+for any block size and worker count.  The stacked functions are internal, not in
+``postselect.__all__``; the public API is the one-dataset and one-replication calls.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .linalg import Dataset, Subset, check_data, collinear_error, ols_fit_stack
 from .selection import ENUMERATION_LIMIT, Criterion, overfit_condition, select_stack, subset_of_mask
 
 # A block holds as many replications as fit about this many floats of data, n (p + 1)
-# each, and at least one; its traced memory peaks at about 3.5 times its data.
+# each, and at least one; its traced memory peaks at about 3.5 times its data.  Larger
+# blocks spread each stacked call's fixed cost over more replications; like the
+# search's batch budget, it has no option.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -119,7 +122,10 @@ class GeneratedData:
 def _generate(cfg: ExperimentConfig, substreams: Sequence[int], streams):
     """Each stream's centered design and response in one array ``[X | y]``, column
     means, query row and raw response and design, checked; a stream gives its n design
-    rows, n noise values and query row in one call, whose draws the raw rows replace."""
+    rows, n noise values and query row in one call, whose draws the raw rows replace.
+    One AR(1) recursion runs over all design rows and one over all query rows.  The
+    data rules are checked at each replication's raw scale, never the centered one,
+    which at n = 3 would reject valid data."""
     n, p = cfg.n, cfg.p
     # the block array below the draws, which are freed first: a smaller peak RSS
     data, z = np.empty((len(substreams), n, p + 1)), np.empty((len(substreams), n * p + n + p))
@@ -187,7 +193,9 @@ def _replication_block(
     One :func:`generate_stack` and one :func:`select_stack` serve the block, and its
     fits gather their columns from the same array.  Each replication has two models,
     its chosen bitmask and S*, and all the block's models of one size share one
-    ``ols_fit_stack`` and one ``interval_stack``.  Every step treats each replication
+    ``ols_fit_stack`` and one ``interval_stack``.  A record's containment, exactness,
+    strict overfit and condition are bitmask arithmetic, and one ``Subset`` is built
+    per distinct chosen subset.  Every step treats each replication
     on its own, so a record does not depend on the block.  The block fails at its
     first failing replication, for that replication's first failure: the S* fit,
     then the SSE floor, then the selected fit.

@@ -282,6 +282,13 @@ class TestSelectCommand:
         assert code == 0, err
         assert json.loads(out)["chosen"] == expected
 
+    def test_csv_with_a_byte_order_mark_selects_as_without(self, capsys, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_fixture_csv(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert run_cli(capsys, "select", str(marked)) == run_cli(capsys, "select", str(plain))
+
     def test_malformed_inputs_exit_2(self, capsys, tmp_path):
         no_y = tmp_path / "no_y.csv"
         no_y.write_text("a,b\n1,2\n3,4\n")

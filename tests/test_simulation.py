@@ -730,14 +730,27 @@ class TestBlasThreads:
         assert run_python(code, path=str(tmp_path)).split() == ["1"] * 8
 
 
-def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the reference run, n = 50; from n = 10001 on OpenBLAS splits long dot
-    # products across its threads, and the last digits follow the count
+def _outputs_at_one_and_two_blas_threads(tmp_path, flags: str) -> list:
+    """The bytes of the three files ``simulate`` writes, at one and at two BLAS threads."""
     outputs = []
     for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
         out = tmp_path / str(len(outputs))
-        argv = ["simulate", "--seed", "42", "--reps", "1000", "--workers", "1", "--out-dir", str(out)]
+        argv = ["simulate", *flags.split(), "--workers", "1", "--out-dir", str(out)]
         run_python(f"import sys; from postselect.cli import main; sys.exit(main({argv!r}))", **env)
         names = ("summary.json", "records.csv", "ratio_hist.csv")
         outputs.append([(out / name).read_bytes() for name in names])
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    one, two = _outputs_at_one_and_two_blas_threads(tmp_path, "--seed 42 --reps 1000")
+    assert one == two
+
+
+def test_records_up_to_n_10000_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # from n = 10001 on, OpenBLAS splits a dot product of more than 10000 terms
+    # across its threads, which reorders the sum: at n = 10001 these flags give
+    # records whose last digits follow the thread count
+    flags = "--n 10000 --p 4 --beta-star 1,2,0,0 --reps 3 --seed 42"
+    one, two = _outputs_at_one_and_two_blas_threads(tmp_path, flags)
+    assert one == two
