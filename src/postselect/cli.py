@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 on usage or configuration errors (a
 ``ValueError``), 3 when the run fails on the data or cannot write its outputs
-(a ``PostselectError``) or memory runs out; :func:`main` is the one place
-that maps them to codes.
+(a ``PostselectError``, or a closed stdout) or memory runs out; :func:`main` is
+the one place that maps them to codes.
 All file output is written atomically next to a manifest that echoes the full
 configuration; re-running with ``--config manifest.json`` reproduces
 summary.json, records.csv and ratio_hist.csv byte for byte.
@@ -477,8 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, PostselectError, MemoryError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except (ValueError, PostselectError, MemoryError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # that last flush then writes to devnull
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            exc = PostselectError(f"cannot write outputs: {exc}")
         prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_RUNTIME

@@ -12,4 +12,5 @@ class PostselectError(Exception):
 
 
 class DegenerateReplication(PostselectError):
-    """A replication's subsets hit the SSE floor: its variances are meaningless."""
+    """A replication's subsets hit the SSE floor, or a fit's SSE underflows to 0: its
+    variances are meaningless."""

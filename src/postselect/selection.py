@@ -238,10 +238,10 @@ def _kth_best(owner: np.ndarray, scores: np.ndarray, b: int, top: int):
 
 
 def _exact_fit_bound(n: int, y_norm: np.ndarray):
-    """The largest SSE that is rounding error, an exact fit: ``(n eps)^2 ||y||^2``,
+    """The largest residual norm that is rounding error, an exact fit: ``n eps ||y||``,
     but at least the smallest subnormal, so a zero y scores finitely."""
     f64 = np.finfo(np.float64)
-    return np.maximum((n * f64.eps) ** 2 * y_norm**2, f64.smallest_subnormal)
+    return np.maximum(n * f64.eps * y_norm, f64.smallest_subnormal)
 
 
 def select_stack(
@@ -256,12 +256,13 @@ def select_stack(
     cap ``min(p, n - 2)``.
 
     An exact branch and bound over the column-dropping tree.  A node (S, k)
-    holds the R factor of ``[X_S | y]``, whose last diagonal entry squared is
-    SSE(S), read from a residual, so it keeps its digits at a high
-    signal-to-noise ratio: against ``lstsq`` its relative error stays within
-    ``8 eps sqrt(n) ||y|| / sqrt(SSE)``.  Its children drop the column at one
-    position ``j >= k`` of S and become (S minus it, j) (:func:`_drop_column`),
-    so every subset is exactly one node.  Every
+    holds the R factor of ``[X_S | y]``, whose last diagonal entry ``|r|`` is
+    the residual norm sqrt(SSE(S)), read from a residual, so it keeps its digits
+    at a high signal-to-noise ratio: against ``lstsq`` SSE's relative error stays
+    within ``8 eps sqrt(n) ||y|| / |r|``.  S scores ``2n log|r| + c_n |S|``, and
+    ``|r|`` is never squared, so no score underflows at a small data scale.  Its
+    children drop the column at one position ``j >= k`` of S and become (S minus
+    it, j) (:func:`_drop_column`), so every subset is exactly one node.  Every
     subset below (S, k) has a larger SSE and at least k variables, so it
     scores at least ``n log SSE(S) + c_n k``; a subtree is pruned when that
     bound exceeds the top-th best score so far by more than a relative
@@ -282,7 +283,7 @@ def select_stack(
     A node is rank deficient when a diagonal entry of its R is at most
     ``RANK_RTOL`` times its column's norm; it scores ``inf`` but keeps its
     children.  So does a subset that would leave no residual degree of
-    freedom.  An SSE at most ``(n eps)^2 ||y||^2`` is rounding error, an
+    freedom.  A residual norm at most ``n eps ||y||`` is rounding error, an
     exact fit, scored as if it were that bound; no subset has one unless the
     full model, whose SSE is the smallest, does.  There is no other clamp, so
     the ranking does not depend on the data's scale.  ``ValueError`` if ``p``
@@ -307,18 +308,18 @@ def select_stack(
     resid = np.hypot.accumulate(np.abs(r[:, ::-1, p]), axis=1)[:, ::-1]
     exact_fit = _exact_fit_bound(n, resid[:, 0])
 
-    def score(exact_fit, sse, size, deficient):
-        """Log term, score and whether the SSE is an exact fit, scored as the bound."""
+    def score(exact_fit, norm, size, deficient):
+        """Log term n log SSE, score and whether the norm is an exact fit, scored as the bound."""
         scored = ~deficient & (size <= max_size)
-        log_term = n * np.log(np.maximum(sse, exact_fit))
-        floored = scored & (sse <= exact_fit)
+        log_term = 2 * n * np.log(np.maximum(norm, exact_fit))
+        floored = scored & (norm <= exact_fit)
         return log_term, np.where(scored, log_term + c_n * size, np.inf), floored
 
     # the seeds; a visited subset is (dataset, bitmask, size, score, floored)
     sizes = np.arange(p + 1)
     deficient = np.zeros((b, p + 1), bool)
     deficient[:, 1:] = np.logical_or.accumulate(np.abs(r.diagonal(0, 1, 2)[:, :p]) <= collinear, 1)
-    log_term, scores, floored = score(exact_fit[:, None], resid**2, sizes, deficient)
+    log_term, scores, floored = score(exact_fit[:, None], resid, sizes, deficient)
     prefix = np.concatenate([np.zeros((b, 1), bits.dtype), bits.cumsum(1)], 1)
     owner = np.repeat(np.arange(b), p + 1)
     seeds = (owner, prefix.ravel(), np.tile(sizes, b), scores.ravel(), floored.ravel())
@@ -349,7 +350,7 @@ def select_stack(
                 child[:, s + 1] ^= bits[owner, dropped]
                 d = np.abs(h.diagonal(0, 1, 2))
                 deficient = (d[:, :size] <= collinear[owner[:, None], child[:, :size]]).any(1)
-                log_term, scores, floored = score(exact_fit[owner], d[:, size] ** 2, size, deficient)
+                log_term, scores, floored = score(exact_fit[owner], d[:, size], size, deficient)
                 # a prefix, with last position size - 1, was a seed
                 new = np.flatnonzero(child[:, size - 1] != size - 1) if size else j[:0]
                 rec = (owner, child[:, s + 1], np.full(j.size, size), scores, floored)
@@ -370,10 +371,10 @@ def select_stack(
                 break
         return records
 
-    # a top-1 pass is cheap, and the top-th best of the subsets it visits, all
-    # distinct, is at least the true top-th best: it starts the top-k search's cut
+    # a top-1 pass is cheap, and the top-th best of the distinct subsets it visits, at
+    # least the true top-th best, starts the top-k search's cut; for all 2^p it is inf
     cut0 = np.full(b, np.inf)
-    if top > 1:
+    if 1 < top < 1 << p:
         owner, _, _, scores, _ = map(np.concatenate, zip(*search(1, cut0)))
         cut0 = _kth_best(owner, scores, b, top)[0]
     owner, masks, sizes, scores, floored = map(np.concatenate, zip(*search(top, cut0)))
@@ -441,7 +442,8 @@ class TheoremReport:
 
     ``a_n``, ``d_n`` and ``condition_holds`` are :func:`overfit_condition`'s.
     ``r_n = 1 - sse_hat / sse_star`` is the relative SSE drop, so
-    ``sse_hat = (1 - r_n) * sse_star``.  ``f_n`` is
+    ``sse_hat = (1 - r_n) * sse_star``; only these two SSEs are squared from the
+    factor's norms, and they underflow to 0 below about 1e-162 of data scale.  ``f_n`` is
     ``((sse_star - sse_hat) / (|s_hat| - |s_star|)) / (sse_hat / (n - |s_hat| - 1))``
     (infinite when ``sse_hat`` is an exact fit): its denominator is the selected
     fit's variance estimate, whose degrees of freedom also count the
@@ -482,31 +484,23 @@ def theorem_report(
     diag = overfit_condition(n, k, m, crit.c_n(n))
     if s_hat.indices[-1] > data.p:
         raise ValueError(f"subset {s_hat} reaches beyond the {data.p} available columns")
-    # one R factor of [X_S* | X_(S_hat minus S*) | y]: SSE(S_hat) is its last diagonal
-    # entry squared, and the drop, a sum of squares, the rest of its last column's
+    # one R factor of [X_S* | X_(S_hat minus S*) | y]: the norms of its last column's rows
+    # m, k..m and k..m - 1 are S_hat's and S*'s residual norms and the drop's, not squared
     cols = [*s_star.indices, *(i for i in s_hat.indices if i not in s_star.indices)]
     r = np.linalg.qr(data.xy[:, [i - 1 for i in cols] + [data.p]], mode="r")
     collinear = np.abs(r.diagonal()[:m]) <= RANK_RTOL * np.hypot.reduce(r[:, :m], axis=0)
     for s in s_star, s_hat:
         if collinear[: s.size].any():
             raise collinear_error(s)
-    sse_hat, drop = float(r[m, m] ** 2), float(r[k:m, m] @ r[k:m, m])
-    sse_star, exact_fit = sse_hat + drop, _exact_fit_bound(n, np.linalg.norm(r[:, m]))
-    if sse_star <= exact_fit:
+    last, hypot = np.abs(r[:, m]), np.hypot.reduce
+    resid_hat, resid_star, drop = map(float, (last[m], hypot(last[k:]), hypot(last[k:m])))
+    if resid_star <= (exact_fit := _exact_fit_bound(n, hypot(last))):
         raise PostselectError(f"SSE({s_star}) is zero up to rounding; theorem quantities undefined")
-    sigma_sq_hat = sse_hat / (n - m - 1)
-    sigma_star, sigma_hat = math.sqrt(sse_star / (n - k - 1)), math.sqrt(sigma_sq_hat)
+    sigma_star, sigma_hat = resid_star / math.sqrt(n - k - 1), resid_hat / math.sqrt(n - m - 1)
     return TheoremReport(
-        s_star=s_star,
-        s_hat=s_hat,
-        a_n=diag.a_n,
-        d_n=diag.d_n,
-        r_n=drop / sse_star,
-        f_n=drop / (m - k) / sigma_sq_hat if sse_hat > exact_fit else math.inf,
-        condition_holds=diag.holds,
-        sigma_hat_star=sigma_star,
-        sigma_hat_selected=sigma_hat,
-        underestimates=sigma_hat < sigma_star,
-        sse_star=sse_star,
-        sse_hat=sse_hat,
+        s_star=s_star, s_hat=s_hat, a_n=diag.a_n, d_n=diag.d_n,
+        r_n=(drop / resid_star) ** 2,
+        f_n=(drop / sigma_hat) ** 2 / (m - k) if resid_hat > exact_fit else math.inf,
+        condition_holds=diag.holds, sigma_hat_star=sigma_star, sigma_hat_selected=sigma_hat,
+        underestimates=sigma_hat < sigma_star, sse_star=resid_star**2, sse_hat=resid_hat**2,
     )

@@ -198,7 +198,8 @@ def _replication_block(
     per distinct chosen subset.  Every step treats each replication
     on its own, so a record does not depend on the block.  The block fails at its
     first failing replication, for that replication's first failure: the S* fit,
-    then the SSE floor, then the selected fit.
+    then the SSE floor, then the selected fit.  A fit fails collinear, or when its SSE
+    e'e, and so its sigma_hat, underflows to 0, below about 1e-162 of data scale.
     """
     data, query = generate_stack(cfg, range(start, stop))
     masks, _, bounds, floored, _ = select_stack(data, cfg.criterion)
@@ -209,11 +210,11 @@ def _replication_block(
     # the 2b models, as the (2, b) arrays below hold them flat: each
     # replication's selected subset in row 0, S* in row 1
     bits = np.concatenate([chosen, np.full_like(chosen, star)])[:, None] >> np.arange(cfg.p) & 1
-    sizes, fitted = bits.sum(axis=1), np.concatenate([~exact, np.ones(b, bool)])
+    sizes = bits.sum(axis=1)
     (sigma, width), (collinear, covered) = np.empty((2, 2, b)), np.empty((2, 2, b), bool)
     # sizes as a set, not np.unique: its hash table keeps about 1 MB once used
-    for k in sorted(set(sizes[fitted].tolist())):
-        js = (model := np.flatnonzero((sizes == k) & fitted)) % b
+    for k in sorted(set(sizes.tolist())):
+        js = (model := np.flatnonzero(sizes == k)) % b
         positions = np.nonzero(bits[model])[1].reshape(len(js), k)
         fit = ols_fit_stack(data, js, positions)
         sigma.flat[model] = sigma_hat = np.sqrt(fit.sse / fit.df)
@@ -221,18 +222,16 @@ def _replication_block(
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
         collinear.flat[model], width.flat[model] = fit.collinear, hi - lo
         covered.flat[model] = (lo <= t) & (t <= hi)
-    for outcome in sigma, width, collinear, covered:  # an exact selection's fit is S*'s
-        outcome[0, exact] = outcome[1, exact]
-    failed = collinear[1] | (floored > 0) | collinear[0]
+    failed = np.array([collinear[1], sigma[1] == 0, floored > 0, collinear[0], sigma[0] == 0])
     if failed.any():
-        j = int(failed.argmax())
-        if floored[j] and not collinear[1, j]:
-            raise DegenerateReplication(
-                f"replication {start + j}: {floored[j]} subsets hit the SSE floor; "
-                "variance comparisons would be meaningless"
-            )
-        s = subset_of_mask(star if collinear[1, j] else int(chosen[j]))
-        raise PostselectError(f"replication {start + j}: {collinear_error(s)}")
+        j = int(failed.any(axis=0).argmax())
+        why = int(failed[:, j].argmax()) % 3  # 0 collinear, 1 an SSE of 0, 2 the SSE floor
+        s = subset_of_mask(star if failed[:2, j].any() else int(chosen[j]))
+        message = (collinear_error(s), f"SSE({s}) underflows to 0 at this data scale",
+                   f"{floored[j]} subsets hit the SSE floor; variance comparisons would be "
+                   "meaningless")[why]
+        error = DegenerateReplication if why else PostselectError
+        raise error(f"replication {start + j}: {message}")
     strict = contains & ~exact
     holds = np.zeros(cfg.p + 1, bool)  # the overfit condition, by the selected size
     for k in set(sizes[:b][strict].tolist()):

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -852,6 +856,14 @@ EXIT_CODES = {
         3,
         "error: replication 7: 1 subsets hit the SSE floor",
     ),
+    # the reference study scaled by 1e-300: selection reads residual norms, but the
+    # fits' SSEs e'e, about 1e-599, underflow to 0
+    "data scaled by 1e-300": (
+        "simulate --sigma 1e-300 --beta-star 1e-300,2e-300,3e-300,0,0,0,0,0,0,0 --workers 1"
+        " --out-dir {tmp}/tiny",
+        3,
+        "error: replication 0: SSE({1,2,3}) underflows to 0 at this data scale",
+    ),
     "out-dir under a file": (
         "simulate --reps 2 --workers 1 --out-dir {tmp}/file/out",
         2,
@@ -914,3 +926,30 @@ def test_exit_code_table(capsys, cli_inputs, argv, code, prefix):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), err
 
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_3_with_one_line(cli_inputs, unbuffered):
+    # a pipe whose read end is closed, as `postselect ... | head -0` leaves it: a
+    # buffered stdout fails at the last flush, an unbuffered one at the first print
+    commands = (
+        "simulate --reps 2 --workers 1 --out-dir {tmp}/piped",
+        "select {tmp}/thm.csv --json",
+        "theorem-check --data {tmp}/thm.csv --s-star 1,2 --s-hat 1,2,3",
+        "quantile --df 46 --prob 0.975",
+    )
+    src = str(pathlib.Path(simulation.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    for argv in commands:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "postselect.cli", *argv.format(tmp=cli_inputs).split()],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 3, (argv, done.stderr)
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs: "), lines

@@ -223,18 +223,36 @@ class TestSelect:
 
     @pytest.mark.parametrize("crit", [AIC, BIC], ids=["aic", "bic"])
     def test_ranking_does_not_depend_on_the_data_scale(self, crit):
-        # the exact-fit bound is relative to ||y||, so data scaled down until
-        # their SSEs are subnormal (about 1e-310 at 1e-155) rank as at scale 1
+        # the scores read residual norms, never their squares, and the exact-fit
+        # bound is relative to ||y||, so data scaled down until their SSEs are
+        # subnormal (about 1e-310 at 1e-155) or 0 (from about 1e-163) rank as at scale 1
         rng = np.random.default_rng(3)
         x = rng.standard_normal((30, 4))
         y = 5.0 + x[:, 0] + 2.0 * x[:, 1] + rng.standard_normal(30)
         runs = []
-        for scale in (1.0, 1e-100, 1e-150, 1e-155):
+        scales = (1.0, 1e-100, 1e-150, 1e-155, 1e-162, 1e-165, 1e-200, 1e-300)
+        for scale in scales:
             result = select(centered_dataset(scale * y, scale * x)[0], crit, top=10)
             assert result.truncated_sse_count == 0, scale
             runs.append((result.chosen, result.ties, [s for s, _ in result.ranked(10)]))
         assert runs[0][0] == Subset((1, 2))
-        assert runs[1:] == runs[:1] * 3
+        assert runs[1:] == runs[:1] * (len(scales) - 1)
+
+    def test_top_of_all_subsets_skips_the_first_pass(self, rng, monkeypatch):
+        # the top-1 pass only starts the top-k search's cut, which for all 2^p is inf
+        tops, kth_best = [], selection._kth_best
+
+        def spy(owner, scores, b, top):
+            tops.append(top)
+            return kth_best(owner, scores, b, top)
+
+        monkeypatch.setattr(selection, "_kth_best", spy)
+        data = random_centered_dataset(rng, 30, 4)
+        select(data, AIC, top=10)
+        assert 1 in tops and 10 in tops
+        tops.clear()
+        select(data, AIC, top=2**4)
+        assert tops and 1 not in tops
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -778,6 +796,16 @@ class TestTheoremReport:
                 assert report.r_n == pytest.approx(base.r_n, rel=1e-10, abs=0)
                 assert report.f_n == pytest.approx(base.f_n, rel=1e-10, abs=0)
                 assert report.condition_holds == base.condition_holds
+        # the whole dataset, down to where its SSEs underflow to 0: the report
+        # reads residual norms, and squares them only for sse_star and sse_hat
+        for factor in (1e-155, 1e-162, 1e-165, 1e-200, 1e-300):
+            tiny = Dataset(y=data.y * factor, X=data.X * factor)
+            report = theorem_report(tiny, s_star, s_hat, AIC)
+            assert report.r_n == pytest.approx(base.r_n, rel=1e-10, abs=0)
+            assert report.f_n == pytest.approx(base.f_n, rel=1e-10, abs=0)
+            sigma = report.sigma_hat_selected / factor
+            assert sigma == pytest.approx(base.sigma_hat_selected, rel=1e-10)
+            assert report.underestimates == base.underestimates
 
     def test_f_n_has_its_f_distribution(self):
         # under S*, F_n is F(|S_hat| - |S*|, n - |S_hat| - 1): centering spends
