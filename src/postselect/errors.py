@@ -12,5 +12,4 @@ class PostselectError(Exception):
 
 
 class DegenerateReplication(PostselectError):
-    """A replication's subsets hit the SSE floor, or a fit's SSE underflows to 0: its
-    variances are meaningless."""
+    """A replication's variances are meaningless: an exact fit, or an SSE that underflows."""

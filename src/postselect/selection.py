@@ -257,10 +257,9 @@ def select_stack(
 
     An exact branch and bound over the column-dropping tree.  A node (S, k)
     holds the R factor of ``[X_S | y]``, whose last diagonal entry ``|r|`` is
-    the residual norm sqrt(SSE(S)), read from a residual, so it keeps its digits
-    at a high signal-to-noise ratio: against ``lstsq`` SSE's relative error stays
-    within ``8 eps sqrt(n) ||y|| / |r|``.  S scores ``2n log|r| + c_n |S|``, and
-    ``|r|`` is never squared, so no score underflows at a small data scale.  Its
+    sqrt(SSE(S)), read from a residual, so it keeps its digits at a high
+    signal-to-noise ratio: against ``lstsq`` SSE's relative error stays within
+    ``8 eps sqrt(n) ||y|| / |r|``.  S scores ``2n log|r| + c_n |S|``.  Its
     children drop the column at one position ``j >= k`` of S and become (S minus
     it, j) (:func:`_drop_column`), so every subset is exactly one node.  Every
     subset below (S, k) has a larger SSE and at least k variables, so it
@@ -285,9 +284,9 @@ def select_stack(
     children.  So does a subset that would leave no residual degree of
     freedom.  A residual norm at most ``n eps ||y||`` is rounding error, an
     exact fit, scored as if it were that bound; no subset has one unless the
-    full model, whose SSE is the smallest, does.  There is no other clamp, so
-    the ranking does not depend on the data's scale.  ``ValueError`` if ``p``
-    exceeds ``ENUMERATION_LIMIT`` (20) or ``top`` is below 1.
+    full model, whose SSE is the smallest, does.  There is no other clamp, and
+    ``|r|`` is never squared, so the ranking does not depend on the data's scale.
+    ``ValueError`` if ``p`` exceeds ``ENUMERATION_LIMIT`` (20) or ``top`` is below 1.
     """
     b, n, p = data.shape[0], data.shape[1], data.shape[2] - 1
     if p > ENUMERATION_LIMIT:

@@ -195,11 +195,11 @@ def _replication_block(
     its chosen bitmask and S*, and all the block's models of one size share one
     ``ols_fit_stack`` and one ``interval_stack``.  A record's containment, exactness,
     strict overfit and condition are bitmask arithmetic, and one ``Subset`` is built
-    per distinct chosen subset.  Every step treats each replication
-    on its own, so a record does not depend on the block.  The block fails at its
-    first failing replication, for that replication's first failure: the S* fit,
-    then the SSE floor, then the selected fit.  A fit fails collinear, or when its SSE
-    e'e, and so its sigma_hat, underflows to 0, below about 1e-162 of data scale.
+    per distinct chosen subset.  Every step treats each replication on its own, so a
+    record does not depend on the block.  The block fails at its first failing
+    replication, for that replication's first failure: the S* fit, then the SSE
+    floor, then the selected fit.  A fit fails collinear, or when its SSE e'e
+    underflows to 0, below about 1e-162 of data scale.
     """
     data, query = generate_stack(cfg, range(start, stop))
     masks, _, bounds, floored, _ = select_stack(data, cfg.criterion)
@@ -222,16 +222,18 @@ def _replication_block(
         *_, lo, hi = interval_stack(xs, fit.beta, fit.r, sigma_hat, fit.df, cfg.alpha)
         collinear.flat[model], width.flat[model] = fit.collinear, hi - lo
         covered.flat[model] = (lo <= t) & (t <= hi)
-    failed = np.array([collinear[1], sigma[1] == 0, floored > 0, collinear[0], sigma[0] == 0])
+    bad = collinear | (sigma == 0)
+    failed = bad[1] | (floored > 0) | bad[0]
     if failed.any():
-        j = int(failed.any(axis=0).argmax())
-        why = int(failed[:, j].argmax()) % 3  # 0 collinear, 1 an SSE of 0, 2 the SSE floor
-        s = subset_of_mask(star if failed[:2, j].any() else int(chosen[j]))
-        message = (collinear_error(s), f"SSE({s}) underflows to 0 at this data scale",
-                   f"{floored[j]} subsets hit the SSE floor; variance comparisons would be "
-                   "meaningless")[why]
-        error = DegenerateReplication if why else PostselectError
-        raise error(f"replication {start + j}: {message}")
+        j = int(failed.argmax())
+        row, where = int(bad[1, j]), f"replication {start + j}"  # S*'s fit fails first
+        if floored[j] and not row:
+            raise DegenerateReplication(f"{where}: {floored[j]} subsets hit the SSE floor; "
+                                        "variance comparisons would be meaningless")
+        s = subset_of_mask(star if row else int(chosen[j]))
+        if collinear[row, j]:
+            raise PostselectError(f"{where}: {collinear_error(s)}")
+        raise DegenerateReplication(f"{where}: SSE({s}) underflows to 0 at this data scale")
     strict = contains & ~exact
     holds = np.zeros(cfg.p + 1, bool)  # the overfit condition, by the selected size
     for k in set(sizes[:b][strict].tolist()):

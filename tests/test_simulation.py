@@ -496,9 +496,13 @@ class TestRunExperiment:
             ({"selected": 3, "star": 20}, r"^replication 3: columns of subset \{1,2,3,5\}"),
             # both of replication 3's fits fail: the S* fit is reported
             ({"selected": 3, "star": 3}, r"^replication 3: columns of subset \{1,2,3\} "),
+            # the same two, when the failing fits' SSEs underflow to 0 instead
+            ({"selected": 3, "star": 20}, r"^replication 3: SSE\(\{1,2,3,5\}\) underflows to 0"),
+            ({"selected": 3, "star": 3}, r"^replication 3: SSE\(\{1,2,3\}\) underflows to 0"),
         ],
     )
     def test_first_failing_fit_names_its_subset(self, monkeypatch, failing, message):
+        underflow = "underflows" in message  # else the failing fits are collinear
         cfg = blocks_of(monkeypatch, small_cfg(reps=BLOCK))
         bad_y = {
             kind: generate_dataset(cfg, RngStream(cfg.seed, i)).data.y
@@ -512,10 +516,13 @@ class TestRunExperiment:
             fit = fit_stack(data, rows, positions)
             subsets = [Subset.of(row + 1) for row in positions]
             bad = np.array([bad_y["star" if s == cfg.s_star else "selected"] for s in subsets])
-            return fit._replace(collinear=fit.collinear | (data[rows, :, -1] == bad).all(axis=1))
+            hit = (data[rows, :, -1] == bad).all(axis=1)
+            if underflow:
+                return fit._replace(sse=np.where(hit, 0.0, fit.sse))
+            return fit._replace(collinear=fit.collinear | hit)
 
         monkeypatch.setattr(simulation, "ols_fit_stack", fit_stack_failing)
-        with pytest.raises(PostselectError, match=message):
+        with pytest.raises(DegenerateReplication if underflow else PostselectError, match=message):
             run_experiment(cfg)
 
     def test_a_block_fits_each_model_size_once(self, monkeypatch):
